@@ -10,8 +10,6 @@
 #ifndef SHOTGUN_CACHE_HIERARCHY_HH
 #define SHOTGUN_CACHE_HIERARCHY_HH
 
-#include <functional>
-
 #include "cache/cache.hh"
 #include "cache/mshr.hh"
 #include "common/stats.hh"
@@ -34,9 +32,9 @@ struct HierarchyParams
 /**
  * L1-I + LLC + memory with cycle-stamped fills.
  *
- * Completion is pull-based: the core calls drainFills(now, fn) every
- * cycle; fn observes each arriving block (the Shotgun/Confluence
- * predecode-and-prefill hook).
+ * Completion is pull-based: the core calls drainFills(now, fn) on
+ * every cycle it simulates; fn observes each arriving block (the
+ * Shotgun/Confluence predecode-and-prefill hook).
  */
 class InstrHierarchy
 {
@@ -75,10 +73,13 @@ class InstrHierarchy
      */
     Cycle probeForFill(Addr block_number, Cycle now);
 
-    /** Complete all fills due at `now`; fn(block, wasPrefetch). */
+    /**
+     * Complete all fills due at `now`; fn(block, wasPrefetch). A
+     * template, not a std::function: the core calls it every cycle.
+     */
+    template <typename Fn>
     void
-    drainFills(Cycle now,
-               const std::function<void(Addr, bool)> &fn = nullptr)
+    drainFills(Cycle now, Fn &&fn)
     {
         mshrs_.drain(now, [&](const MSHRFile::Entry &entry) {
             // A prefetch that a demand fetch piggybacked on was late
@@ -87,9 +88,15 @@ class InstrHierarchy
                 ++lateUseful_;
             l1i_.fill(entry.block, entry.isPrefetch &&
                                        !entry.demandWaiting);
-            if (fn)
-                fn(entry.block, entry.isPrefetch);
+            fn(entry.block, entry.isPrefetch);
         });
+    }
+
+    /** Complete all fills due at `now` with no observer. */
+    void
+    drainFills(Cycle now)
+    {
+        drainFills(now, [](Addr, bool) {});
     }
 
     /**

@@ -64,6 +64,18 @@ class MSHRFile
         }
     }
 
+    /**
+     * The earliest readyAt of any in-flight entry, kNever when the
+     * file is empty: a drain at any cycle before it completes
+     * nothing. (A lower bound when a stale heap node is pending,
+     * which only makes an idle-cycle fast-forward stop early.)
+     */
+    Cycle
+    nextReady() const
+    {
+        return heap_.empty() ? kNever : heap_.top().first;
+    }
+
     bool full() const { return entries_.size() >= capacity_; }
     std::size_t inFlight() const { return entries_.size(); }
     std::size_t capacity() const { return capacity_; }

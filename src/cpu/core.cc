@@ -1,5 +1,7 @@
 #include "cpu/core.hh"
 
+#include <algorithm>
+
 namespace shotgun
 {
 
@@ -148,6 +150,8 @@ Core::resetStats()
 void
 Core::step()
 {
+    skipIdleCycles();
+
     // Fills land first so fetch/BPU can use them this cycle.
     mem_.drainFills(now_, [this](Addr block, bool was_prefetch) {
         scheme_->onFill(block, was_prefetch, now_);
@@ -158,12 +162,64 @@ Core::step()
     bpuStep();
     fetchStep();
     backendStep();
-    accountStarvation();
-    if (params_.uarchProbes)
-        attributeCycle();
+    if (std::uint64_t *counter = starvationCounter())
+        ++*counter;
+    if (std::uint64_t *counter = attributionCounter())
+        ++*counter;
 
     ++now_;
     ++cyclesSinceReset_;
+}
+
+void
+Core::skipIdleCycles()
+{
+    const bool data_stalled = dataStallUntil_ > now_;
+    if (!backendQ_.empty() && !data_stalled)
+        return; // The backend retires.
+    if (fetchStallUntil_ <= now_ && !ftq_.empty() &&
+        backendInstrs_ < params_.backendEntries)
+        return; // Fetch accesses the L1-I.
+    if (!bpuWaitingRedirect_ && bpuStallUntil_ <= now_ && !ftq_.full())
+        return; // The BPU predicts.
+    if (sourceExhausted_)
+        return;
+    Cycle until = std::min(mem_.mshrs().nextReady(),
+                           scheme_->nextTick(now_));
+    if (until <= now_)
+        return;
+    for (const Cycle deadline :
+         {fetchStallUntil_, bpuStallUntil_, dataStallUntil_}) {
+        if (deadline > now_)
+            until = std::min(until, deadline);
+    }
+    if (until == kNever)
+        return; // No pending event to jump to; just step.
+
+    // Replay what stepping the idle cycles [now_, until) would do.
+    const Cycle skipped = until - now_;
+    if (!bpuWaitingRedirect_ && bpuStallUntil_ <= now_)
+        bpuStallKind_ = BpuStallKind::None; // bpuStep, FTQ full.
+    deliveredThisCycle_ = 0;
+    if (!data_stalled) {
+        // An empty, unstalled backend still accrues (and discards)
+        // retire credit every cycle. The credit map revisits its
+        // start value after a short period (2 at the defaults), so
+        // only the skipped cycles modulo that period are replayed.
+        const double start = retireCredit_;
+        Cycle steps = skipped;
+        for (Cycle done = 1; done <= steps; ++done) {
+            accrueRetireCredit();
+            if (retireCredit_ == start)
+                steps = done + (steps - done) % done;
+        }
+    }
+    if (std::uint64_t *counter = starvationCounter())
+        *counter += skipped;
+    if (std::uint64_t *counter = attributionCounter())
+        *counter += skipped;
+    now_ = until;
+    cyclesSinceReset_ += skipped;
 }
 
 void
@@ -290,19 +346,26 @@ Core::fetchStep()
     }
 }
 
+unsigned
+Core::accrueRetireCredit()
+{
+    // Issue-efficiency model: the backend earns fractional retire
+    // credit each cycle (capped so stalls cannot bank a burst).
+    retireCredit_ += params_.retireWidth * params_.issueEfficiency;
+    retireCredit_ = std::min(retireCredit_,
+                             static_cast<double>(params_.retireWidth));
+    const unsigned budget = static_cast<unsigned>(retireCredit_);
+    retireCredit_ -= budget;
+    return budget;
+}
+
 void
 Core::backendStep()
 {
     if (dataStallUntil_ > now_)
         return;
 
-    // Issue-efficiency model: the backend earns fractional retire
-    // credit each cycle (capped so stalls cannot bank a burst).
-    retireCredit_ += params_.retireWidth * params_.issueEfficiency;
-    retireCredit_ = std::min(retireCredit_,
-                             static_cast<double>(params_.retireWidth));
-    unsigned budget = static_cast<unsigned>(retireCredit_);
-    retireCredit_ -= budget;
+    unsigned budget = accrueRetireCredit();
     while (budget > 0 && !backendQ_.empty()) {
         BackendItem &item = backendQ_.front();
         const unsigned n = std::min<unsigned>(budget, item.remaining);
@@ -336,101 +399,83 @@ Core::backendStep()
     }
 }
 
-void
-Core::accountStarvation()
+std::uint64_t *
+Core::starvationCounter()
 {
     if (deliveredThisCycle_ > 0 || backendInstrs_ > 0)
-        return; // The backend had work; no front-end starvation.
+        return nullptr; // The backend had work; no starvation.
     if (dataStallUntil_ > now_)
-        return; // Backend-side stall, not instruction supply.
+        return nullptr; // Backend-side stall, not instruction supply.
 
     if (fetchStallUntil_ > now_) {
         switch (fetchStallKind_) {
           case BpuStallKind::Misfetch:
-            ++stalls_.misfetch;
-            return;
+            return &stalls_.misfetch;
           case BpuStallKind::Mispredict:
-            ++stalls_.mispredict;
-            return;
+            return &stalls_.mispredict;
           default:
-            ++stalls_.icache;
-            return;
+            return &stalls_.icache;
         }
     }
     if (ftq_.empty() && bpuStallUntil_ > now_) {
         switch (bpuStallKind_) {
           case BpuStallKind::Resolve:
-            ++stalls_.btbResolve;
-            return;
+            return &stalls_.btbResolve;
           case BpuStallKind::Misfetch:
-            ++stalls_.misfetch;
-            return;
+            return &stalls_.misfetch;
           case BpuStallKind::Mispredict:
-            ++stalls_.mispredict;
-            return;
+            return &stalls_.mispredict;
           default:
             break;
         }
     }
-    ++stalls_.other;
+    return &stalls_.other;
 }
 
-void
-Core::attributeCycle()
+std::uint64_t *
+Core::attributionCounter()
 {
     // Cycle-exact taxonomy (probes only): every cycle is either
     // active (fetch delivered instructions) or charged to exactly one
     // cause, mirroring the predicates that blocked this cycle's
     // fetchStep. The conservation invariant
     // stallTotal() + activeCycles == cycles holds by construction.
-    if (deliveredThisCycle_ > 0) {
-        ++uarch_.activeCycles;
-        return;
-    }
-    if (backendInstrs_ >= params_.backendEntries) {
-        ++uarch_.stallBackendPressure;
-        return;
-    }
+    if (!params_.uarchProbes)
+        return nullptr;
+    if (deliveredThisCycle_ > 0)
+        return &uarch_.activeCycles;
+    if (backendInstrs_ >= params_.backendEntries)
+        return &uarch_.stallBackendPressure;
     if (fetchStallUntil_ > now_) {
         switch (fetchStallKind_) {
           case BpuStallKind::Misfetch:
           case BpuStallKind::Mispredict:
-            ++uarch_.stallRedirect;
-            return;
+            return &uarch_.stallRedirect;
           default:
-            if (fetchStallOnPrefetch_)
-                ++uarch_.stallPrefetchInFlight;
-            else
-                ++uarch_.stallICacheMiss;
-            return;
+            return fetchStallOnPrefetch_ ? &uarch_.stallPrefetchInFlight
+                                         : &uarch_.stallICacheMiss;
         }
     }
     if (ftq_.empty()) {
-        if (bpuWaitingRedirect_) {
-            ++uarch_.stallRedirect;
-            return;
-        }
+        if (bpuWaitingRedirect_)
+            return &uarch_.stallRedirect;
         if (bpuStallUntil_ > now_) {
             switch (bpuStallKind_) {
               case BpuStallKind::Resolve:
-                ++uarch_.stallBTBMiss;
-                return;
+                return &uarch_.stallBTBMiss;
               case BpuStallKind::Misfetch:
               case BpuStallKind::Mispredict:
-                ++uarch_.stallRedirect;
-                return;
+                return &uarch_.stallRedirect;
               default:
-                ++uarch_.stallICacheMiss;
-                return;
+                return &uarch_.stallICacheMiss;
             }
         }
-        ++uarch_.stallFTQEmpty;
-        return;
+        return &uarch_.stallFTQEmpty;
     }
     // FTQ non-empty, fetch unblocked, backend has room, yet nothing
     // was delivered: the BPU failed to keep the head entry fetchable
     // this cycle -- an instruction-supply gap like an empty FTQ.
-    ++uarch_.stallFTQEmpty;
+    return &uarch_.stallFTQEmpty;
 }
 
 double

@@ -213,8 +213,33 @@ class Core
     void bpuStep();
     void fetchStep();
     void backendStep();
-    void accountStarvation();
-    void attributeCycle();
+
+    /**
+     * Idle-cycle fast-forward. A cycle is idle when no stage can act:
+     * no fill is due, the scheme's tick is a no-op, the BPU waits on
+     * a redirect, is stalled or faces a full FTQ, fetch is stalled,
+     * has an empty FTQ or a full backend, and the backend is empty
+     * or data-stalled (and the source is not exhausted). An idle
+     * cycle changes nothing but time, retire credit and one stall
+     * counter, and stays idle until the earliest pending event
+     * (a stall deadline, an MSHR fill, the scheme's nextTick()).
+     * skipIdleCycles() jumps there in one step with the same
+     * accounting as stepping each cycle: it is called at the start of
+     * step(), so no skipped cycle crosses an instruction-count
+     * boundary of runUntilRetired().
+     */
+    void skipIdleCycles();
+
+    /** One cycle's retire-credit accrual; returns the retire budget. */
+    unsigned accrueRetireCredit();
+
+    /**
+     * The StallBreakdown / probe-attribution counter this cycle is
+     * charged to, or nullptr when it is not charged (the backend had
+     * work, or the probes are off). Read after the stages ran.
+     */
+    std::uint64_t *starvationCounter();
+    std::uint64_t *attributionCounter();
 
     const Program &program_;
     TraceSource *source_; ///< Null only for a parked checkpoint clone.

@@ -1,5 +1,7 @@
 #include "prefetch/confluence.hh"
 
+#include <algorithm>
+
 namespace shotgun
 {
 
@@ -118,6 +120,19 @@ ConfluenceScheme::tick(Cycle now)
         ctx_.mem->issuePrefetch(block, now);
         --budget;
     }
+}
+
+Cycle
+ConfluenceScheme::nextTick(Cycle now) const
+{
+    // tick() issues (and advances issuePos_) only while a stream is
+    // active, its metadata has arrived, and the lookahead window
+    // still holds recorded history; only the metadata arrival is a
+    // timed event, everything else moves with other hooks.
+    if (!streamActive_ || issuePos_ >= writePos_ ||
+        issuePos_ >= consumePos_ + params_.lookaheadBlocks)
+        return kNever;
+    return std::max(now, metadataReadyAt_);
 }
 
 void

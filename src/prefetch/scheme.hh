@@ -5,6 +5,15 @@
  * and its miss handling, the L1-I prefetch policy, fill-time
  * predecode hooks, and retire-time training. The core's cycle loop,
  * fetch engine, TAGE and RAS are shared across schemes.
+ *
+ * Fast-forward contract: the core skips idle cycles (no stage can
+ * act, no fill due) in one jump to the next pending event, charging
+ * them in bulk to the stall cause stepping would have charged. A
+ * scheme only observes time through its hooks, so skipping is
+ * invisible to it as long as tick() is a no-op on every skipped
+ * cycle: a scheme that overrides tick() must override nextTick() to
+ * name the first cycle tick() may act (see src/README.md, "The core
+ * loop and idle-cycle fast-forward").
  */
 
 #ifndef SHOTGUN_PREFETCH_SCHEME_HH
@@ -98,6 +107,27 @@ class Scheme
 
     /** Once-per-cycle hook (stream engines). */
     virtual void tick(Cycle now) { (void)now; }
+
+    /**
+     * The earliest cycle >= `now` at which tick() may change any
+     * state, assuming no other hook runs before then; kNever when
+     * tick() stays a no-op until some other hook fires.
+     *
+     * This is the scheme's half of the core's idle-cycle
+     * fast-forward (cpu/core.hh): while no pipeline stage can act,
+     * the core jumps straight to the earliest pending event, and the
+     * scheme's next tick is one of those events. Returning a cycle
+     * earlier than the true one is always safe (the core just steps
+     * an idle cycle); returning a later one skips work and breaks
+     * bit-identity. Every scheme that overrides tick() must override
+     * this too.
+     */
+    virtual Cycle
+    nextTick(Cycle now) const
+    {
+        (void)now;
+        return kNever;
+    }
 
     /** Ideal front end: L1-I accesses never miss. */
     virtual bool idealICache() const { return false; }

@@ -36,8 +36,29 @@ ExperimentSet::addBaseline(const WorkloadPreset &preset,
                            std::uint64_t trace_seed)
 {
     auto it = baselines_.find(preset.name);
-    if (it != baselines_.end())
+    if (it != baselines_.end()) {
+        // The entry is the speedup denominator of every row of this
+        // workload; a re-add that would have simulated something else
+        // must not silently get the first point.
+        const SimConfig &have = all_[it->second].config;
+        fatal_if(have.warmupInstructions != warmup ||
+                     have.measureInstructions != measure ||
+                     have.traceSeed != trace_seed ||
+                     presetFingerprint(have.workload) !=
+                         presetFingerprint(preset),
+                 "baseline for workload '%s' re-added with a different "
+                 "preset, lengths or seed (warmup %llu, measure %llu, "
+                 "seed %llu; first added with %llu, %llu, %llu)",
+                 preset.name.c_str(),
+                 static_cast<unsigned long long>(warmup),
+                 static_cast<unsigned long long>(measure),
+                 static_cast<unsigned long long>(trace_seed),
+                 static_cast<unsigned long long>(have.warmupInstructions),
+                 static_cast<unsigned long long>(
+                     have.measureInstructions),
+                 static_cast<unsigned long long>(have.traceSeed));
         return it->second;
+    }
 
     SimConfig config = SimConfig::make(preset, SchemeType::Baseline);
     config.warmupInstructions = warmup;

@@ -55,8 +55,10 @@ class ExperimentSet
 
     /**
      * Append the workload's no-prefetch baseline (memoized, label
-     * "baseline"). Idempotent per (workload, lengths are taken from
-     * the first call): returns the existing index when already added.
+     * "baseline"). Idempotent per workload name: a re-add with the
+     * same preset, lengths and seed returns the existing index; one
+     * that differs in any of them is fatal (it would otherwise get
+     * the first point as its speedup denominator).
      */
     std::size_t addBaseline(const WorkloadPreset &preset,
                             std::uint64_t warmup, std::uint64_t measure,

@@ -319,12 +319,54 @@ Program::finalizeAddresses(Rng &rng)
     for (const std::uint32_t f : funcByEntry_)
         funcEntries_.push_back(funcs_[f].entry);
 
-    bbsByAddr_.resize(bbs_.size());
-    std::iota(bbsByAddr_.begin(), bbsByAddr_.end(), 0u);
-    std::sort(bbsByAddr_.begin(), bbsByAddr_.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-                  return bbs_[a].startAddr < bbs_[b].startAddr;
-              });
+    // Functions do not overlap and a function's basic blocks ascend
+    // from its entry, so concatenating them in entry order sorts every
+    // basic block by address (and walks bbs_ in contiguous runs).
+    bbsByAddr_.reserve(bbs_.size());
+    for (const std::uint32_t f : funcByEntry_) {
+        for (std::uint32_t i = 0; i < funcs_[f].numBBs; ++i)
+            bbsByAddr_.push_back(funcs_[f].firstBB + i);
+    }
+
+    // Application code sorts before OS code; index each region.
+    const auto os_begin = static_cast<std::uint32_t>(
+        std::partition_point(bbsByAddr_.begin(), bbsByAddr_.end(),
+                             [this](std::uint32_t idx) {
+                                 return bbs_[idx].startAddr < kOsCodeBase;
+                             }) -
+        bbsByAddr_.begin());
+    appIndex_ = buildBlockIndex(0, os_begin);
+    osIndex_ = buildBlockIndex(os_begin,
+                               static_cast<std::uint32_t>(bbs_.size()));
+}
+
+Program::BlockIndex
+Program::buildBlockIndex(std::uint32_t begin, std::uint32_t end) const
+{
+    BlockIndex index;
+    if (begin == end)
+        return index;
+    index.firstBlock = blockNumber(bbs_[bbsByAddr_[begin]].startAddr);
+    const Addr last_block =
+        blockNumber(bbs_[bbsByAddr_[end - 1]].startAddr);
+    index.offsets.reserve(last_block - index.firstBlock + 2);
+    std::uint32_t pos = begin;
+    for (Addr block = index.firstBlock; block <= last_block; ++block) {
+        const Addr lo = blockToAddr(block);
+        while (bbs_[bbsByAddr_[pos]].startAddr < lo)
+            ++pos;
+        index.offsets.push_back(pos);
+    }
+    index.offsets.push_back(end);
+    return index;
+}
+
+std::pair<std::uint32_t, std::uint32_t>
+Program::blockRange(Addr block_number) const
+{
+    return block_number >= blockNumber(kOsCodeBase)
+               ? osIndex_.range(block_number)
+               : appIndex_.range(block_number);
 }
 
 void
@@ -332,17 +374,9 @@ Program::blockBranches(Addr block_number,
                        std::vector<StaticBBInfo> &out) const
 {
     out.clear();
-    const Addr lo = blockToAddr(block_number);
-    const Addr hi = lo + kBlockBytes;
-    auto it = std::lower_bound(
-        bbsByAddr_.begin(), bbsByAddr_.end(), lo,
-        [this](std::uint32_t idx, Addr addr) {
-            return bbs_[idx].startAddr < addr;
-        });
-    for (; it != bbsByAddr_.end(); ++it) {
-        const StaticBB &bb = bbs_[*it];
-        if (bb.startAddr >= hi)
-            break;
+    const auto [begin, end] = blockRange(block_number);
+    for (std::uint32_t pos = begin; pos < end; ++pos) {
+        const StaticBB &bb = bbs_[bbsByAddr_[pos]];
         out.push_back(StaticBBInfo{bb.startAddr, bb.targetAddr,
                                    bb.numInstrs, bb.type});
     }
@@ -363,14 +397,13 @@ Program::staticBBAt(Addr addr, StaticBBInfo &out) const
 std::uint32_t
 Program::bbIndexAt(Addr addr) const
 {
-    auto it = std::lower_bound(
-        bbsByAddr_.begin(), bbsByAddr_.end(), addr,
-        [this](std::uint32_t idx, Addr a) {
-            return bbs_[idx].startAddr < a;
-        });
-    if (it == bbsByAddr_.end() || bbs_[*it].startAddr != addr)
-        return UINT32_MAX;
-    return *it;
+    const auto [begin, end] = blockRange(blockNumber(addr));
+    for (std::uint32_t pos = begin; pos < end; ++pos) {
+        const std::uint32_t idx = bbsByAddr_[pos];
+        if (bbs_[idx].startAddr == addr)
+            return idx;
+    }
+    return UINT32_MAX;
 }
 
 std::uint32_t

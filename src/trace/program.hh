@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.hh"
@@ -206,7 +207,9 @@ class Program
      * Predecoder oracle: the basic blocks whose first instruction
      * lies inside the given cache block, in address order. This is
      * what a hardware predecoder recovers by scanning the block's
-     * instruction bytes.
+     * instruction bytes. Constant time per basic block reported: a
+     * per-block offset array indexes the address-sorted basic
+     * blocks (see BlockIndex).
      */
     void blockBranches(Addr block_number,
                        std::vector<StaticBBInfo> &out) const;
@@ -217,7 +220,10 @@ class Program
      */
     bool staticBBAt(Addr addr, StaticBBInfo &out) const;
 
-    /** Global BB index starting at `addr`, or UINT32_MAX. */
+    /**
+     * Global BB index starting at `addr`, or UINT32_MAX. Scans only
+     * the basic blocks starting in `addr`'s cache block.
+     */
     std::uint32_t bbIndexAt(Addr addr) const;
 
     /** Function containing `addr`, or UINT32_MAX. */
@@ -243,6 +249,48 @@ class Program
 
     /** Global BB indices sorted by start address. */
     std::vector<std::uint32_t> bbsByAddr_;
+
+    /**
+     * Block index over one contiguous code region (the application
+     * area or the OS area; the gap between them is too large to span
+     * with a dense array). For cache block b of the region and
+     * i = b - firstBlock, offsets[i] is the position in bbsByAddr_ of
+     * the first basic block starting at or after b's first byte, so
+     * the basic blocks starting inside b are exactly
+     * bbsByAddr_[offsets[i], offsets[i + 1]). A block shared by the
+     * tail of one function and the head of the next yields both
+     * functions' blocks, in address order; a padding gap yields an
+     * empty range. The array holds one 4-byte entry per code block
+     * plus one, and no copy of the basic-block records, so
+     * blockBranches() and bbIndexAt() are O(basic blocks in the
+     * block) instead of a binary search over every basic block.
+     */
+    struct BlockIndex
+    {
+        Addr firstBlock = 0;
+        std::vector<std::uint32_t> offsets;
+
+        /** [begin, end) positions in bbsByAddr_ for `block_number`. */
+        std::pair<std::uint32_t, std::uint32_t>
+        range(Addr block_number) const
+        {
+            const Addr i = block_number - firstBlock;
+            if (block_number < firstBlock || i + 1 >= offsets.size())
+                return {0, 0};
+            return {offsets[i], offsets[i + 1]};
+        }
+    };
+
+    /** Build a region's index over bbsByAddr_[begin, end). */
+    BlockIndex buildBlockIndex(std::uint32_t begin,
+                               std::uint32_t end) const;
+
+    /** bbsByAddr_ positions of the basic blocks starting in a block. */
+    std::pair<std::uint32_t, std::uint32_t>
+    blockRange(Addr block_number) const;
+
+    BlockIndex appIndex_;
+    BlockIndex osIndex_;
 
     std::uint64_t codeBytes_ = 0;
     std::uint64_t staticBranches_ = 0;

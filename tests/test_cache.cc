@@ -108,6 +108,39 @@ TEST(MshrTest, DrainOrderIsReadiness)
     EXPECT_EQ(order, (std::vector<Addr>{2, 3, 1}));
 }
 
+TEST(MshrTest, EqualReadinessDrainsInBlockOrder)
+{
+    MSHRFile mshrs(8);
+    mshrs.allocate(7, 20, false);
+    mshrs.allocate(3, 20, true);
+    mshrs.allocate(5, 20, false);
+    mshrs.allocate(1, 25, false);
+    std::vector<Addr> order;
+    mshrs.drain(100, [&](const MSHRFile::Entry &e) {
+        order.push_back(e.block);
+    });
+    EXPECT_EQ(order, (std::vector<Addr>{3, 5, 7, 1}));
+}
+
+TEST(MshrTest, NextReadyIsEarliestInFlightFill)
+{
+    MSHRFile mshrs(8);
+    EXPECT_EQ(mshrs.nextReady(), kNever);
+    mshrs.allocate(1, 30, false);
+    mshrs.allocate(2, 10, true);
+    EXPECT_EQ(mshrs.nextReady(), 10u);
+    mshrs.drain(9, [](const MSHRFile::Entry &) {});
+    EXPECT_EQ(mshrs.nextReady(), 10u);
+    mshrs.drain(10, [](const MSHRFile::Entry &) {});
+    EXPECT_EQ(mshrs.nextReady(), 30u);
+    mshrs.drain(30, [](const MSHRFile::Entry &) {});
+    EXPECT_EQ(mshrs.nextReady(), kNever);
+    mshrs.allocate(2, 40, false);
+    EXPECT_EQ(mshrs.nextReady(), 40u);
+    mshrs.clear();
+    EXPECT_EQ(mshrs.nextReady(), kNever);
+}
+
 TEST(MshrTest, FullRejectsAllocation)
 {
     MSHRFile mshrs(2);

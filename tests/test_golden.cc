@@ -1,0 +1,154 @@
+/**
+ * @file
+ * Golden trajectory fingerprints. Each case pins the FNV-1a hash of
+ * the canonical SimResult encoding (service::encodeSimResult, the
+ * hash perfbench prints) for a short simulation. Any change to the
+ * simulated trajectory -- one cycle, one stall charged to a different
+ * cause, one retire credit rounded differently -- moves a hash.
+ *
+ * The values were captured before the host-time optimisations of the
+ * core loop (idle-cycle fast-forward, block predecode index, templated
+ * fill drain), so they are the reference those optimisations are
+ * checked against: there is no second, step-by-step path to compare
+ * with at run time. A deliberate model change re-pins them
+ * and says so in CHANGES.md.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "common/json.hh"
+#include "runner/experiment.hh"
+#include "service/codec.hh"
+#include "sim/simulator.hh"
+#include "trace/generator.hh"
+#include "trace/presets.hh"
+#include "trace/program.hh"
+#include "trace/trace_io.hh"
+#include "window/window_plan.hh"
+#include "window/windowed_runner.hh"
+
+namespace shotgun
+{
+namespace
+{
+
+constexpr std::uint64_t kWarmup = 40000;
+constexpr std::uint64_t kMeasure = 100000;
+
+std::string
+fingerprint(const SimResult &result)
+{
+    return service::fingerprintHex(
+        json::fnv1a64(service::encodeSimResult(result).dump()));
+}
+
+SimConfig
+shortConfig(WorkloadId workload, SchemeType type, bool probes)
+{
+    SimConfig config = SimConfig::make(makePreset(workload), type);
+    config.warmupInstructions = kWarmup;
+    config.measureInstructions = kMeasure;
+    config.core.uarchProbes = probes;
+    return config;
+}
+
+struct Golden
+{
+    WorkloadId workload;
+    SchemeType scheme;
+    bool probes;
+    const char *fingerprint;
+};
+
+// clang-format off
+const Golden kGolden[] = {
+    {WorkloadId::Nutch, SchemeType::Baseline, false, "05a220e23f6dfd4d"},
+    {WorkloadId::Nutch, SchemeType::FDIP, false, "029972ae26d75568"},
+    {WorkloadId::Nutch, SchemeType::Boomerang, false, "21e9e1dd16ee5325"},
+    {WorkloadId::Nutch, SchemeType::Confluence, false, "5d4ae1598ab87340"},
+    {WorkloadId::Nutch, SchemeType::Shotgun, false, "95e82f069d2ea59d"},
+    {WorkloadId::Nutch, SchemeType::RDIP, false, "cedae51c345a3b58"},
+    {WorkloadId::Nutch, SchemeType::Ideal, false, "1035af48436933a1"},
+    {WorkloadId::Nutch, SchemeType::Baseline, true, "dd491f343825f019"},
+    {WorkloadId::Nutch, SchemeType::FDIP, true, "ff49901a19b64d3d"},
+    {WorkloadId::Nutch, SchemeType::Boomerang, true, "aaaef7dc7ecc6fe3"},
+    {WorkloadId::Nutch, SchemeType::Confluence, true, "20104d2ad035e436"},
+    {WorkloadId::Nutch, SchemeType::Shotgun, true, "741b3f847cd9caab"},
+    {WorkloadId::Nutch, SchemeType::RDIP, true, "6dc07d7a56e44285"},
+    {WorkloadId::Nutch, SchemeType::Ideal, true, "d6a79ae07e105aae"},
+    {WorkloadId::Oracle, SchemeType::Baseline, false, "b9d912ab362b1a64"},
+    {WorkloadId::Oracle, SchemeType::FDIP, false, "39e7c1ed5f4effc7"},
+    {WorkloadId::Oracle, SchemeType::Boomerang, false, "b32e605e533836ae"},
+    {WorkloadId::Oracle, SchemeType::Confluence, false, "9343aff959d69d16"},
+    {WorkloadId::Oracle, SchemeType::Shotgun, false, "2c2a43db4aa64be4"},
+    {WorkloadId::Oracle, SchemeType::RDIP, false, "1479b92026166a58"},
+    {WorkloadId::Oracle, SchemeType::Ideal, false, "39ae8e754897a9e6"},
+    {WorkloadId::Oracle, SchemeType::Baseline, true, "8a442beca0c49299"},
+    {WorkloadId::Oracle, SchemeType::FDIP, true, "09077e35a2aa84d4"},
+    {WorkloadId::Oracle, SchemeType::Boomerang, true, "048a8416fd00cb07"},
+    {WorkloadId::Oracle, SchemeType::Confluence, true, "27e5865775db3785"},
+    {WorkloadId::Oracle, SchemeType::Shotgun, true, "79e727a68d6e6f48"},
+    {WorkloadId::Oracle, SchemeType::RDIP, true, "8c5f058de3b8f3af"},
+    {WorkloadId::Oracle, SchemeType::Ideal, true, "faa2e65adec8b66f"},
+};
+// clang-format on
+
+TEST(GoldenTrajectoryTest, EverySchemeOnTwoPresetsProbesOffAndOn)
+{
+    for (const Golden &g : kGolden) {
+        const SimResult result =
+            runSimulation(shortConfig(g.workload, g.scheme, g.probes));
+        EXPECT_EQ(fingerprint(result), g.fingerprint)
+            << result.workload << "/" << result.scheme
+            << (g.probes ? " probes on" : " probes off");
+    }
+}
+
+TEST(GoldenTrajectoryTest, LongDataStallsWithoutShortCreditPeriod)
+{
+    // Every load misses the L1-D and retire credit accrues at a rate
+    // whose fractional part has no short period, so long data stalls
+    // interleave with irregular retire bursts.
+    SimConfig config =
+        shortConfig(WorkloadId::Nutch, SchemeType::Shotgun, false);
+    config.core.issueEfficiency = 0.37;
+    config.workload.l1dMissRate = 1.0;
+    EXPECT_EQ(fingerprint(runSimulation(config)), "8822773a8919b823");
+
+    config.core.uarchProbes = true;
+    EXPECT_EQ(fingerprint(runSimulation(config)), "4669a57eaf4c3b0a");
+}
+
+TEST(GoldenTrajectoryTest, RecordedTraceContiguousWindowsStitched)
+{
+    WorkloadPreset recorded = makePreset(WorkloadId::Nutch);
+    recorded.name = "golden-trace";
+    const std::string path =
+        testing::TempDir() + "shotgun_golden_windows.trace";
+    Program program(recorded.program);
+    TraceGenerator gen(program, 5);
+    recordTraceInstructions(gen, recorded, 5, path,
+                            kWarmup + kMeasure + 20000);
+    writeTraceIndex(traceIndexPath(path), buildTraceIndex(path, 1024));
+
+    const WorkloadPreset preset = presetByName("trace:" + path);
+    runner::Experiment exp;
+    exp.workload = preset.name;
+    exp.label = "shotgun";
+    exp.config = SimConfig::make(preset, SchemeType::Shotgun);
+    exp.config.warmupInstructions = kWarmup;
+    exp.config.measureInstructions = kMeasure;
+    const window::WindowedOutcome outcome = window::runWindowedExperiment(
+        exp, window::contiguousPlan(exp.config, 4), 2);
+    EXPECT_EQ(fingerprint(outcome.stitched), "06598a77245176ad");
+
+    std::remove(traceIndexPath(path).c_str());
+    std::remove(path.c_str());
+}
+
+} // namespace
+} // namespace shotgun

@@ -156,6 +156,20 @@ TEST(ExperimentSetTest, BaselineIsDeduplicated)
     EXPECT_TRUE(set.experiments()[first].viaBaselineCache);
 }
 
+TEST(ExperimentSetDeathTest, MismatchedBaselineReAddIsFatal)
+{
+    const WorkloadPreset preset = makePreset(WorkloadId::Nutch);
+    WorkloadPreset other = preset;
+    other.l1dMissRate *= 2;
+    ExperimentSet set;
+    set.addBaseline(preset, 1000, 2000);
+    EXPECT_DEATH(set.addBaseline(preset, 1000, 3000), "re-added");
+    EXPECT_DEATH(set.addBaseline(preset, 500, 2000), "re-added");
+    EXPECT_DEATH(set.addBaseline(preset, 1000, 2000, 2), "re-added");
+    EXPECT_DEATH(set.addBaseline(other, 1000, 2000), "re-added");
+    EXPECT_EQ(set.addBaseline(preset, 1000, 2000, 1), 0u);
+}
+
 // ------------------------------------------------------------------ Progress
 
 TEST(ProgressTest, CountsAndFormats)

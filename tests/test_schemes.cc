@@ -295,6 +295,49 @@ TEST(ConfluenceSchemeTest, DivergenceKillsStream)
     EXPECT_GT(scheme.divergences(), 0u);
 }
 
+TEST(ConfluenceSchemeTest, NextTickNamesTheNextIssuingCycle)
+{
+    SchemeBench bench;
+    ConfluenceScheme scheme(bench.ctx);
+    BBRecord rec;
+    rec.numInstrs = 4;
+    rec.type = BranchType::None;
+    for (Addr block = 100; block < 140; ++block) {
+        rec.startAddr = blockToAddr(block);
+        scheme.onRetire(rec);
+    }
+
+    // No stream: tick never acts on its own.
+    EXPECT_EQ(scheme.nextTick(5), kNever);
+
+    // Stream started, metadata in flight: the arrival cycle, and no
+    // tick before it issues anything.
+    scheme.onDemandMiss(100, 10);
+    const Cycle ready = scheme.nextTick(11);
+    ASSERT_NE(ready, kNever);
+    EXPECT_GT(ready, 11u);
+    EXPECT_EQ(scheme.nextTick(ready - 1), ready);
+    scheme.tick(ready - 1);
+    EXPECT_EQ(bench.mem->prefetchesIssued(), 0u);
+
+    // Issuable: now.
+    EXPECT_EQ(scheme.nextTick(ready), ready);
+    scheme.tick(ready);
+    EXPECT_GT(bench.mem->prefetchesIssued(), 0u);
+    EXPECT_EQ(scheme.nextTick(ready + 1), ready + 1);
+
+    // Lookahead exhausted (no demand progress): never, and ticking
+    // further indeed issues nothing.
+    Cycle now = ready + 1;
+    while (scheme.nextTick(now) == now)
+        scheme.tick(now++);
+    EXPECT_EQ(scheme.nextTick(now), kNever);
+    const std::uint64_t issued = bench.mem->prefetchesIssued();
+    scheme.tick(now);
+    EXPECT_EQ(bench.mem->prefetchesIssued(), issued);
+    EXPECT_EQ(issued, ConfluenceParams{}.lookaheadBlocks);
+}
+
 TEST(IdealSchemeTest, NeverStallsOrMisses)
 {
     SchemeBench bench;

@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <vector>
@@ -152,26 +154,75 @@ TEST(ProgramTest, AddressLookupsRoundTrip)
 TEST(ProgramTest, BlockBranchesOracleMatchesBBs)
 {
     Program prog(smallParams());
-    std::vector<StaticBBInfo> found;
-    // Exhaustively check a sample of functions: every BB must be
-    // reported by the oracle for its containing block.
-    for (std::uint32_t f = 0; f < prog.numFunctions(); f += 11) {
+    // Brute force: group every basic block by its containing cache
+    // block, in address order.
+    std::map<Addr, std::vector<StaticBBInfo>> expected;
+    std::map<Addr, std::set<std::uint32_t>> funcs_in_block;
+    for (std::uint32_t f = 0; f < prog.numFunctions(); ++f) {
         const Function &fn = prog.function(f);
         for (std::uint32_t i = 0; i < fn.numBBs; ++i) {
             const StaticBB &bb = prog.bb(fn.firstBB + i);
-            prog.blockBranches(blockNumber(bb.startAddr), found);
-            bool present = false;
-            for (const auto &info : found) {
-                if (info.startAddr == bb.startAddr) {
-                    present = true;
-                    EXPECT_EQ(info.numInstrs, bb.numInstrs);
-                    EXPECT_EQ(info.type, bb.type);
-                    EXPECT_EQ(info.target, bb.targetAddr);
-                }
-            }
-            EXPECT_TRUE(present);
+            expected[blockNumber(bb.startAddr)].push_back(StaticBBInfo{
+                bb.startAddr, bb.targetAddr, bb.numInstrs, bb.type});
+            funcs_in_block[blockNumber(bb.startAddr)].insert(f);
         }
     }
+    for (auto &[block, infos] : expected) {
+        std::sort(infos.begin(), infos.end(),
+                  [](const StaticBBInfo &a, const StaticBBInfo &b) {
+                      return a.startAddr < b.startAddr;
+                  });
+    }
+
+    // Every block of each region, one before its first to one past
+    // its last: exact contents, same order, empty where no basic
+    // block starts.
+    const auto os_first = expected.lower_bound(blockNumber(kOsCodeBase));
+    ASSERT_NE(os_first, expected.begin());
+    ASSERT_NE(os_first, expected.end());
+    const std::pair<Addr, Addr> regions[] = {
+        {expected.begin()->first, std::prev(os_first)->first},
+        {os_first->first, expected.rbegin()->first}};
+    std::vector<StaticBBInfo> found;
+    std::size_t shared = 0, gaps = 0;
+    for (const auto &[first, last] : regions) {
+        for (Addr block = first - 1; block <= last + 1; ++block) {
+            prog.blockBranches(block, found);
+            const auto it = expected.find(block);
+            if (it == expected.end()) {
+                EXPECT_TRUE(found.empty()) << "block " << block;
+                gaps += block >= first && block <= last;
+                continue;
+            }
+            shared += funcs_in_block[block].size() > 1;
+            ASSERT_EQ(found.size(), it->second.size()) << "block " << block;
+            for (std::size_t i = 0; i < found.size(); ++i) {
+                EXPECT_EQ(found[i].startAddr, it->second[i].startAddr);
+                EXPECT_EQ(found[i].target, it->second[i].target);
+                EXPECT_EQ(found[i].numInstrs, it->second[i].numInstrs);
+                EXPECT_EQ(found[i].type, it->second[i].type);
+            }
+        }
+    }
+    // The walk covered the interesting shapes.
+    EXPECT_GT(shared, 0u);
+    EXPECT_GT(gaps, 0u);
+}
+
+TEST(ProgramTest, BBIndexAtEveryStartAndNoOtherAddress)
+{
+    Program prog(smallParams());
+    for (std::uint32_t i = 0; i < prog.numBBs(); ++i) {
+        const StaticBB &bb = prog.bb(i);
+        EXPECT_EQ(prog.bbIndexAt(bb.startAddr), i);
+        // The second instruction of a block is never a block start.
+        if (bb.numInstrs > 1) {
+            EXPECT_EQ(prog.bbIndexAt(bb.startAddr + kInstrBytes),
+                      UINT32_MAX);
+        }
+    }
+    EXPECT_EQ(prog.bbIndexAt(kAppCodeBase - kInstrBytes), UINT32_MAX);
+    EXPECT_EQ(prog.bbIndexAt(kOsCodeBase - kInstrBytes), UINT32_MAX);
 }
 
 TEST(ProgramTest, StaticBBAtExactMatchOnly)
