@@ -132,24 +132,25 @@ GRID=(--workload nutch --schemes fdip,shotgun
 start_serve "$SOCK"
 "$BUILD_DIR/shotgun-submit" --server "unix:$SOCK" --ping
 
-# The same grid through the service, and sharded across two "workers"
-# pointed at the same server, and fully in-process (--local): all
-# three must produce byte-identical JSON/CSV.
+# The same grid through the service, again through the service (the
+# repeat is answered from the server's result cache), and fully
+# in-process (--local): all three must produce byte-identical
+# JSON/CSV.
 "$BUILD_DIR/shotgun-submit" --server "unix:$SOCK" "${GRID[@]}" \
     --out "$BUILD_DIR/smoke/svc_remote" > /dev/null
-"$BUILD_DIR/shotgun-submit" --workers "unix:$SOCK,unix:$SOCK" \
-    "${GRID[@]}" --out "$BUILD_DIR/smoke/svc_sharded" > /dev/null
+"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK" "${GRID[@]}" \
+    --out "$BUILD_DIR/smoke/svc_cached" > /dev/null
 "$BUILD_DIR/shotgun-submit" --local "${GRID[@]}" \
     --out "$BUILD_DIR/smoke/svc_local" > /dev/null
 for ext in json csv; do
     cmp "$BUILD_DIR/smoke/svc_remote.$ext" \
         "$BUILD_DIR/smoke/svc_local.$ext"
-    cmp "$BUILD_DIR/smoke/svc_sharded.$ext" \
+    cmp "$BUILD_DIR/smoke/svc_cached.$ext" \
         "$BUILD_DIR/smoke/svc_local.$ext"
 done
 
-# Three submits of one 3-point grid, but only 3 distinct configs
-# simulated: the repeats were served from the fingerprint cache,
+# Two submits of one 3-point grid, but only 3 distinct configs
+# simulated: the repeat was served from the fingerprint cache,
 # whose stats are surfaced in the status frame.
 STATUS=$("$BUILD_DIR/shotgun-submit" --server "unix:$SOCK" --status)
 echo "$STATUS" | grep -q '"cache_entries":3'
@@ -159,32 +160,14 @@ echo "$STATUS" | grep -q '"evictions":0'
 "$BUILD_DIR/shotgun-submit" --server "unix:$SOCK" --shutdown
 wait "${DAEMON_PIDS[0]}"
 
-echo "== service: dead worker mid-fleet is survived byte-identically =="
-# Three --workers endpoints, one pointing at nothing: the dead
-# worker's shard must be redistributed across the two live daemons
-# and the stitched output must still match --local byte for byte.
-SOCK_A="$BUILD_DIR/smoke/serve_a.sock"
-SOCK_B="$BUILD_DIR/smoke/serve_b.sock"
-start_serve "$SOCK_A"
-start_serve "$SOCK_B"
-"$BUILD_DIR/shotgun-submit" \
-    --workers "unix:$SOCK_A,unix:$BUILD_DIR/smoke/no-such.sock,unix:$SOCK_B" \
-    "${GRID[@]}" --out "$BUILD_DIR/smoke/svc_survived" \
-    2> "$BUILD_DIR/smoke/svc_survived.err" > /dev/null
-grep -q "redistributed to survivors" "$BUILD_DIR/smoke/svc_survived.err"
-for ext in json csv; do
-    cmp "$BUILD_DIR/smoke/svc_survived.$ext" \
-        "$BUILD_DIR/smoke/svc_local.$ext"
-done
-
-echo "== windowed simulation: record -> index -> 3-daemon fleet =="
-# One heavy workload split into 3 measurement windows distributed
-# across a 3-daemon fleet, with one daemon killed mid-run: the lost
-# windows are re-simulated on the survivors and the stitched result
-# must match the monolithic run numerically -- the CSVs (which carry
-# every metric) are compared byte for byte. The index tool is
-# exercised first (build + inspect; full-coverage windows re-simulate
-# their prefix for exactness, so the .idx serves the sampled mode).
+echo "== windowed simulation: record -> index -> windowed submit =="
+# One heavy workload split into 3 measurement windows, submitted to a
+# server as grid points and stitched back: the result must match the
+# monolithic run numerically -- the CSVs (which carry every metric)
+# are compared byte for byte. The coordinator step below repeats this
+# with a worker killed mid-run. The index tool is exercised first
+# (build + inspect; full-coverage windows re-simulate their prefix
+# for exactness, so the .idx serves the sampled mode).
 WTRACE="$BUILD_DIR/smoke/window.trace"
 "$BUILD_DIR/shotgun-trace" record nutch "$WTRACE" \
     --warmup 100000 --instructions 200000
@@ -198,40 +181,24 @@ test -s "$WTRACE.idx" || {
 
 WGRID=(--workload "trace:$WTRACE" --schemes shotgun
        --warmup 100000 --instructions 200000 --no-progress)
-SOCK_W1="$BUILD_DIR/smoke/serve_w1.sock"
-SOCK_W2="$BUILD_DIR/smoke/serve_w2.sock"
-SOCK_W3="$BUILD_DIR/smoke/serve_w3.sock"
-start_serve "$SOCK_W1"
-start_serve "$SOCK_W2"
-start_serve "$SOCK_W3"
-VICTIM_PID="${DAEMON_PIDS[-1]}"
+SOCK_W="$BUILD_DIR/smoke/serve_w.sock"
+start_serve "$SOCK_W"
 
 "$BUILD_DIR/shotgun-submit" --local "${WGRID[@]}" \
     --out "$BUILD_DIR/smoke/win_mono" > /dev/null
 
-# Kill one daemon shortly after the windowed submit starts. Whether
-# it dies before, during or after its windows were delivered, the
-# stitched output must be the same -- that is the recovery contract.
-"$BUILD_DIR/shotgun-submit" \
-    --workers "unix:$SOCK_W1,unix:$SOCK_W2,unix:$SOCK_W3" \
+"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_W" \
     "${WGRID[@]}" --window-shards 3 \
-    --out "$BUILD_DIR/smoke/win_fleet" \
-    2> "$BUILD_DIR/smoke/win_fleet.err" > /dev/null &
-SUBMIT_PID=$!
-sleep 0.3
-kill "$VICTIM_PID" 2>/dev/null || true
-wait "$SUBMIT_PID"
-
-cmp "$BUILD_DIR/smoke/win_fleet.csv" "$BUILD_DIR/smoke/win_mono.csv"
-grep -q '"windows": 3' "$BUILD_DIR/smoke/win_fleet.json"
+    --out "$BUILD_DIR/smoke/win_server" > /dev/null
+cmp "$BUILD_DIR/smoke/win_server.csv" "$BUILD_DIR/smoke/win_mono.csv"
+grep -q '"windows": 3' "$BUILD_DIR/smoke/win_server.json"
 
 # The same windowed grid entirely in-process matches too.
 "$BUILD_DIR/shotgun-submit" --local "${WGRID[@]}" --window-shards 3 \
     --out "$BUILD_DIR/smoke/win_local" > /dev/null
 cmp "$BUILD_DIR/smoke/win_local.csv" "$BUILD_DIR/smoke/win_mono.csv"
 
-"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_W1" --shutdown
-"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_W2" --shutdown
+"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_W" --shutdown
 
 echo "== fleet: coord + 3 workers, kill one, verify bitwise =="
 # The same windowed grid through the coordinator fleet: three
@@ -266,6 +233,9 @@ for i in 1 2 3; do
 done
 FLEET_VICTIM_PID="${DAEMON_PIDS[-1]}"
 
+# Kill one worker shortly after the windowed submit starts. Whether
+# it dies before, during or after its windows were delivered, the
+# stitched output must be the same -- that is the recovery contract.
 "$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_SOCK" \
     "${WGRID[@]}" --window-shards 3 \
     --out "$BUILD_DIR/smoke/fleet_run" > /dev/null &
@@ -274,6 +244,7 @@ sleep 0.3
 kill "$FLEET_VICTIM_PID" 2>/dev/null || true
 wait "$SUBMIT_PID"
 cmp "$BUILD_DIR/smoke/fleet_run.csv" "$BUILD_DIR/smoke/win_mono.csv"
+grep -q '"windows": 3' "$BUILD_DIR/smoke/fleet_run.json"
 
 # The metrics frame renders per-worker rows and fleet cache stats.
 FLEET_STATUS=$("$BUILD_DIR/shotgun-submit" \
@@ -457,18 +428,19 @@ if grep -q '"uarch"' "$BUILD_DIR/smoke/svc_local.json"; then
     exit 1
 fi
 
-# The same probed grid sharded across two workers: the breakdown
-# rides the result frames' optional "uarch" member home, so the
-# fleet's report (and CSV) must match the local ones byte for byte.
-"$BUILD_DIR/shotgun-submit" --workers "unix:$SOCK_A,unix:$SOCK_B" \
-    "${GRID[@]}" --out "$BUILD_DIR/smoke/uarch_fleet" \
-    --uarch-report "$BUILD_DIR/smoke/uarch_fleet_report.json" \
+# The same probed grid through a server: the breakdown rides the
+# result frames' optional "uarch" member home, so the remote report
+# (and CSV) must match the local ones byte for byte.
+SOCK_U="$BUILD_DIR/smoke/serve_u.sock"
+start_serve "$SOCK_U"
+"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_U" \
+    "${GRID[@]}" --out "$BUILD_DIR/smoke/uarch_remote" \
+    --uarch-report "$BUILD_DIR/smoke/uarch_remote_report.json" \
     > /dev/null
-cmp "$BUILD_DIR/smoke/uarch_fleet.csv" "$BUILD_DIR/smoke/svc_local.csv"
-cmp "$BUILD_DIR/smoke/uarch_fleet_report.json" "$UARCH_REPORT"
+cmp "$BUILD_DIR/smoke/uarch_remote.csv" "$BUILD_DIR/smoke/svc_local.csv"
+cmp "$BUILD_DIR/smoke/uarch_remote_report.json" "$UARCH_REPORT"
 
-"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_A" --shutdown
-"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_B" --shutdown
+"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_U" --shutdown
 "$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_C" --shutdown
 wait "${DAEMON_PIDS[@]:1}" 2>/dev/null || true
 

@@ -6,6 +6,8 @@
  * concurrent duplicate waits on the same future, and later callers
  * hit the cache. If the compute function throws, the entry is removed
  * so a subsequent call can retry, and waiters see the exception.
+ * Entries live until evicted for a byte budget; a budget of 0 never
+ * evicts.
  */
 
 #ifndef SHOTGUN_COMMON_MEMO_HH
@@ -18,65 +20,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <type_traits>
 #include <utility>
 
 namespace shotgun
 {
-
-template <typename Key, typename Value>
-class MemoCache
-{
-  public:
-    /**
-     * Return the cached value for `key`, running `compute` (signature
-     * `Value()`) at most once per key. The returned shared_ptr keeps
-     * the value alive independent of the cache.
-     */
-    template <typename Fn>
-    std::shared_ptr<const Value> get(const Key &key, Fn &&compute)
-    {
-        std::shared_future<std::shared_ptr<const Value>> future;
-        bool mine = false;
-        std::promise<std::shared_ptr<const Value>> promise;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            auto it = entries_.find(key);
-            if (it == entries_.end()) {
-                future = promise.get_future().share();
-                entries_.emplace(key, future);
-                mine = true;
-            } else {
-                future = it->second;
-            }
-        }
-
-        if (mine) {
-            try {
-                promise.set_value(std::make_shared<const Value>(
-                    std::forward<Fn>(compute)()));
-            } catch (...) {
-                {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    entries_.erase(key);
-                }
-                promise.set_exception(std::current_exception());
-                throw;
-            }
-        }
-        return future.get();
-    }
-
-    std::size_t size() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return entries_.size();
-    }
-
-  private:
-    mutable std::mutex mutex_;
-    std::map<Key, std::shared_future<std::shared_ptr<const Value>>>
-        entries_;
-};
 
 /** Point-in-time counters of an LruMemoCache. */
 struct MemoCacheStats
@@ -94,12 +42,11 @@ struct MemoCacheStats
 };
 
 /**
- * MemoCache with a byte budget and least-recently-used eviction.
- * Same once-per-key contract while an entry lives: the first caller
- * computes outside the lock, concurrent duplicates wait on the same
- * future, a throwing compute removes the entry and rethrows.
+ * Once-per-key memo with an optional byte budget and least-recently-
+ * used eviction. While an entry lives, the first caller computes
+ * outside the lock, concurrent duplicates wait on the same future,
+ * and a throwing compute removes the entry and rethrows.
  *
- * Differences from MemoCache:
  *  - Each completed entry is charged `bytesOf(key, value)` bytes
  *    (the constructor's sizing callback; a crude default otherwise).
  *    When the total exceeds the budget, least-recently-used
@@ -119,7 +66,8 @@ struct MemoCacheStats
  *    (the fleet coordinator: results arrive from remote workers, so
  *    there is no compute function to run in the caller).
  *
- * A budget of 0 disables eviction (unbounded, like MemoCache).
+ * A budget of 0 disables eviction: every entry lives as long as the
+ * cache, so references into its values stay valid.
  */
 template <typename Key, typename Value>
 class LruMemoCache
@@ -147,6 +95,8 @@ class LruMemoCache
      */
     void setBackend(LoadFn load, StoreFn store)
     {
+        static_assert(std::is_default_constructible<Value>::value,
+                      "a backend loads into a default-constructed Value");
         backendLoad_ = std::move(load);
         backendStore_ = std::move(store);
     }
@@ -187,14 +137,8 @@ class LruMemoCache
             try {
                 // A persistent-backend hit replaces compute (and is
                 // not written back: the backend already has it).
-                if (backendLoad_) {
-                    Value loaded;
-                    if (backendLoad_(key, loaded)) {
-                        from_backend = true;
-                        value = std::make_shared<const Value>(
-                            std::move(loaded));
-                    }
-                }
+                value = loadBackend(key);
+                from_backend = value != nullptr;
                 if (value == nullptr)
                     value = std::make_shared<const Value>(
                         std::forward<Fn>(compute)());
@@ -247,12 +191,9 @@ class LruMemoCache
             }
             ++misses_;
         }
-        if (!backendLoad_)
+        auto value = loadBackend(key);
+        if (value == nullptr)
             return nullptr;
-        Value loaded;
-        if (!backendLoad_(key, loaded))
-            return nullptr;
-        auto value = std::make_shared<const Value>(std::move(loaded));
         {
             std::lock_guard<std::mutex> lock(mutex_);
             ++backendHits_;
@@ -274,7 +215,7 @@ class LruMemoCache
                     /*store_through=*/true);
     }
 
-    /** Completed + in-flight entries (MemoCache-compatible). */
+    /** Completed + in-flight entries. */
     std::size_t size() const
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -296,6 +237,23 @@ class LruMemoCache
     }
 
   private:
+    /**
+     * The backend's value for `key`, or nullptr on a miss or without
+     * a backend. Values that are not default-constructible (Program)
+     * cannot have a backend (setBackend), so they only compute.
+     */
+    std::shared_ptr<const Value> loadBackend(const Key &key)
+    {
+        if constexpr (std::is_default_constructible<Value>::value) {
+            if (!backendLoad_)
+                return nullptr;
+            Value loaded;
+            if (backendLoad_(key, loaded))
+                return std::make_shared<const Value>(std::move(loaded));
+        }
+        return nullptr;
+    }
+
     /** Insert an already-available value; existing entries win. */
     void insertReady(const Key &key,
                      std::shared_ptr<const Value> value,

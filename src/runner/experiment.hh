@@ -37,7 +37,11 @@ struct Experiment
     /**
      * Route through baselineFor()'s process-wide memo instead of a
      * direct runSimulation(), so ad-hoc baselineFor() callers later in
-     * the binary get a cache hit instead of a re-run.
+     * the binary get a cache hit instead of a re-run. In-process
+     * only: the wire codec drops it, because the memo ignores
+     * everything but the workload, lengths and seed, and a peer that
+     * set it could make a server answer any config with baseline
+     * numbers.
      */
     bool viaBaselineCache = false;
 };

@@ -7,8 +7,7 @@
  *
  * Client -> server:
  *   {"type":"submit","protocol":2,"experiment":...,"jobs":N,
- *    "grid":[{"workload":...,"label":...,"via_baseline_cache":b,
- *             "config":{...}},...]}
+ *    "grid":[{"workload":...,"label":...,"config":{...}},...]}
  *   {"type":"status"}          {"type":"cancel","job":N}
  *   {"type":"ping"}            {"type":"shutdown"}
  *
@@ -140,7 +139,7 @@ struct ResultEvent
 
     /**
      * Raw window counters, present exactly when the grid point's
-     * config had a window: what submitWindowSharded() stitches.
+     * config had a window: what submitWindowed() stitches.
      */
     bool hasDelta = false;
     StatsDelta delta;
@@ -331,7 +330,11 @@ WorkerStatus decodeWorkerStatus(const json::Value &v);
 
 // -------------------------------------------------- shared helpers
 
-/** Wire form of one grid point (shared by submit and work frames). */
+/**
+ * Wire form of one grid point (shared by submit and work frames).
+ * Experiment::viaBaselineCache stays off the wire: a decoded point
+ * always simulates its own config.
+ */
 json::Value encodeExperiment(const runner::Experiment &exp);
 runner::Experiment decodeExperiment(const json::Value &v);
 

@@ -121,15 +121,17 @@ programFor(const WorkloadPreset &preset)
 {
     // Key on (name, fingerprint of every generation parameter):
     // presets sharing a name but differing in any knob get distinct
-    // images. MemoCache computes outside its lock, so two threads
+    // images. The memo computes outside its lock, so two threads
     // building *different* programs proceed in parallel while
     // duplicates wait.
-    static MemoCache<std::pair<std::string, std::uint64_t>, Program>
-        cache;
+    //
+    // Budget 0 is load-bearing: this function returns a reference,
+    // not the shared_ptr, so an entry must never be evicted. An
+    // unbudgeted cache retains every entry for the process lifetime.
+    static LruMemoCache<std::pair<std::string, std::uint64_t>, Program>
+        cache(0);
     const auto key = std::make_pair(preset.program.name,
                                     programFingerprint(preset.program));
-    // The cache retains every entry for the process lifetime, so the
-    // reference stays valid.
     return *cache.get(key,
                       [&preset]() { return Program(preset.program); });
 }
@@ -394,11 +396,11 @@ baselineFor(const WorkloadPreset &preset, std::uint64_t warmup,
     // Computed outside the cache's lock: baselines for different
     // workloads run concurrently, and only one thread simulates a
     // given (workload, lengths, seed) no matter how many request it.
-    static MemoCache<std::tuple<std::string, std::uint64_t,
-                                std::uint64_t, std::uint64_t,
-                                std::uint64_t>,
-                     SimResult>
-        cache;
+    static LruMemoCache<std::tuple<std::string, std::uint64_t,
+                                   std::uint64_t, std::uint64_t,
+                                   std::uint64_t>,
+                        SimResult>
+        cache(0);
     const auto key = std::make_tuple(preset.name,
                                      presetFingerprint(preset), warmup,
                                      measure, trace_seed);

@@ -12,9 +12,9 @@
  * measure disjoint adjacent slices of the exact cycle sequence the
  * monolithic run traverses (see src/window/README.md), and the raw
  * counters merge exactly. The service client's window sharding
- * (service/client.hh submitWindowSharded) stitches with the same
- * merge, so a window lost to a dead worker and re-simulated
- * elsewhere changes nothing in the result.
+ * (service/client.hh submitWindowed) stitches with the same merge,
+ * so a window a coordinator requeued after its worker died and
+ * re-simulated elsewhere changes nothing in the result.
  */
 
 #ifndef SHOTGUN_WINDOW_WINDOWED_RUNNER_HH
@@ -46,7 +46,7 @@ struct WindowedOutcome
  * "<label>#w<i>/<n>", and -- load-bearing -- viaBaselineCache
  * cleared, because the baseline memo is keyed without windows and a
  * window must simulate as itself wherever it lands. Shared by the
- * in-process runner below and the service client's window sharding,
+ * in-process runner below and the service client's submitWindowed(),
  * so both expand identically.
  */
 std::vector<runner::Experiment>

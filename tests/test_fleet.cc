@@ -379,6 +379,86 @@ TEST(FleetTest, WorkerKilledMidGridLandsEveryPointExactlyOnce)
     victim.reset();
 }
 
+TEST(FleetTest, DeterministicJobFailureFailsTheJobNotTheFleet)
+{
+    // A grid point whose trace file does not exist fails on any
+    // worker. The worker reports it as an error result; the
+    // coordinator fails the job (it does not requeue the point or
+    // declare the worker dead), and the client sees the worker's
+    // message. The fleet stays whole and serves the next job.
+    const runner::ExperimentSet set = quickGrid(1);
+    const auto local = runner::ExperimentRunner().run(set);
+
+    TestCoordinator coord("jobfail");
+    TestWorker w1("jobfail-1", coord.endpoint());
+    TestWorker w2("jobfail-2", coord.endpoint());
+    awaitWorkers(coord.coordinator(), 2);
+
+    SubmitRequest bad = requestFor(set, "fleet-jobfail");
+    runner::Experiment broken = bad.grid.back();
+    broken.workload = "fleet-missing";
+    broken.config.workload.tracePath =
+        "/tmp/shotgun_fleet_no_such_file.trace";
+    bad.grid.push_back(broken);
+
+    ServiceClient client(coord.endpoint());
+    try {
+        client.submit(bad);
+        FAIL() << "a job with a missing trace completed";
+    } catch (const service::ServiceError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(" error: experiment \"fleet-missing/"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("shotgun_fleet_no_such_file"),
+                  std::string::npos)
+            << what;
+    }
+    EXPECT_EQ(coord.coordinator().liveWorkers(), 2u);
+
+    const auto good = client.submit(requestFor(set, "fleet-after"));
+    ASSERT_EQ(good.size(), set.size());
+    for (std::size_t i = 0; i < set.size(); ++i)
+        EXPECT_TRUE(good[i] == local[i]) << "index " << i;
+    EXPECT_EQ(coord.coordinator().liveWorkers(), 2u);
+    EXPECT_EQ(coord.coordinator().queueDepth(), 0u);
+}
+
+TEST(FleetTest, WindowShardsSurviveWorkerDeath)
+{
+    // Every experiment split into three windows, spread over three
+    // workers; one worker is stopped after the first window lands.
+    // The coordinator requeues its in-flight windows on the
+    // survivors, and the stitched results equal the monolithic
+    // in-process runs exactly.
+    const runner::ExperimentSet set = quickGrid(1);
+    const auto local = runner::ExperimentRunner().run(set);
+
+    TestCoordinator coord("windows");
+    TestWorker w1("windows-1", coord.endpoint());
+    TestWorker w2("windows-2", coord.endpoint());
+    auto victim =
+        std::make_unique<TestWorker>("windows-3", coord.endpoint());
+    awaitWorkers(coord.coordinator(), 3);
+
+    ServiceClient client(coord.endpoint());
+    std::size_t windows = 0;
+    const auto stitched = service::submitWindowed(
+        client, requestFor(set, "fleet-windows"), 3,
+        [&](const ResultEvent &) {
+            if (windows++ == 0)
+                victim->stop();
+        });
+
+    EXPECT_EQ(windows, 3 * set.size());
+    ASSERT_EQ(stitched.size(), set.size());
+    for (std::size_t i = 0; i < set.size(); ++i)
+        EXPECT_TRUE(stitched[i] == local[i]) << "index " << i;
+    EXPECT_EQ(coord.coordinator().liveWorkers(), 2u);
+    EXPECT_EQ(coord.coordinator().queueDepth(), 0u);
+    victim.reset();
+}
+
 TEST(FleetTest, SilentWorkerIsDeclaredDeadAndItsTaskRequeued)
 {
     // A raw-socket "worker" that registers, attaches one slot,

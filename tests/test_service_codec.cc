@@ -317,7 +317,9 @@ TEST(ServiceProtocolTest, SubmitFrameRoundTrips)
         runner::Experiment exp;
         exp.workload = "nutch";
         exp.label = schemeTypeName(type);
-        exp.viaBaselineCache = type == SchemeType::Baseline;
+        // In-process only: the codec must drop it (a decoded point
+        // always simulates its own config).
+        exp.viaBaselineCache = true;
         exp.config =
             SimConfig::make(makePreset(WorkloadId::Nutch), type);
         request.grid.push_back(exp);
@@ -331,7 +333,9 @@ TEST(ServiceProtocolTest, SubmitFrameRoundTrips)
     EXPECT_EQ(decoded.jobs, 3u);
     ASSERT_EQ(decoded.grid.size(), 2u);
     EXPECT_EQ(decoded.grid[0].label, "baseline");
-    EXPECT_TRUE(decoded.grid[0].viaBaselineCache);
+    EXPECT_FALSE(decoded.grid[0].viaBaselineCache);
+    EXPECT_FALSE(decoded.grid[1].viaBaselineCache);
+    EXPECT_EQ(frame.dump().find("via_baseline"), std::string::npos);
     EXPECT_EQ(configFingerprint(decoded.grid[1].config),
               configFingerprint(request.grid[1].config));
 }

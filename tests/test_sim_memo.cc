@@ -1,7 +1,7 @@
 /**
  * @file
  * Regression tests for the thread-safety of the simulator's shared
- * memoization: the generic MemoCache and the programFor/baselineFor
+ * memoization: the generic LruMemoCache and the programFor/baselineFor
  * caches that every concurrent experiment hammers. Before the runner
  * subsystem these were guarded per-call; the tests pin down the
  * stronger contract the parallel runner needs: compute-once per key,
@@ -23,9 +23,9 @@ namespace shotgun
 namespace
 {
 
-TEST(MemoCacheTest, ComputesOncePerKey)
+TEST(LruMemoCacheTest, ComputesOncePerKey)
 {
-    MemoCache<int, int> cache;
+    LruMemoCache<int, int> cache(0);
     std::atomic<int> computes{0};
     for (int i = 0; i < 5; ++i) {
         const auto value = cache.get(42, [&computes]() {
@@ -38,17 +38,17 @@ TEST(MemoCacheTest, ComputesOncePerKey)
     EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST(MemoCacheTest, DistinctKeysComputeIndependently)
+TEST(LruMemoCacheTest, DistinctKeysComputeIndependently)
 {
-    MemoCache<int, int> cache;
+    LruMemoCache<int, int> cache(0);
     for (int k = 0; k < 10; ++k)
         EXPECT_EQ(*cache.get(k, [k]() { return k * 3; }), k * 3);
     EXPECT_EQ(cache.size(), 10u);
 }
 
-TEST(MemoCacheTest, ConcurrentHammerComputesOnce)
+TEST(LruMemoCacheTest, ConcurrentHammerComputesOnce)
 {
-    MemoCache<int, int> cache;
+    LruMemoCache<int, int> cache(0);
     constexpr int kThreads = 8, kKeys = 4, kIters = 200;
     std::atomic<int> computes{0};
     std::vector<std::thread> threads;
@@ -68,22 +68,6 @@ TEST(MemoCacheTest, ConcurrentHammerComputesOnce)
         thread.join();
     EXPECT_EQ(computes.load(), kKeys);
 }
-
-TEST(MemoCacheTest, ThrowingComputeAllowsRetry)
-{
-    MemoCache<int, int> cache;
-    int attempts = 0;
-    EXPECT_THROW(cache.get(1,
-                           [&attempts]() -> int {
-                               ++attempts;
-                               throw std::runtime_error("first try");
-                           }),
-                 std::runtime_error);
-    // The failed entry must not be cached.
-    EXPECT_EQ(*cache.get(1, [&attempts]() { return ++attempts; }), 2);
-}
-
-// ----------------------------------------------------------- LruMemoCache
 
 /** Every entry costs 10 bytes: budgets become entry counts. */
 std::size_t

@@ -5,9 +5,9 @@
  * full-coverage window plan -- contiguous windows, warm-up equal to
  * the preceding prefix -- stitches into a SimResult numerically
  * identical to the monolithic run, for synthetic presets and
- * recorded traces, in-process and across service workers, including
- * when a worker dies mid-run and its windows are re-simulated
- * elsewhere. Plus: merge permutation-invariance, strict window-order
+ * recorded traces, in-process and through a service endpoint (the
+ * fleet case with a worker dying mid-run lives in test_fleet.cc).
+ * Plus: merge permutation-invariance, strict window-order
  * emission, death tests for malformed plans, and the sampled
  * (approximate) mode's determinism.
  */
@@ -258,8 +258,8 @@ TEST(WindowStitchTest, FullCoverageMatchesMonolithicForRecordedTrace)
 TEST(WindowStitchTest, MergeIsPermutationInvariant)
 {
     // The property the distributed stitch rests on: whatever order
-    // windows come back in (worker interleaving, redistribution
-    // after a death), merging their deltas in any permutation gives
+    // windows come back in (worker interleaving, a requeue after a
+    // death), merging their deltas in any permutation gives
     // the monolithic counters.
     const WorkloadPreset preset = tinyPreset("perm", 7);
     SimConfig config = quickConfig(preset, SchemeType::Shotgun);
@@ -484,12 +484,12 @@ class TestServer
     std::thread thread_;
 };
 
-TEST(WindowShardingTest, MatchesMonolithicAcrossWorkersAndDeaths)
+TEST(WindowShardingTest, MatchesMonolithicThroughOneServer)
 {
-    // Two experiments window-sharded across two live workers and one
-    // dead endpoint: the dead worker's windows are re-simulated on
-    // survivors, and the stitched results still equal monolithic
-    // in-process runs exactly.
+    // Two experiments split into three windows each and sent to one
+    // server in one submit: the stitched results equal monolithic
+    // in-process runs exactly. (The coordinator path, with a worker dying mid-grid,
+    // is FleetTest.WindowShardsSurviveWorkerDeath.)
     service::SubmitRequest request;
     request.experiment = "window-shard";
     request.jobs = 2;
@@ -502,45 +502,25 @@ TEST(WindowShardingTest, MatchesMonolithicAcrossWorkersAndDeaths)
         request.grid.push_back(exp);
     }
 
-    TestServer alpha("alpha");
-    TestServer beta("beta");
-    const std::vector<std::string> endpoints{
-        alpha.endpoint(),
-        "unix:/tmp/shotgun_window_test_dead.sock", // nobody listens
-        beta.endpoint()};
-
-    service::ShardedOptions options;
-    std::vector<service::ShardOutcome> outcomes;
-    options.outcomes = &outcomes;
+    TestServer server("one");
+    service::ServiceClient client(server.endpoint());
     std::size_t events = 0;
-    std::size_t deltas = 0;
-    options.onEvent = [&](std::size_t,
-                          const service::ResultEvent &event) {
-        ++events;
-        deltas += event.hasDelta ? 1 : 0;
-    };
-
-    const std::vector<SimResult> stitched =
-        service::submitWindowSharded(endpoints, request, 3, options);
+    const std::vector<SimResult> stitched = service::submitWindowed(
+        client, request, 3,
+        [&](const service::ResultEvent &) { ++events; });
 
     ASSERT_EQ(stitched.size(), mono.size());
     for (std::size_t i = 0; i < mono.size(); ++i)
         expectIdentical(stitched[i], mono[i]);
 
-    // 2 experiments x 3 windows, every window frame carried a delta.
+    // 2 experiments x 3 windows (submitWindowed throws on a window
+    // frame without its delta).
     EXPECT_EQ(events, 6u);
-    EXPECT_EQ(deltas, 6u);
 
-    // The dead endpoint really was assigned windows and lost them.
-    ASSERT_EQ(outcomes.size(), 3u);
-    EXPECT_FALSE(outcomes[1].error.empty());
-    EXPECT_GT(outcomes[1].retried, 0u);
-    EXPECT_EQ(outcomes[1].delivered, 0u);
-
-    // Resubmitting hits the servers' fingerprint caches (windowed
+    // Resubmitting hits the server's fingerprint cache (windowed
     // entries keep their deltas) and stitches identically again.
-    const std::vector<SimResult> again = service::submitWindowSharded(
-        endpoints, request, 3, service::ShardedOptions{});
+    const std::vector<SimResult> again =
+        service::submitWindowed(client, request, 3);
     for (std::size_t i = 0; i < mono.size(); ++i)
         expectIdentical(again[i], mono[i]);
 }
