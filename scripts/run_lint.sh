@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Run the repo's static-analysis gate:
 #
-#   1. shotgun-lint (tools/lint/): the four invariant checks --
-#      clone-completeness, determinism-hazards, codec-coverage,
-#      protocol-optional-discipline. Any unsuppressed finding fails.
+#   1. shotgun-lint (tools/lint/): the three invariant checks --
+#      clone-completeness, determinism-hazards, codec-coverage.
+#      Any unsuppressed finding fails.
 #   2. clang-tidy (bugprone-*/performance-*/concurrency-*, .clang-tidy)
 #      over src/, driven by the CMake-exported compile_commands.json.
 #      Skipped with a notice when clang-tidy or the compilation

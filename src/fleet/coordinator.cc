@@ -177,7 +177,7 @@ struct FleetCoordinator::Worker
     Clock::time_point registeredAt;
     Clock::time_point lastHeartbeat;
     std::uint64_t completed = 0; ///< Results accepted from it.
-    service::HeartbeatFrame stats; ///< Last reported cache counters.
+    service::WorkerCounters counters; ///< From its last heartbeat.
     bool dead = false;
     std::shared_ptr<Connection> control;
     std::vector<std::shared_ptr<Slot>> attached;
@@ -437,11 +437,14 @@ FleetCoordinator::handleClientFrame(
             handleSubmit(conn, frame);
             return true; // handleSubmit sent `accepted` itself.
         } else if (type == "status") {
+            service::frameReader(frame, "status").finish();
             reply = statusFrame();
         } else if (type == "ping") {
+            service::frameReader(frame, "ping").finish();
             reply = makeFrame("pong");
         } else if (type == "cancel") {
-            const std::uint64_t id = frame.at("job").asU64();
+            const std::uint64_t id =
+                service::decodeIdFrame(frame, "cancel", "job");
             std::shared_ptr<Job> job;
             {
                 std::lock_guard<std::mutex> lock(mutex_);
@@ -464,6 +467,7 @@ FleetCoordinator::handleClientFrame(
                 reply.set("job", Value::number(id));
             }
         } else if (type == "shutdown") {
+            service::frameReader(frame, "shutdown").finish();
             conn->sendFrame(makeFrame("bye"));
             requestShutdown();
             return false;
@@ -797,7 +801,7 @@ FleetCoordinator::runWorkerControl(
                     service::decodeHeartbeat(hb_frame);
                 std::lock_guard<std::mutex> lock(mutex_);
                 worker->lastHeartbeat = Clock::now();
-                worker->stats = hb;
+                worker->counters = hb.counters;
             } else {
                 reply = makeError("unexpected frame type \"" + type +
                                   "\" on a control connection");
@@ -818,7 +822,8 @@ FleetCoordinator::runWorkerSlot(
     auto slot = std::make_shared<Slot>();
     slot->conn = conn;
     try {
-        const std::uint64_t worker_id = frame.at("worker").asU64();
+        const std::uint64_t worker_id =
+            service::decodeIdFrame(frame, "attach", "worker");
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = workers_.find(worker_id);
         if (it == workers_.end() || it->second->dead)
@@ -839,6 +844,7 @@ FleetCoordinator::runWorkerSlot(
             const Value slot_frame = Value::parse(line);
             const std::string type = service::frameType(slot_frame);
             if (type == "steal") {
+                service::frameReader(slot_frame, "steal").finish();
                 SendBatch sends;
                 {
                     std::lock_guard<std::mutex> lock(mutex_);
@@ -935,6 +941,17 @@ FleetCoordinator::handleWorkResult(const std::shared_ptr<Slot> &slot,
             job = jt->second;
         --task->job->pendingTasks;
         slot->worker->completed += 1;
+        // The worker's fingerprint is another process's claim: a
+        // result computed for some other config must neither reach
+        // the client nor be cached under this task's key.
+        const std::string &expected =
+            task->job->fingerprints[task->index];
+        if (wr.ok && wr.fingerprint != expected) {
+            wr.ok = false;
+            wr.message = "worker " + slot->worker->name +
+                         " returned a result for fingerprint " +
+                         wr.fingerprint + ", expected " + expected;
+        }
         if (!wr.ok) {
             if (!task->job->failed) {
                 task->job->failed = true;
@@ -951,7 +968,7 @@ FleetCoordinator::handleWorkResult(const std::shared_ptr<Slot> &slot,
                 task->job->cachedFlag[task->index] = 1;
                 ++task->job->cachedCount;
             }
-            cache_key = task->job->fingerprints[task->index];
+            cache_key = expected;
             // Worker spans: into the coordinator's own trace file
             // (--trace-out merges the whole fleet into one JSON) and
             // into the job for relay to the client.
@@ -1086,19 +1103,7 @@ FleetCoordinator::statusFrame()
                            : static_cast<double>(worker.completed) *
                                  1000.0 /
                                  static_cast<double>(up_ms);
-            status.cacheHits = worker.stats.cacheHits;
-            status.cacheMisses = worker.stats.cacheMisses;
-            status.backendHits = worker.stats.backendHits;
-            status.checkpointHits = worker.stats.checkpointHits;
-            status.checkpointMisses = worker.stats.checkpointMisses;
-            status.phaseDecodeUs = worker.stats.phaseDecodeUs;
-            status.phaseWarmupUs = worker.stats.phaseWarmupUs;
-            status.phaseRestoreUs = worker.stats.phaseRestoreUs;
-            status.phaseMeasureUs = worker.stats.phaseMeasureUs;
-            status.phasePoints = worker.stats.phasePoints;
-            status.measureP50Us = worker.stats.measureP50Us;
-            status.measureP95Us = worker.stats.measureP95Us;
-            status.measureP99Us = worker.stats.measureP99Us;
+            status.counters = worker.counters;
             // Heartbeat freshness per worker, published as registry
             // gauges so liveness is inspectable from the same source
             // the frame reads.
@@ -1107,8 +1112,8 @@ FleetCoordinator::statusFrame()
                        ".heartbeat_age_ms")
                 ->set(static_cast<std::int64_t>(
                     status.heartbeatAgeMs));
-            checkpoint_hits += status.checkpointHits;
-            checkpoint_misses += status.checkpointMisses;
+            checkpoint_hits += worker.counters.checkpointHits;
+            checkpoint_misses += worker.counters.checkpointMisses;
             inflight += status.inflight;
             total_slots += worker.slots;
             workers.push(encodeWorkerStatus(status));

@@ -142,17 +142,21 @@ DiskResultCache::load(const std::string &fingerprint,
     std::ostringstream text;
     text << in.rdbuf();
     try {
+        // Read as strictly as a frame: an entry with a missing or
+        // unknown member is damage, hence a miss.
         const Value v = Value::parse(text.str());
+        service::ObjectReader r(v, "cache entry");
         // The embedded fingerprint guards against a file copied or
-        // renamed across keys: a mismatch is damage, hence a miss.
-        if (v.at("fingerprint").asString() != fingerprint)
+        // renamed across keys.
+        if (r.str("fingerprint") != fingerprint)
             return false;
         service::CachedResult cached;
-        cached.result = service::decodeSimResult(v.at("result"));
-        if (const Value *delta = v.find("delta")) {
+        cached.result = service::decodeSimResult(r.get("result"));
+        if (const Value *delta = r.optional("delta")) {
             cached.hasDelta = true;
             cached.delta = service::decodeStatsDelta(*delta);
         }
+        r.finish();
         out = std::move(cached);
         return true;
     } catch (const json::JsonError &) {

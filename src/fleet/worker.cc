@@ -131,7 +131,8 @@ FleetWorker::controlLoop()
             if (service::frameType(ack) != "ack")
                 throw service::ServiceError(
                     "register rejected: " + line);
-            workerId_.store(ack.at("worker").asU64());
+            workerId_.store(
+                service::decodeIdFrame(ack, "ack", "worker"));
             log("registered as worker " +
                 std::to_string(workerId_.load()) + " at " +
                 coordinator_.str());
@@ -140,40 +141,40 @@ FleetWorker::controlLoop()
                 service::HeartbeatFrame hb;
                 hb.worker = workerId_.load();
                 hb.completed = completed_.load();
+                service::WorkerCounters &c = hb.counters;
                 const MemoCacheStats stats = server_.cacheStats();
-                hb.cacheHits = stats.hits;
-                hb.cacheMisses = stats.misses;
-                hb.backendHits = stats.backendHits;
+                c.cacheHits = stats.hits;
+                c.cacheMisses = stats.misses;
+                c.backendHits = stats.backendHits;
                 const MemoCacheStats cp = checkpointCache().stats();
-                hb.checkpointHits = cp.hits;
-                hb.checkpointMisses = cp.misses;
+                c.checkpointHits = cp.hits;
+                c.checkpointMisses = cp.misses;
                 // Per-phase simulation time, process-lifetime totals
                 // from the always-on registry counters: the
                 // coordinator folds these into --fleet-status's
                 // per-phase breakdown table.
                 obs::Registry &registry = obs::metrics();
-                hb.phaseDecodeUs =
+                c.phaseDecodeUs =
                     registry.counter("sim.phase.decode_us")->value();
-                hb.phaseWarmupUs =
+                c.phaseWarmupUs =
                     registry.counter("sim.phase.warmup_us")->value();
-                hb.phaseRestoreUs =
+                c.phaseRestoreUs =
                     registry.counter("sim.phase.restore_us")->value();
-                hb.phaseMeasureUs =
+                c.phaseMeasureUs =
                     registry.counter("sim.phase.measure_us")->value();
-                hb.phasePoints =
+                c.phasePoints =
                     registry.counter("sim.points")->value();
                 // Measure-latency percentiles from the per-point
-                // histogram the simulator records; stays all-zero
-                // (member omitted on the wire) until the first
-                // point finishes.
+                // histogram the simulator records; all zero until
+                // the first point finishes.
                 for (const obs::MetricSample &s :
                      registry.snapshot()) {
                     if (s.kind != obs::MetricSample::Kind::Histogram ||
                         s.name != "sim.phase.measure_us_hist")
                         continue;
-                    hb.measureP50Us = obs::histogramQuantile(s, 0.50);
-                    hb.measureP95Us = obs::histogramQuantile(s, 0.95);
-                    hb.measureP99Us = obs::histogramQuantile(s, 0.99);
+                    c.measureP50Us = obs::histogramQuantile(s, 0.50);
+                    c.measureP95Us = obs::histogramQuantile(s, 0.95);
+                    c.measureP99Us = obs::histogramQuantile(s, 0.99);
                 }
                 if (!channel->sendLine(
                         service::encodeHeartbeat(hb).dump()))
@@ -223,6 +224,7 @@ FleetWorker::slotLoop(unsigned slot_index)
             if (service::frameType(ack) != "ack")
                 throw service::ServiceError("attach rejected: " +
                                             line);
+            service::frameReader(ack, "ack").finish();
 
             // Steal -> work -> result, parked on the coordinator
             // while the queue is empty. No receive deadline: an idle

@@ -259,10 +259,6 @@ class PhaseTimer
 /** Wall-clock µs since the Unix epoch (span `ts` timebase). */
 std::uint64_t wallClockUs();
 
-/** Span <-> JSON (the representation result frames carry). */
-json::Value spanToJson(const SpanRecord &span);
-SpanRecord spanFromJson(const json::Value &value);
-
 /**
  * One sample on a Chrome counter track ("ph":"C"): the named series
  * values at one timestamp, rendered by Perfetto as stacked area

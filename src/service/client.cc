@@ -44,8 +44,7 @@ ServiceClient::request(const json::Value &frame)
         throw SocketError("send to " + endpoint_ + " failed");
     Value reply = Value::parse(recvLineOrThrow());
     if (frameType(reply) == "error")
-        throw ServiceError(endpoint_ + ": " +
-                           reply.at("message").asString());
+        throw ServiceError(endpoint_ + ": " + decodeError(reply));
     return reply;
 }
 
@@ -54,15 +53,15 @@ ServiceClient::submit(
     const SubmitRequest &request_data,
     const std::function<void(const ResultEvent &)> &on_result)
 {
-    const Value accepted = request(encodeSubmit(request_data));
-    if (frameType(accepted) != "accepted")
-        throw ServiceError(endpoint_ + ": expected `accepted`, got `" +
-                           frameType(accepted) + "`");
-    const std::uint64_t job = accepted.at("job").asU64();
-    const std::uint64_t total = accepted.at("total").asU64();
-    if (total != request_data.grid.size())
+    const Value reply = request(encodeSubmit(request_data));
+    ObjectReader accepted = frameReader(reply, "accepted");
+    const std::uint64_t job = accepted.u64("job");
+    const std::uint64_t total = accepted.u64("total");
+    if (total != request_data.grid.size() ||
+        accepted.get("fingerprints").size() != total)
         throw ServiceError(endpoint_ +
                            ": server accepted a different grid size");
+    accepted.finish();
 
     std::vector<SimResult> results(request_data.grid.size());
     std::vector<char> seen(request_data.grid.size(), 0);
@@ -102,10 +101,12 @@ ServiceClient::submit(
                                    " results");
             return results;
         } else if (type == "error") {
-            throw ServiceError(endpoint_ + ": " +
-                               frame.at("message").asString());
+            throw ServiceError(endpoint_ + ": " + decodeError(frame));
+        } else {
+            throw ServiceError(endpoint_ + ": unexpected `" + type +
+                               "` frame in job " +
+                               std::to_string(job) + "'s stream");
         }
-        // Ignore unrelated frame types (forward compatibility).
     }
 }
 

@@ -70,89 +70,51 @@ workloadIdFromName(const std::string &name)
     throw CodecError("unknown workload id \"" + name + "\"");
 }
 
+} // namespace
+
 // ------------------------------------------------------ strict reader
 
-/**
- * Strict object access: every member must be consumed exactly once,
- * and finish() rejects members nobody asked for. This is what turns
- * "decode" into "validate": a frame with a typo'd or extra field is
- * an error, not a silently-defaulted config.
- */
-class ObjectReader
+ObjectReader::ObjectReader(const Value &v, const char *what)
+    : what_(what)
 {
-  public:
-    ObjectReader(const Value &v, const char *what) : what_(what)
-    {
-        if (!v.isObject())
-            throw CodecError(std::string(what) + ": expected an object");
-        object_ = &v;
-        consumed_.assign(v.members().size(), false);
-    }
+    if (!v.isObject())
+        throw CodecError(std::string(what) + ": expected an object");
+    object_ = &v;
+    consumed_.assign(v.members().size(), false);
+}
 
-    const Value &get(const char *key)
-    {
-        const auto &members = object_->members();
-        for (std::size_t i = 0; i < members.size(); ++i) {
-            if (members[i].first == key) {
-                consumed_[i] = true;
-                return members[i].second;
-            }
-        }
-        throw CodecError(std::string(what_) + ": missing field \"" +
-                         key + "\"");
-    }
+const Value &
+ObjectReader::get(const char *key)
+{
+    if (const Value *v = optional(key))
+        return *v;
+    throw CodecError(std::string(what_) + ": missing field \"" + key +
+                     "\"");
+}
 
-    /**
-     * Optional member: consumed when present, nullptr when absent.
-     * For fields newer encoders emit conditionally (e.g. "uarch"),
-     * keeping older payloads decodable while finish() still rejects
-     * genuinely unknown fields.
-     */
-    const Value *optional(const char *key)
-    {
-        const auto &members = object_->members();
-        for (std::size_t i = 0; i < members.size(); ++i) {
-            if (members[i].first == key) {
-                consumed_[i] = true;
-                return &members[i].second;
-            }
-        }
-        return nullptr;
-    }
-
-    std::string str(const char *key) { return get(key).asString(); }
-    bool boolean(const char *key) { return get(key).asBool(); }
-    double number(const char *key) { return get(key).asDouble(); }
-    std::uint64_t u64(const char *key) { return get(key).asU64(); }
-
-    template <typename T>
-    T integer(const char *key)
-    {
-        const std::uint64_t v = u64(key);
-        if (v > std::numeric_limits<T>::max())
-            throw CodecError(std::string(what_) + ": field \"" + key +
-                             "\" out of range");
-        return static_cast<T>(v);
-    }
-
-    void finish()
-    {
-        const auto &members = object_->members();
-        for (std::size_t i = 0; i < members.size(); ++i) {
-            if (!consumed_[i])
-                throw CodecError(std::string(what_) +
-                                 ": unknown field \"" +
-                                 members[i].first + "\"");
+const Value *
+ObjectReader::optional(const char *key)
+{
+    const auto &members = object_->members();
+    for (std::size_t i = 0; i < members.size(); ++i) {
+        if (members[i].first == key) {
+            consumed_[i] = true;
+            return &members[i].second;
         }
     }
+    return nullptr;
+}
 
-  private:
-    const char *what_;
-    const Value *object_ = nullptr;
-    std::vector<bool> consumed_;
-};
-
-} // namespace
+void
+ObjectReader::finish() const
+{
+    const auto &members = object_->members();
+    for (std::size_t i = 0; i < members.size(); ++i) {
+        if (!consumed_[i])
+            throw CodecError(std::string(what_) + ": unknown field \"" +
+                             members[i].first + "\"");
+    }
+}
 
 // -------------------------------------------------------------- encode
 

@@ -25,7 +25,10 @@
 #ifndef SHOTGUN_SERVICE_CODEC_HH
 #define SHOTGUN_SERVICE_CODEC_HH
 
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "common/json.hh"
 #include "obs/uarch.hh"
@@ -43,6 +46,55 @@ struct CodecError : json::JsonError
     explicit CodecError(const std::string &what) : json::JsonError(what)
     {
     }
+};
+
+/**
+ * Strict object access, the one reader behind every decoder here and
+ * in service/protocol.hh: each member must be consumed exactly once,
+ * and finish() rejects members nobody asked for. This is what turns
+ * "decode" into "validate": a frame with a typo'd, extra or retired
+ * member is an error, not a silently-defaulted value. `what` names
+ * the object in error messages and must outlive the reader.
+ */
+class ObjectReader
+{
+  public:
+    ObjectReader(const json::Value &v, const char *what);
+    /** The reader points into `v`: never bind it to a temporary. */
+    ObjectReader(const json::Value &&v, const char *what) = delete;
+
+    /** Required member; CodecError when absent. */
+    const json::Value &get(const char *key);
+
+    /**
+     * Conditional member, consumed when present, nullptr when absent:
+     * only for members whose absence itself carries meaning (an
+     * untraced point has no "spans", a probe-free run no "uarch").
+     */
+    const json::Value *optional(const char *key);
+
+    std::string str(const char *key) { return get(key).asString(); }
+    bool boolean(const char *key) { return get(key).asBool(); }
+    double number(const char *key) { return get(key).asDouble(); }
+    std::uint64_t u64(const char *key) { return get(key).asU64(); }
+
+    template <typename T>
+    T integer(const char *key)
+    {
+        const std::uint64_t v = u64(key);
+        if (v > std::numeric_limits<T>::max())
+            throw CodecError(std::string(what_) + ": field \"" + key +
+                             "\" out of range");
+        return static_cast<T>(v);
+    }
+
+    /** Throws CodecError naming the first unconsumed member. */
+    void finish() const;
+
+  private:
+    const char *what_;
+    const json::Value *object_ = nullptr;
+    std::vector<bool> consumed_;
 };
 
 // ------------------------------------------------------------- encode

@@ -10,20 +10,18 @@ using json::Value;
 namespace
 {
 
-/** Throw unless `frame` carries this build's protocol version. */
+/** Consume "protocol"; throw unless it is this build's version. */
 void
-checkProtocol(const json::Value &frame)
+checkProtocol(ObjectReader &frame)
 {
-    const Value &protocol = frame.at("protocol");
+    const Value &protocol = frame.get("protocol");
     if (protocol.asU64() != kProtocolVersion)
         throw CodecError("unsupported protocol version " +
                          protocol.numberToken() + " (this build: " +
                          std::to_string(kProtocolVersion) + ")");
 }
 
-// --- optional tracing members (see the header comment: all of these
-// are absent unless tracing is active, and peers that predate them
-// parse the frames unchanged).
+// --- conditional tracing members: absent unless tracing is active.
 
 /** Append {"trace":{"id":N,"parent":N}} when a trace id is set. */
 void
@@ -39,12 +37,14 @@ setTraceRef(Value &v, std::uint64_t trace_id,
 }
 
 void
-getTraceRef(const Value &frame, std::uint64_t &trace_id,
+getTraceRef(ObjectReader &frame, std::uint64_t &trace_id,
             std::uint64_t &parent_span)
 {
-    if (const Value *trace = frame.find("trace")) {
-        trace_id = trace->at("id").asU64();
-        parent_span = trace->at("parent").asU64();
+    if (const Value *trace = frame.optional("trace")) {
+        ObjectReader r(*trace, "trace");
+        trace_id = r.u64("id");
+        parent_span = r.u64("parent");
+        r.finish();
     }
 }
 
@@ -55,17 +55,17 @@ setSpans(Value &v, const std::vector<obs::SpanRecord> &spans)
         return;
     Value array = Value::array();
     for (const obs::SpanRecord &span : spans)
-        array.push(obs::spanToJson(span));
+        array.push(encodeSpan(span));
     v.set("spans", std::move(array));
 }
 
 std::vector<obs::SpanRecord>
-getSpans(const Value &frame)
+getSpans(ObjectReader &frame)
 {
     std::vector<obs::SpanRecord> spans;
-    if (const Value *array = frame.find("spans")) {
+    if (const Value *array = frame.optional("spans")) {
         for (const Value &span : array->items())
-            spans.push_back(obs::spanFromJson(span));
+            spans.push_back(decodeSpan(span));
     }
     return spans;
 }
@@ -84,16 +84,74 @@ setTiming(Value &v, bool has_timing, const obs::PointTiming &timing)
 }
 
 bool
-getTiming(const Value &frame, obs::PointTiming &timing)
+getTiming(ObjectReader &frame, obs::PointTiming &timing)
 {
-    const Value *t = frame.find("timing");
+    const Value *t = frame.optional("timing");
     if (t == nullptr)
         return false;
-    timing.decodeUs = t->at("decode_us").asU64();
-    timing.warmupUs = t->at("warmup_us").asU64();
-    timing.restoreUs = t->at("restore_us").asU64();
-    timing.measureUs = t->at("measure_us").asU64();
+    ObjectReader r(*t, "timing");
+    timing.decodeUs = r.u64("decode_us");
+    timing.warmupUs = r.u64("warmup_us");
+    timing.restoreUs = r.u64("restore_us");
+    timing.measureUs = r.u64("measure_us");
+    r.finish();
     return true;
+}
+
+// --- the worker counters heartbeats and worker rows share.
+
+void
+setWorkerCounters(Value &v, const WorkerCounters &c)
+{
+    Value cache = Value::object();
+    cache.set("hits", Value::number(c.cacheHits));
+    cache.set("misses", Value::number(c.cacheMisses));
+    cache.set("backend_hits", Value::number(c.backendHits));
+    Value checkpoint = Value::object();
+    checkpoint.set("hits", Value::number(c.checkpointHits));
+    checkpoint.set("misses", Value::number(c.checkpointMisses));
+    Value phase = Value::object();
+    phase.set("decode_us", Value::number(c.phaseDecodeUs));
+    phase.set("warmup_us", Value::number(c.phaseWarmupUs));
+    phase.set("restore_us", Value::number(c.phaseRestoreUs));
+    phase.set("measure_us", Value::number(c.phaseMeasureUs));
+    phase.set("points", Value::number(c.phasePoints));
+    Value percentiles = Value::object();
+    percentiles.set("measure_p50_us", Value::number(c.measureP50Us));
+    percentiles.set("measure_p95_us", Value::number(c.measureP95Us));
+    percentiles.set("measure_p99_us", Value::number(c.measureP99Us));
+    v.set("cache", std::move(cache));
+    v.set("checkpoint", std::move(checkpoint));
+    v.set("phase", std::move(phase));
+    v.set("percentiles", std::move(percentiles));
+}
+
+WorkerCounters
+getWorkerCounters(ObjectReader &frame)
+{
+    WorkerCounters c;
+    ObjectReader cache(frame.get("cache"), "cache");
+    c.cacheHits = cache.u64("hits");
+    c.cacheMisses = cache.u64("misses");
+    c.backendHits = cache.u64("backend_hits");
+    cache.finish();
+    ObjectReader checkpoint(frame.get("checkpoint"), "checkpoint");
+    c.checkpointHits = checkpoint.u64("hits");
+    c.checkpointMisses = checkpoint.u64("misses");
+    checkpoint.finish();
+    ObjectReader phase(frame.get("phase"), "phase");
+    c.phaseDecodeUs = phase.u64("decode_us");
+    c.phaseWarmupUs = phase.u64("warmup_us");
+    c.phaseRestoreUs = phase.u64("restore_us");
+    c.phaseMeasureUs = phase.u64("measure_us");
+    c.phasePoints = phase.u64("points");
+    phase.finish();
+    ObjectReader pct(frame.get("percentiles"), "percentiles");
+    c.measureP50Us = pct.u64("measure_p50_us");
+    c.measureP95Us = pct.u64("measure_p95_us");
+    c.measureP99Us = pct.u64("measure_p99_us");
+    pct.finish();
+    return c;
 }
 
 } // namespace
@@ -111,11 +169,47 @@ encodeExperiment(const runner::Experiment &exp)
 runner::Experiment
 decodeExperiment(const json::Value &v)
 {
+    ObjectReader r(v, "experiment");
     runner::Experiment exp;
-    exp.workload = v.at("workload").asString();
-    exp.label = v.at("label").asString();
-    exp.config = decodeSimConfig(v.at("config"));
+    exp.workload = r.str("workload");
+    exp.label = r.str("label");
+    exp.config = decodeSimConfig(r.get("config"));
+    r.finish();
     return exp;
+}
+
+json::Value
+encodeSpan(const obs::SpanRecord &span)
+{
+    Value out = Value::object();
+    out.set("trace", Value::number(span.traceId));
+    out.set("id", Value::number(span.id));
+    out.set("parent", Value::number(span.parent));
+    out.set("name", Value::string(span.name));
+    out.set("cat", Value::string(span.category));
+    out.set("proc", Value::string(span.process));
+    out.set("lane", Value::string(span.lane));
+    out.set("ts", Value::number(span.startUs));
+    out.set("dur", Value::number(span.durUs));
+    return out;
+}
+
+obs::SpanRecord
+decodeSpan(const json::Value &v)
+{
+    ObjectReader r(v, "span");
+    obs::SpanRecord span;
+    span.traceId = r.u64("trace");
+    span.id = r.u64("id");
+    span.parent = r.u64("parent");
+    span.name = r.str("name");
+    span.category = r.str("cat");
+    span.process = r.str("proc");
+    span.lane = r.str("lane");
+    span.startUs = r.u64("ts");
+    span.durUs = r.u64("dur");
+    r.finish();
+    return span;
 }
 
 json::Value
@@ -138,20 +232,21 @@ encodeSubmit(const SubmitRequest &request)
 SubmitRequest
 decodeSubmit(const json::Value &frame)
 {
+    ObjectReader r = frameReader(frame, "submit");
+    checkProtocol(r);
     SubmitRequest request;
-    checkProtocol(frame);
-    request.experiment = frame.at("experiment").asString();
-    request.jobs = frame.at("jobs").asU64();
-    if (const Value *priority = frame.find("priority"))
-        request.priority = priority->asU64();
-    const Value &grid = frame.at("grid");
+    request.experiment = r.str("experiment");
+    request.jobs = r.u64("jobs");
+    request.priority = r.u64("priority");
+    const Value &grid = r.get("grid");
     if (!grid.isArray())
         throw CodecError("submit: \"grid\" must be an array");
     if (grid.items().empty())
         throw CodecError("submit: empty grid");
     for (const Value &e : grid.items())
         request.grid.push_back(decodeExperiment(e));
-    getTraceRef(frame, request.traceId, request.parentSpan);
+    getTraceRef(r, request.traceId, request.parentSpan);
+    r.finish();
     return request;
 }
 
@@ -177,20 +272,22 @@ encodeResultEvent(const ResultEvent &event)
 ResultEvent
 decodeResultEvent(const json::Value &frame)
 {
+    ObjectReader r = frameReader(frame, "result");
     ResultEvent event;
-    event.job = frame.at("job").asU64();
-    event.index = frame.at("index").asU64();
-    event.cached = frame.at("cached").asBool();
-    event.workload = frame.at("workload").asString();
-    event.label = frame.at("label").asString();
-    event.fingerprint = frame.at("fingerprint").asString();
-    event.result = decodeSimResult(frame.at("result"));
-    if (const Value *delta = frame.find("delta")) {
+    event.job = r.u64("job");
+    event.index = r.u64("index");
+    event.cached = r.boolean("cached");
+    event.workload = r.str("workload");
+    event.label = r.str("label");
+    event.fingerprint = r.str("fingerprint");
+    event.result = decodeSimResult(r.get("result"));
+    if (const Value *delta = r.optional("delta")) {
         event.hasDelta = true;
         event.delta = decodeStatsDelta(*delta);
     }
-    event.spans = getSpans(frame);
-    event.hasTiming = getTiming(frame, event.timing);
+    event.spans = getSpans(r);
+    event.hasTiming = getTiming(r, event.timing);
+    r.finish();
     return event;
 }
 
@@ -211,13 +308,15 @@ encodeDone(const DoneEvent &event)
 DoneEvent
 decodeDone(const json::Value &frame)
 {
+    ObjectReader r = frameReader(frame, "done");
     DoneEvent event;
-    event.job = frame.at("job").asU64();
-    event.status = frame.at("status").asString();
-    event.completed = frame.at("completed").asU64();
-    event.cached = frame.at("cached").asU64();
-    if (const Value *message = frame.find("message"))
+    event.job = r.u64("job");
+    event.status = r.str("status");
+    event.completed = r.u64("completed");
+    event.cached = r.u64("cached");
+    if (const Value *message = r.optional("message"))
         event.message = message->asString();
+    r.finish();
     return event;
 }
 
@@ -238,15 +337,16 @@ encodeJobStatus(const JobStatus &status)
 JobStatus
 decodeJobStatus(const json::Value &v)
 {
+    ObjectReader r(v, "job");
     JobStatus status;
-    status.id = v.at("id").asU64();
-    status.experiment = v.at("experiment").asString();
-    status.state = v.at("state").asString();
-    status.total = v.at("total").asU64();
-    status.completed = v.at("completed").asU64();
-    status.cached = v.at("cached").asU64();
-    if (const Value *budget = v.find("budget"))
-        status.budget = budget->asU64();
+    status.id = r.u64("id");
+    status.experiment = r.str("experiment");
+    status.state = r.str("state");
+    status.total = r.u64("total");
+    status.completed = r.u64("completed");
+    status.cached = r.u64("cached");
+    status.budget = r.u64("budget");
+    r.finish();
     return status;
 }
 
@@ -264,10 +364,12 @@ encodeRegister(const RegisterRequest &request)
 RegisterRequest
 decodeRegister(const json::Value &frame)
 {
-    checkProtocol(frame);
+    ObjectReader r = frameReader(frame, "register");
+    checkProtocol(r);
     RegisterRequest request;
-    request.name = frame.at("name").asString();
-    request.slots = frame.at("slots").asU64();
+    request.name = r.str("name");
+    request.slots = r.u64("slots");
+    r.finish();
     if (request.slots == 0)
         throw CodecError("register: \"slots\" must be >= 1");
     return request;
@@ -276,73 +378,23 @@ decodeRegister(const json::Value &frame)
 json::Value
 encodeHeartbeat(const HeartbeatFrame &heartbeat)
 {
-    Value cache = Value::object();
-    cache.set("hits", Value::number(heartbeat.cacheHits));
-    cache.set("misses", Value::number(heartbeat.cacheMisses));
-    cache.set("backend_hits", Value::number(heartbeat.backendHits));
-    Value checkpoint = Value::object();
-    checkpoint.set("hits", Value::number(heartbeat.checkpointHits));
-    checkpoint.set("misses",
-                   Value::number(heartbeat.checkpointMisses));
-    Value phase = Value::object();
-    phase.set("decode_us", Value::number(heartbeat.phaseDecodeUs));
-    phase.set("warmup_us", Value::number(heartbeat.phaseWarmupUs));
-    phase.set("restore_us", Value::number(heartbeat.phaseRestoreUs));
-    phase.set("measure_us", Value::number(heartbeat.phaseMeasureUs));
-    phase.set("points", Value::number(heartbeat.phasePoints));
     Value v = Value::object();
     v.set("type", Value::string("heartbeat"));
     v.set("worker", Value::number(heartbeat.worker));
     v.set("completed", Value::number(heartbeat.completed));
-    v.set("cache", std::move(cache));
-    v.set("checkpoint", std::move(checkpoint));
-    v.set("phase", std::move(phase));
-    // Optional: absent until the first point has been measured, so a
-    // freshly started worker heartbeats the exact bytes it always did.
-    if (heartbeat.measureP50Us != 0 || heartbeat.measureP95Us != 0 ||
-        heartbeat.measureP99Us != 0) {
-        Value percentiles = Value::object();
-        percentiles.set("measure_p50_us",
-                        Value::number(heartbeat.measureP50Us));
-        percentiles.set("measure_p95_us",
-                        Value::number(heartbeat.measureP95Us));
-        percentiles.set("measure_p99_us",
-                        Value::number(heartbeat.measureP99Us));
-        v.set("percentiles", std::move(percentiles));
-    }
+    setWorkerCounters(v, heartbeat.counters);
     return v;
 }
 
 HeartbeatFrame
 decodeHeartbeat(const json::Value &frame)
 {
+    ObjectReader r = frameReader(frame, "heartbeat");
     HeartbeatFrame heartbeat;
-    heartbeat.worker = frame.at("worker").asU64();
-    heartbeat.completed = frame.at("completed").asU64();
-    const Value &cache = frame.at("cache");
-    heartbeat.cacheHits = cache.at("hits").asU64();
-    heartbeat.cacheMisses = cache.at("misses").asU64();
-    heartbeat.backendHits = cache.at("backend_hits").asU64();
-    // Absent from workers predating warmed-state checkpoints.
-    if (const Value *checkpoint = frame.find("checkpoint")) {
-        heartbeat.checkpointHits = checkpoint->at("hits").asU64();
-        heartbeat.checkpointMisses =
-            checkpoint->at("misses").asU64();
-    }
-    // Absent from workers predating per-phase accounting.
-    if (const Value *phase = frame.find("phase")) {
-        heartbeat.phaseDecodeUs = phase->at("decode_us").asU64();
-        heartbeat.phaseWarmupUs = phase->at("warmup_us").asU64();
-        heartbeat.phaseRestoreUs = phase->at("restore_us").asU64();
-        heartbeat.phaseMeasureUs = phase->at("measure_us").asU64();
-        heartbeat.phasePoints = phase->at("points").asU64();
-    }
-    // Absent from workers predating measure-latency percentiles.
-    if (const Value *pct = frame.find("percentiles")) {
-        heartbeat.measureP50Us = pct->at("measure_p50_us").asU64();
-        heartbeat.measureP95Us = pct->at("measure_p95_us").asU64();
-        heartbeat.measureP99Us = pct->at("measure_p99_us").asU64();
-    }
+    heartbeat.worker = r.u64("worker");
+    heartbeat.completed = r.u64("completed");
+    heartbeat.counters = getWorkerCounters(r);
+    r.finish();
     return heartbeat;
 }
 
@@ -360,10 +412,12 @@ encodeWork(const WorkItem &item)
 WorkItem
 decodeWork(const json::Value &frame)
 {
+    ObjectReader r = frameReader(frame, "work");
     WorkItem item;
-    item.task = frame.at("task").asU64();
-    item.experiment = decodeExperiment(frame.at("experiment"));
-    getTraceRef(frame, item.traceId, item.parentSpan);
+    item.task = r.u64("task");
+    item.experiment = decodeExperiment(r.get("experiment"));
+    getTraceRef(r, item.traceId, item.parentSpan);
+    r.finish();
     return item;
 }
 
@@ -391,22 +445,24 @@ encodeWorkResult(const WorkResult &result)
 WorkResult
 decodeWorkResult(const json::Value &frame)
 {
+    ObjectReader r = frameReader(frame, "result");
     WorkResult result;
-    result.task = frame.at("task").asU64();
-    result.ok = frame.at("ok").asBool();
+    result.task = r.u64("task");
+    result.ok = r.boolean("ok");
     if (!result.ok) {
-        result.message = frame.at("message").asString();
-        return result;
+        result.message = r.str("message");
+    } else {
+        result.cached = r.boolean("cached");
+        result.fingerprint = r.str("fingerprint");
+        result.result = decodeSimResult(r.get("result"));
+        if (const Value *delta = r.optional("delta")) {
+            result.hasDelta = true;
+            result.delta = decodeStatsDelta(*delta);
+        }
+        result.spans = getSpans(r);
+        result.hasTiming = getTiming(r, result.timing);
     }
-    result.cached = frame.at("cached").asBool();
-    result.fingerprint = frame.at("fingerprint").asString();
-    result.result = decodeSimResult(frame.at("result"));
-    if (const Value *delta = frame.find("delta")) {
-        result.hasDelta = true;
-        result.delta = decodeStatsDelta(*delta);
-    }
-    result.spans = getSpans(frame);
-    result.hasTiming = getTiming(frame, result.timing);
+    r.finish();
     return result;
 }
 
@@ -422,67 +478,25 @@ encodeWorkerStatus(const WorkerStatus &status)
     v.set("alive", Value::boolean(status.alive));
     v.set("heartbeat_age_ms", Value::number(status.heartbeatAgeMs));
     v.set("throughput", Value::number(status.throughput));
-    v.set("cache_hits", Value::number(status.cacheHits));
-    v.set("cache_misses", Value::number(status.cacheMisses));
-    v.set("backend_hits", Value::number(status.backendHits));
-    v.set("checkpoint_hits", Value::number(status.checkpointHits));
-    v.set("checkpoint_misses",
-          Value::number(status.checkpointMisses));
-    Value phase = Value::object();
-    phase.set("decode_us", Value::number(status.phaseDecodeUs));
-    phase.set("warmup_us", Value::number(status.phaseWarmupUs));
-    phase.set("restore_us", Value::number(status.phaseRestoreUs));
-    phase.set("measure_us", Value::number(status.phaseMeasureUs));
-    phase.set("points", Value::number(status.phasePoints));
-    v.set("phase", std::move(phase));
-    if (status.measureP50Us != 0 || status.measureP95Us != 0 ||
-        status.measureP99Us != 0) {
-        Value percentiles = Value::object();
-        percentiles.set("measure_p50_us",
-                        Value::number(status.measureP50Us));
-        percentiles.set("measure_p95_us",
-                        Value::number(status.measureP95Us));
-        percentiles.set("measure_p99_us",
-                        Value::number(status.measureP99Us));
-        v.set("percentiles", std::move(percentiles));
-    }
+    setWorkerCounters(v, status.counters);
     return v;
 }
 
 WorkerStatus
 decodeWorkerStatus(const json::Value &v)
 {
+    ObjectReader r(v, "worker");
     WorkerStatus status;
-    status.id = v.at("id").asU64();
-    status.name = v.at("name").asString();
-    status.slots = v.at("slots").asU64();
-    status.inflight = v.at("inflight").asU64();
-    status.completed = v.at("completed").asU64();
-    status.alive = v.at("alive").asBool();
-    status.heartbeatAgeMs = v.at("heartbeat_age_ms").asU64();
-    status.throughput = v.at("throughput").asDouble();
-    status.cacheHits = v.at("cache_hits").asU64();
-    status.cacheMisses = v.at("cache_misses").asU64();
-    status.backendHits = v.at("backend_hits").asU64();
-    // Absent from coordinators predating warmed-state checkpoints.
-    if (const Value *hits = v.find("checkpoint_hits"))
-        status.checkpointHits = hits->asU64();
-    if (const Value *misses = v.find("checkpoint_misses"))
-        status.checkpointMisses = misses->asU64();
-    // Absent from coordinators predating per-phase accounting.
-    if (const Value *phase = v.find("phase")) {
-        status.phaseDecodeUs = phase->at("decode_us").asU64();
-        status.phaseWarmupUs = phase->at("warmup_us").asU64();
-        status.phaseRestoreUs = phase->at("restore_us").asU64();
-        status.phaseMeasureUs = phase->at("measure_us").asU64();
-        status.phasePoints = phase->at("points").asU64();
-    }
-    // Absent from coordinators predating measure percentiles.
-    if (const Value *pct = v.find("percentiles")) {
-        status.measureP50Us = pct->at("measure_p50_us").asU64();
-        status.measureP95Us = pct->at("measure_p95_us").asU64();
-        status.measureP99Us = pct->at("measure_p99_us").asU64();
-    }
+    status.id = r.u64("id");
+    status.name = r.str("name");
+    status.slots = r.u64("slots");
+    status.inflight = r.u64("inflight");
+    status.completed = r.u64("completed");
+    status.alive = r.boolean("alive");
+    status.heartbeatAgeMs = r.u64("heartbeat_age_ms");
+    status.throughput = r.number("throughput");
+    status.counters = getWorkerCounters(r);
+    r.finish();
     return status;
 }
 
@@ -562,6 +576,36 @@ frameType(const json::Value &frame)
     if (type == nullptr || !type->isString())
         throw CodecError("frame has no string \"type\" member");
     return type->asString();
+}
+
+ObjectReader
+frameReader(const json::Value &frame, const char *type)
+{
+    ObjectReader r(frame, type);
+    const std::string got = r.str("type");
+    if (got != type)
+        throw CodecError(std::string("expected a `") + type +
+                         "` frame, got `" + got + "`");
+    return r;
+}
+
+std::uint64_t
+decodeIdFrame(const json::Value &frame, const char *type,
+              const char *key)
+{
+    ObjectReader r = frameReader(frame, type);
+    const std::uint64_t id = r.u64(key);
+    r.finish();
+    return id;
+}
+
+std::string
+decodeError(const json::Value &frame)
+{
+    ObjectReader r = frameReader(frame, "error");
+    std::string message = r.str("message");
+    r.finish();
+    return message;
 }
 
 } // namespace service

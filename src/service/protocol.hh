@@ -1,13 +1,15 @@
 /**
  * @file
- * The shotgun-serve wire protocol: newline-delimited JSON frames over
- * a stream socket (TCP or Unix). Every frame is one line, one JSON
- * object, with a "type" member. See src/service/README.md for the
- * full grammar and an example session.
+ * The shotgun-serve wire protocol, version 4: newline-delimited JSON
+ * frames over a stream socket (TCP or Unix). Every frame is one line,
+ * one JSON object, with a "type" member. See src/service/README.md
+ * for the grammar and an example session, src/fleet/README.md for
+ * the coordinator<->worker frames.
  *
- * Client -> server:
- *   {"type":"submit","protocol":2,"experiment":...,"jobs":N,
- *    "grid":[{"workload":...,"label":...,"config":{...}},...]}
+ * Client -> server (or coordinator):
+ *   {"type":"submit","protocol":4,"experiment":...,"jobs":N,
+ *    "priority":N,"grid":[{"workload":...,"label":...,
+ *    "config":{...}},...][,"trace":{"id":N,"parent":N}]}
  *   {"type":"status"}          {"type":"cancel","job":N}
  *   {"type":"ping"}            {"type":"shutdown"}
  *
@@ -15,63 +17,35 @@
  *   {"type":"accepted","job":N,"total":N,"fingerprints":[...]}
  *   {"type":"result","job":N,"index":N,"cached":b,
  *    "workload":...,"label":...,"fingerprint":...,"result":{...}
- *    [,"delta":{...}]}
+ *    [,"delta":{...}][,"spans":[...]][,"timing":{...}]}
  *   {"type":"done","job":N,"status":"ok|cancelled|error",
  *    "completed":N,"cached":N[,"message":...]}
- *   {"type":"status","server":{...},"jobs":[...]}
+ *   {"type":"status","server":{...},"jobs":[...][,"fleet":{...}]}
  *   {"type":"pong"}  {"type":"bye"}  {"type":"error","message":...}
  *
- * Protocol 2 (windowed simulation): every config carries a "window"
- * member ({"skip_instructions","measure_start","measure_end"}, all 0
- * when disabled), and the `result` frame of a windowed grid point
- * additionally carries "delta" -- the window's raw counters
- * (sim/stats_delta.hh) -- so clients stitch windows from exact
- * integers rather than derived doubles.
- *
- * Protocol 3 (fleet): `submit` gains an optional "priority" (the
- * job's fair-share weight against concurrently admitted jobs,
- * default 1), and the coordinator<->worker frames below join the
- * grammar. A worker holds one *control* connection (register,
- * then periodic heartbeats) and one *work* connection per slot
- * (attach, then a steal -> work -> result loop). See
- * src/fleet/README.md for the full fleet protocol spec.
- *
- * Worker -> coordinator (control):
- *   {"type":"register","protocol":3,"name":...,"slots":N}
+ * Worker -> coordinator (control connection):
+ *   {"type":"register","protocol":4,"name":...,"slots":N}
  *     -> {"type":"ack","worker":N}
- *   {"type":"heartbeat","worker":N,"completed":N,
- *    "cache":{"hits":N,"misses":N,"backend_hits":N}}
+ *   {"type":"heartbeat","worker":N,"completed":N,"cache":{...},
+ *    "checkpoint":{...},"phase":{...},"percentiles":{...}}
  *     -> {"type":"ack"}
  *
- * Worker -> coordinator (one per slot):
+ * Worker -> coordinator (one connection per slot):
  *   {"type":"attach","worker":N}            -> {"type":"ack"}
- *   {"type":"steal","worker":N}             -> (parked until work)
- *     <- {"type":"work","task":N,"experiment":{...}}
- *   {"type":"result","task":N,"ok":b,"cached":b,
+ *   {"type":"steal"}                        -> (parked until work)
+ *     <- {"type":"work","task":N,"experiment":{...}
+ *         [,"trace":{"id":N,"parent":N}]}
+ *   {"type":"result","task":N,"ok":true,"cached":b,
  *    "fingerprint":...,"result":{...}[,"delta":{...}]
- *    [,"message":...]}                      -> (next steal)
+ *    [,"spans":[...]][,"timing":{...}]}
+ *   {"type":"result","task":N,"ok":false,"message":...}
  *
- * A coordinator answers the ordinary client `status` frame with an
- * additional "fleet" member: per-worker rows (encodeWorkerStatus)
- * plus queue depths and cache counters.
- *
- * Tracing fields (all OPTIONAL -- the protocol version stays 3 and
- * peers without them interoperate unchanged): `submit` and `work`
- * may carry {"trace":{"id":N,"parent":N}} propagating a run-wide
- * trace id and parent span id (submit -> coordinator -> worker);
- * `result` frames (both the worker->coordinator and server->client
- * kinds) may carry "spans" (an array of obs::SpanRecord objects
- * recorded while the point simulated) and "timing" (the per-point
- * phase breakdown in microseconds), which is how one fleet run
- * assembles a single cross-process trace; `heartbeat` and worker
- * status rows may carry "phase" totals (the always-on per-phase
- * counters behind `--fleet-status`'s breakdown table). See
- * src/obs/README.md.
- *
- * This header provides typed encode/decode for the structured frames;
- * trivial frames (ping/pong/bye/attach/steal/ack/...) are built
- * inline where used. Decoding throws CodecError/JsonError on
- * malformed frames.
+ * Decoding is strict (ObjectReader, service/codec.hh): an unknown
+ * member, a missing member, a kind mismatch or a protocol version
+ * other than kProtocolVersion throws CodecError. The bracketed
+ * members are conditional and their absence carries meaning: "delta"
+ * only for windowed points, "trace"/"spans"/"timing" only for traced
+ * ones, "message" only for failures, "fleet" only from a coordinator.
  */
 
 #ifndef SHOTGUN_SERVICE_PROTOCOL_HH
@@ -93,8 +67,12 @@ namespace shotgun
 namespace service
 {
 
-/** Bumped on any incompatible frame-layout change. */
-constexpr std::uint64_t kProtocolVersion = 3;
+/**
+ * The one protocol version this build speaks. Frames carrying any
+ * other (submit, register) are rejected; bumped on any change to a
+ * frame's members.
+ */
+constexpr std::uint64_t kProtocolVersion = 4;
 
 /** A grid submission: the wire form of a runner::ExperimentSet. */
 struct SubmitRequest
@@ -115,9 +93,9 @@ struct SubmitRequest
     std::vector<runner::Experiment> grid;
 
     /**
-     * Optional tracing context ("trace" member, absent when 0): the
-     * run-wide trace id every process's spans share, and the
-     * client-side root span new server spans parent to.
+     * Tracing context ("trace" member, absent when 0): the run-wide
+     * trace id every process's spans share, and the client-side root
+     * span new server spans parent to.
      */
     std::uint64_t traceId = 0;
     std::uint64_t parentSpan = 0;
@@ -145,9 +123,9 @@ struct ResultEvent
     StatsDelta delta;
 
     /**
-     * Optional tracing payload ("spans"/"timing" members, absent
-     * when the point was untraced): the spans recorded while this
-     * point simulated and its per-phase timing breakdown.
+     * Tracing payload ("spans"/"timing" members, absent when the
+     * point was untraced): the spans recorded while this point
+     * simulated and its per-phase timing breakdown.
      */
     std::vector<obs::SpanRecord> spans;
     bool hasTiming = false;
@@ -164,7 +142,7 @@ struct DoneEvent
     std::string status; ///< "ok", "cancelled" or "error".
     std::uint64_t completed = 0;
     std::uint64_t cached = 0;
-    std::string message; ///< Failure detail for "error".
+    std::string message; ///< Failure detail; "message" absent if empty.
 };
 
 json::Value encodeDone(const DoneEvent &event);
@@ -179,9 +157,7 @@ struct JobStatus
     std::uint64_t total = 0;
     std::uint64_t completed = 0;
     std::uint64_t cached = 0;
-
-    /** Scheduler worker budget; absent in pre-0.5 frames. */
-    std::uint64_t budget = 0;
+    std::uint64_t budget = 0; ///< Scheduler worker budget.
 };
 
 json::Value encodeJobStatus(const JobStatus &status);
@@ -203,14 +179,17 @@ struct RegisterRequest
 json::Value encodeRegister(const RegisterRequest &request);
 RegisterRequest decodeRegister(const json::Value &frame);
 
-/** Periodic liveness proof plus the worker's local cache counters. */
-struct HeartbeatFrame
+/**
+ * A worker's own counters: sent in every heartbeat and relayed
+ * verbatim in the coordinator's worker rows, under the same members
+ * ("cache", "checkpoint", "phase", "percentiles").
+ */
+struct WorkerCounters
 {
-    std::uint64_t worker = 0;
-    std::uint64_t completed = 0; ///< Points finished since register.
+    // The worker's result cache; backendHits were served from disk.
     std::uint64_t cacheHits = 0;
     std::uint64_t cacheMisses = 0;
-    std::uint64_t backendHits = 0; ///< Served by the disk cache.
+    std::uint64_t backendHits = 0;
 
     // The worker's warmed-state checkpoint store (sim/checkpoint.hh):
     // hits are restored warmups, misses are warmups simulated.
@@ -218,9 +197,9 @@ struct HeartbeatFrame
     std::uint64_t checkpointMisses = 0;
 
     // Always-on per-phase wall-clock totals from the worker's
-    // sim.phase.* registry counters ("phase" member, optional on the
-    // wire): what `--fleet-status` renders as the per-phase
-    // breakdown. Microseconds; `phasePoints` counts finished points.
+    // sim.phase.* registry counters: what `--fleet-status` renders as
+    // the per-phase breakdown. Microseconds; `phasePoints` counts
+    // finished points.
     std::uint64_t phaseDecodeUs = 0;
     std::uint64_t phaseWarmupUs = 0;
     std::uint64_t phaseRestoreUs = 0;
@@ -229,12 +208,19 @@ struct HeartbeatFrame
 
     // Deterministic per-point measure-phase latency percentiles from
     // the worker's sim.phase.measure_us_hist histogram
-    // (obs::histogramQuantile; bucket-resolution). "percentiles"
-    // member, optional on the wire -- absent until the worker has
-    // finished a point, and from workers predating it.
+    // (obs::histogramQuantile; bucket-resolution); zero until the
+    // worker has finished a point.
     std::uint64_t measureP50Us = 0;
     std::uint64_t measureP95Us = 0;
     std::uint64_t measureP99Us = 0;
+};
+
+/** Periodic liveness proof plus the worker's counters. */
+struct HeartbeatFrame
+{
+    std::uint64_t worker = 0;
+    std::uint64_t completed = 0; ///< Points finished since register.
+    WorkerCounters counters;
 };
 
 json::Value encodeHeartbeat(const HeartbeatFrame &heartbeat);
@@ -247,9 +233,9 @@ struct WorkItem
     runner::Experiment experiment;
 
     /**
-     * Optional tracing context relayed from the owning submit
-     * ("trace" member, absent when 0): the worker records this
-     * point's spans under it and ships them back in the result.
+     * Tracing context relayed from the owning submit ("trace" member,
+     * absent when 0): the worker records this point's spans under it
+     * and ships them back in the result.
      */
     std::uint64_t traceId = 0;
     std::uint64_t parentSpan = 0;
@@ -276,9 +262,9 @@ struct WorkResult
     StatsDelta delta;
 
     /**
-     * Optional tracing payload ("spans"/"timing", absent when the
-     * task was untraced): the worker-side spans the coordinator
-     * merges into the fleet trace and relays to the client.
+     * Tracing payload ("spans"/"timing", absent when the task was
+     * untraced): the worker-side spans the coordinator merges into
+     * the fleet trace and relays to the client.
      */
     std::vector<obs::SpanRecord> spans;
     bool hasTiming = false;
@@ -302,27 +288,7 @@ struct WorkerStatus
     /** Points returned per second since registration. */
     double throughput = 0.0;
 
-    // The worker's own cache counters, from its last heartbeat.
-    std::uint64_t cacheHits = 0;
-    std::uint64_t cacheMisses = 0;
-    std::uint64_t backendHits = 0;
-    std::uint64_t checkpointHits = 0;   ///< Warmups restored.
-    std::uint64_t checkpointMisses = 0; ///< Warmups simulated.
-
-    // Per-phase totals from the worker's last heartbeat ("phase"
-    // member, optional on the wire; zeros from older workers).
-    std::uint64_t phaseDecodeUs = 0;
-    std::uint64_t phaseWarmupUs = 0;
-    std::uint64_t phaseRestoreUs = 0;
-    std::uint64_t phaseMeasureUs = 0;
-    std::uint64_t phasePoints = 0;
-
-    // Measure-phase latency percentiles relayed from the worker's
-    // last heartbeat ("percentiles" member, optional on the wire;
-    // zeros from older workers or before the first finished point).
-    std::uint64_t measureP50Us = 0;
-    std::uint64_t measureP95Us = 0;
-    std::uint64_t measureP99Us = 0;
+    WorkerCounters counters; ///< From the worker's last heartbeat.
 };
 
 json::Value encodeWorkerStatus(const WorkerStatus &status);
@@ -337,6 +303,10 @@ WorkerStatus decodeWorkerStatus(const json::Value &v);
  */
 json::Value encodeExperiment(const runner::Experiment &exp);
 runner::Experiment decodeExperiment(const json::Value &v);
+
+/** One trace span, as "spans" arrays carry it. */
+json::Value encodeSpan(const obs::SpanRecord &span);
+obs::SpanRecord decodeSpan(const json::Value &v);
 
 /**
  * Per-path probe memo for validateExperimentTrace: path ->
@@ -366,6 +336,21 @@ json::Value makeError(const std::string &message);
  * Frame "type" member, or throws CodecError when absent/non-object.
  */
 std::string frameType(const json::Value &frame);
+
+/**
+ * Strict reader over a frame whose "type" must be `type` (consumed
+ * here). `frameReader(f, "ping").finish()` validates a bare frame.
+ */
+ObjectReader frameReader(const json::Value &frame, const char *type);
+ObjectReader frameReader(const json::Value &&frame,
+                         const char *type) = delete;
+
+/** The N of {"type":type,key:N} frames (cancel, attach, ack). */
+std::uint64_t decodeIdFrame(const json::Value &frame, const char *type,
+                            const char *key);
+
+/** The message of an {"type":"error","message":m} frame. */
+std::string decodeError(const json::Value &frame);
 
 } // namespace service
 } // namespace shotgun

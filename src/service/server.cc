@@ -629,11 +629,14 @@ SimServer::handleConnection(std::shared_ptr<Connection> conn)
                 handleSubmit(conn, frame);
                 continue; // handleSubmit sent `accepted` itself.
             } else if (type == "status") {
+                frameReader(frame, "status").finish();
                 reply = statusFrame();
             } else if (type == "ping") {
+                frameReader(frame, "ping").finish();
                 reply = makeFrame("pong");
             } else if (type == "cancel") {
-                const std::uint64_t id = frame.at("job").asU64();
+                const std::uint64_t id =
+                    decodeIdFrame(frame, "cancel", "job");
                 std::shared_ptr<Job> job;
                 std::uint64_t scheduler_id = 0;
                 {
@@ -658,6 +661,7 @@ SimServer::handleConnection(std::shared_ptr<Connection> conn)
                     reply.set("job", Value::number(id));
                 }
             } else if (type == "shutdown") {
+                frameReader(frame, "shutdown").finish();
                 conn->sendFrame(makeFrame("bye"));
                 requestShutdown();
                 break;

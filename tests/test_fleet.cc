@@ -549,6 +549,66 @@ TEST(FleetTest, SilentWorkerIsDeclaredDeadAndItsTaskRequeued)
     fake_slot.join();
 }
 
+TEST(FleetTest, ResultForAnotherFingerprintFailsTheJobUncached)
+{
+    // The fingerprint on a worker's result frame is another
+    // process's claim. A raw-socket "worker" answers its task with a
+    // result stamped with some other config's fingerprint: the
+    // coordinator must fail the job with a message naming both
+    // fingerprints, and cache nothing.
+    SubmitRequest request = requestFor(quickGrid(1), "fleet-forged");
+    request.grid.resize(1);
+    const std::string expected =
+        service::configFingerprint(request.grid[0].config);
+    const std::string forged = "0123456789abcdef";
+
+    TestCoordinator coord("forged");
+    LineChannel control(service::connectTo(
+        service::Endpoint::parse(coord.endpoint())));
+    service::RegisterRequest reg;
+    reg.name = "forger";
+    ASSERT_TRUE(
+        control.sendLine(service::encodeRegister(reg).dump()));
+    std::string line;
+    ASSERT_TRUE(control.recvLine(line));
+    LineChannel slot(service::connectTo(
+        service::Endpoint::parse(coord.endpoint())));
+    json::Value attach = service::makeFrame("attach");
+    attach.set("worker", json::Value::parse(line).at("worker"));
+    ASSERT_TRUE(slot.sendLine(attach.dump()));
+    ASSERT_TRUE(slot.recvLine(line));
+    // Parked before the submit: the task goes straight to the fake.
+    ASSERT_TRUE(slot.sendLine(service::makeFrame("steal").dump()));
+    std::thread forger([&]() {
+        std::string work_line;
+        if (!slot.recvLine(work_line))
+            return;
+        service::WorkResult out;
+        out.task = service::decodeWork(json::Value::parse(work_line))
+                       .task;
+        out.fingerprint = forged;
+        out.result.workload = "forged";
+        slot.sendLine(service::encodeWorkResult(out).dump());
+    });
+
+    const std::size_t cached = coord.coordinator().cacheStats().entries;
+    ServiceClient client(coord.endpoint());
+    try {
+        client.submit(request);
+        ADD_FAILURE() << "a job answered for another fingerprint "
+                         "completed";
+    } catch (const service::ServiceError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(forged), std::string::npos) << what;
+        EXPECT_NE(what.find(expected), std::string::npos) << what;
+    }
+    forger.join();
+    EXPECT_EQ(coord.coordinator().cacheStats().entries, cached);
+
+    control.socket().shutdownBoth();
+    slot.socket().shutdownBoth();
+}
+
 TEST(FleetTest, PersistentCacheAnswersAcrossRestartWithoutWorkers)
 {
     const runner::ExperimentSet set = quickGrid(1);
@@ -624,7 +684,7 @@ TEST(FleetTest, StatusFrameReportsFleetAndWorkers)
     EXPECT_LT(row.heartbeatAgeMs, 5000u);
     // The worker simulated the whole grid: its heartbeat carried one
     // cache miss per point and no hits.
-    EXPECT_EQ(row.cacheMisses, set.size());
+    EXPECT_EQ(row.counters.cacheMisses, set.size());
 
     // The coordinator cache holds every fingerprint; a resubmit is
     // answered from it without touching the worker.

@@ -23,7 +23,6 @@ CHECKS = (
     "clone-completeness",
     "determinism-hazards",
     "codec-coverage",
-    "protocol-optional-discipline",
 )
 
 

@@ -331,32 +331,6 @@ TEST(SpanTest, PhaseTimerFeedsCounterAndSlot)
               before + elapsed);
 }
 
-TEST(SpanTest, JsonRoundTrip)
-{
-    obs::SpanRecord span;
-    span.traceId = 0xABCDEF;
-    span.id = 17;
-    span.parent = 16;
-    span.name = "measure";
-    span.category = "sim";
-    span.process = "serve:w1";
-    span.lane = "slot-3";
-    span.startUs = 1754700000000000ull;
-    span.durUs = 12345;
-    const obs::SpanRecord back =
-        obs::spanFromJson(json::Value::parse(
-            obs::spanToJson(span).dump()));
-    EXPECT_EQ(back.traceId, span.traceId);
-    EXPECT_EQ(back.id, span.id);
-    EXPECT_EQ(back.parent, span.parent);
-    EXPECT_EQ(back.name, span.name);
-    EXPECT_EQ(back.category, span.category);
-    EXPECT_EQ(back.process, span.process);
-    EXPECT_EQ(back.lane, span.lane);
-    EXPECT_EQ(back.startUs, span.startUs);
-    EXPECT_EQ(back.durUs, span.durUs);
-}
-
 // -------------------------------------------------------- Chrome trace JSON
 
 TEST(ChromeTraceTest, GoldenExportForSmallFleetGrid)

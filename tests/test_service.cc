@@ -439,7 +439,8 @@ TEST(ServiceTest, LegacyBaselineMemoFlagCannotAliasAConfig)
     // the workload, lengths and seed only, so a server trusting the
     // flag answered a shotgun config with baseline numbers and cached
     // them under the shotgun fingerprint. A frame still carrying it
-    // must be simulated as its own config (or rejected outright).
+    // is otherwise complete and current, and must be rejected with
+    // an error naming the retired member.
     // The member name is spelled in two pieces so a grep for it
     // finds only code that would read or write it.
     const std::string retired = std::string("via_baseline") + "_cache";
@@ -464,6 +465,7 @@ TEST(ServiceTest, LegacyBaselineMemoFlagCannotAliasAConfig)
     submit.set("protocol", json::Value::number(kProtocolVersion));
     submit.set("experiment", json::Value::string("legacy-flag"));
     submit.set("jobs", json::Value::number(std::uint64_t{1}));
+    submit.set("priority", json::Value::number(std::uint64_t{1}));
     submit.set("grid", std::move(grid));
 
     TestServer server("legacy");
@@ -472,17 +474,19 @@ TEST(ServiceTest, LegacyBaselineMemoFlagCannotAliasAConfig)
     ASSERT_TRUE(channel.sendLine(submit.dump()));
     std::string reply;
     ASSERT_TRUE(channel.recvLine(reply));
-    if (frameType(json::Value::parse(reply)) == "error")
-        return; // Rejecting the frame is also safe.
-    ASSERT_EQ(frameType(json::Value::parse(reply)), "accepted") << reply;
-
-    ASSERT_TRUE(channel.recvLine(reply));
     const json::Value frame = json::Value::parse(reply);
-    ASSERT_EQ(frameType(frame), "result") << reply;
-    const SimResult expected = runSimulation(exp.config);
-    const SimResult got = decodeResultEvent(frame).result;
-    EXPECT_EQ(got.scheme, "shotgun");
-    EXPECT_TRUE(got == expected);
+    ASSERT_EQ(frameType(frame), "error") << reply;
+    EXPECT_NE(decodeError(frame).find("unknown field \"" + retired),
+              std::string::npos)
+        << reply;
+
+    // The same frame without the retired member is accepted.
+    const std::string member = ",\"" + retired + "\":true";
+    std::string fixed = submit.dump();
+    fixed.erase(fixed.find(member), member.size());
+    ASSERT_TRUE(channel.sendLine(fixed));
+    ASSERT_TRUE(channel.recvLine(reply));
+    EXPECT_EQ(frameType(json::Value::parse(reply)), "accepted") << reply;
 }
 
 TEST(ServiceTest, ClientTimesOutOnWedgedServer)
@@ -503,6 +507,50 @@ TEST(ServiceTest, ClientTimesOutOnWedgedServer)
                   std::string::npos)
             << e.what();
     }
+}
+
+TEST(ServiceTest, UnknownFrameTypeInAJobStreamFailsTheSubmit)
+{
+    // There is one protocol version, so a frame type the client does
+    // not know comes from a broken server, not a newer one to skip.
+    const std::string endpoint = "unix:/tmp/shotgun_svc_unknown.sock";
+    Listener fake(Endpoint::parse(endpoint));
+    std::thread server([&]() {
+        LineChannel conn(fake.accept());
+        std::string line;
+        if (!conn.recvLine(line))
+            return;
+        json::Value accepted = makeFrame("accepted");
+        accepted.set("job", json::Value::number(std::uint64_t{1}));
+        accepted.set("total", json::Value::number(std::uint64_t{1}));
+        json::Value fingerprints = json::Value::array();
+        fingerprints.push(json::Value::string("0123456789abcdef"));
+        accepted.set("fingerprints", std::move(fingerprints));
+        conn.sendLine(accepted.dump());
+        conn.sendLine(makeFrame("progress").dump());
+        conn.recvLine(line); // Until the client hangs up.
+    });
+
+    SubmitRequest request;
+    request.experiment = "unknown-frame";
+    runner::Experiment exp;
+    exp.workload = "nutch";
+    exp.label = "baseline";
+    exp.config = SimConfig::make(makePreset(WorkloadId::Nutch),
+                                 SchemeType::Baseline);
+    request.grid.push_back(exp);
+    {
+        ServiceClient client(endpoint, /*timeout_seconds=*/5);
+        try {
+            client.submit(request);
+            ADD_FAILURE() << "submit skipped an unknown frame";
+        } catch (const ServiceError &e) {
+            EXPECT_NE(std::string(e.what()).find("`progress`"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    server.join();
 }
 
 TEST(ServiceTest, ShutdownInterruptsAcceptWithIdleClientConnected)

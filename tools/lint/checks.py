@@ -1,4 +1,4 @@
-"""The four shotgun-lint checks.
+"""The three shotgun-lint checks.
 
 Each check is a function over the loaded Analysis returning a list of
 Finding records. Findings anchor to the line that must change (the
@@ -19,8 +19,6 @@ Check registry (names are what `lint:allow(<name>)` takes):
   codec-coverage                every member of the wire structs must
                                 be referenced by its canonical
                                 encoder, decoder and fingerprint
-  protocol-optional-discipline  optional protocol members must be
-                                decoded via find(), never .at()
 """
 
 from collections import namedtuple
@@ -33,7 +31,6 @@ CHECK_NAMES = (
     "clone-completeness",
     "determinism-hazards",
     "codec-coverage",
-    "protocol-optional-discipline",
 )
 
 # ------------------------------------------------------------------ helpers
@@ -380,45 +377,8 @@ def check_codec_coverage(analysis):
     return findings
 
 
-# ------------------------------------------- protocol-optional-discipline
-
-
-def check_protocol_optional(analysis):
-    findings = []
-    scope = analysis.config["protocol_scope"]
-    optional = set(analysis.config["optional_fields"])
-    for relpath, (tokens, _comments) in sorted(analysis.files.items()):
-        if not _in_scope(relpath, scope):
-            continue
-        n = len(tokens)
-        for i, t in enumerate(tokens):
-            if t.kind != "id" or t.text != "at":
-                continue
-            if i + 2 >= n or i == 0:
-                continue
-            prev = tokens[i - 1]
-            if not (prev.kind == "punct" and prev.text in (".", ">")):
-                continue  # `.at` or `->at` (-> lexes as '-' '>')
-            if not (tokens[i + 1].kind == "punct" and
-                    tokens[i + 1].text == "("):
-                continue
-            arg = tokens[i + 2]
-            if arg.kind != "str":
-                continue
-            key = arg.text.strip('"')
-            if key not in optional:
-                continue
-            findings.append(Finding(
-                relpath, t.line, "protocol-optional-discipline",
-                "optional protocol member \"%s\" decoded with .at(): "
-                "older peers omit it, so the frame must be read via "
-                "find() with a default" % key))
-    return findings
-
-
 ALL_CHECKS = {
     "clone-completeness": check_clone_completeness,
     "determinism-hazards": check_determinism_hazards,
     "codec-coverage": check_codec_coverage,
-    "protocol-optional-discipline": check_protocol_optional,
 }

@@ -1,11 +1,10 @@
 // Fixture: a file doing everything right, in scope for every check
 // -> zero findings. Ordered containers with value keys, a custom
 // comparator for the pointer-keyed set, a complete copy constructor,
-// initialized scalars, find() for optional protocol members.
+// initialized scalars.
 #include <cstdint>
 #include <map>
 #include <set>
-#include <string>
 
 namespace fix
 {
@@ -13,12 +12,6 @@ namespace fix
 struct Stable
 {
     bool operator()(const int *a, const int *b) const;
-};
-
-struct Frame
-{
-    const Frame *find(const std::string &key) const;
-    bool boolean() const;
 };
 
 class Model
@@ -38,13 +31,6 @@ class Model
         for (const auto &kv : table_)
             s += kv.second;
         return s;
-    }
-
-    bool
-    timingOn(const Frame &f) const
-    {
-        const Frame *t = f.find("timing");
-        return t != nullptr && t->boolean();
     }
 
   private:

@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """shotgun-lint: invariant-enforcing static analysis for this repo.
 
-Four checks (see tools/lint/README.md and checks.py):
-clone-completeness, determinism-hazards, codec-coverage,
-protocol-optional-discipline.
+Three checks (see tools/lint/README.md and checks.py):
+clone-completeness, determinism-hazards, codec-coverage.
 
 Findings print as `path:line: [check] message`, sorted, to stdout.
 Exit status: 0 clean, 1 unsuppressed findings, 2 usage/parse error.
@@ -125,7 +124,7 @@ class Analysis:
     def scan_prefixes(self):
         prefixes = set()
         for key in ("clone_scope", "determinism_scope",
-                    "protocol_scope", "extra_files"):
+                    "extra_files"):
             prefixes.update(self.config.get(key, []))
         return sorted(prefixes)
 

@@ -600,18 +600,14 @@ runFleetStatus(const Options &opts)
                     .c_str(),
                 static_cast<unsigned long long>(
                     cache.at("backend_hits").asU64()));
-    // Coordinators predating warmed-state checkpoints omit these.
-    if (const json::Value *cp_hits =
-            fleet->find("checkpoint_hits")) {
-        const std::uint64_t hits = cp_hits->asU64();
-        const std::uint64_t misses =
-            fleet->at("checkpoint_misses").asU64();
-        std::printf("  warmup checkpoints: %llu restored, %llu "
-                    "simulated, %s reuse\n",
-                    static_cast<unsigned long long>(hits),
-                    static_cast<unsigned long long>(misses),
-                    hitRate(hits, misses).c_str());
-    }
+    const std::uint64_t cp_hits = fleet->at("checkpoint_hits").asU64();
+    const std::uint64_t cp_misses =
+        fleet->at("checkpoint_misses").asU64();
+    std::printf("  warmup checkpoints: %llu restored, %llu simulated, "
+                "%s reuse\n",
+                static_cast<unsigned long long>(cp_hits),
+                static_cast<unsigned long long>(cp_misses),
+                hitRate(cp_hits, cp_misses).c_str());
 
     // Sorted by worker name (ties by id): the frame lists workers in
     // registration order, which varies run to run; sorting makes the
@@ -641,24 +637,24 @@ runFleetStatus(const Options &opts)
                     static_cast<unsigned long long>(worker.inflight),
                     static_cast<unsigned long long>(worker.completed),
                     age, worker.throughput,
-                    hitRate(worker.cacheHits, worker.cacheMisses)
+                    hitRate(worker.counters.cacheHits,
+                            worker.counters.cacheMisses)
                         .c_str(),
-                    hitRate(worker.checkpointHits,
-                            worker.checkpointMisses)
+                    hitRate(worker.counters.checkpointHits,
+                            worker.counters.checkpointMisses)
                         .c_str());
     }
     if (workers.empty())
         std::printf("  (no workers registered)\n");
 
     // Per-phase wall-clock breakdown from the workers' heartbeat
-    // phase counters (always on; no tracing needed). Workers
-    // predating the counters report all zeros and are skipped; the
-    // section appears once any worker has simulated something.
+    // phase counters (always on; no tracing needed); the section
+    // appears once any worker has simulated something.
     bool any_phase = false;
     for (const service::WorkerStatus &worker : workers) {
-        if (worker.phaseDecodeUs != 0 || worker.phaseWarmupUs != 0 ||
-            worker.phaseRestoreUs != 0 ||
-            worker.phaseMeasureUs != 0)
+        const service::WorkerCounters &c = worker.counters;
+        if (c.phaseDecodeUs != 0 || c.phaseWarmupUs != 0 ||
+            c.phaseRestoreUs != 0 || c.phaseMeasureUs != 0)
             any_phase = true;
     }
     if (any_phase) {
@@ -666,8 +662,8 @@ runFleetStatus(const Options &opts)
             return static_cast<double>(us) / 1e6;
         };
         // Percentiles are bucket-resolution estimates of per-point
-        // measure latency (optional frame member; "-" from workers
-        // that have not finished a point or predate the field).
+        // measure latency; "-" from workers that have not finished a
+        // point.
         auto pct = [](std::uint64_t us) {
             if (us == 0)
                 return std::string("-");
@@ -681,16 +677,16 @@ runFleetStatus(const Options &opts)
                     "name", "decode", "warmup", "restore", "measure",
                     "points", "p50", "p95", "p99");
         for (const service::WorkerStatus &worker : workers) {
+            const service::WorkerCounters &c = worker.counters;
             std::printf(
                 "  %-16s %9.2f %9.2f %9.2f %9.2f %8llu %7s %7s %7s\n",
-                worker.name.c_str(), seconds(worker.phaseDecodeUs),
-                seconds(worker.phaseWarmupUs),
-                seconds(worker.phaseRestoreUs),
-                seconds(worker.phaseMeasureUs),
-                static_cast<unsigned long long>(worker.phasePoints),
-                pct(worker.measureP50Us).c_str(),
-                pct(worker.measureP95Us).c_str(),
-                pct(worker.measureP99Us).c_str());
+                worker.name.c_str(), seconds(c.phaseDecodeUs),
+                seconds(c.phaseWarmupUs), seconds(c.phaseRestoreUs),
+                seconds(c.phaseMeasureUs),
+                static_cast<unsigned long long>(c.phasePoints),
+                pct(c.measureP50Us).c_str(),
+                pct(c.measureP95Us).c_str(),
+                pct(c.measureP99Us).c_str());
         }
     }
     return 0;
