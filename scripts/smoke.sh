@@ -335,21 +335,6 @@ test "$(echo "$TRACE_IDS" | wc -l)" -eq 1 || {
     exit 1
 }
 
-echo "== bench_sim_throughput emits machine-readable JSON =="
-"$BUILD_DIR/bench_sim_throughput" --instructions 200000 \
-    --warmup 50000 --repeats 1 \
-    --out "$BUILD_DIR/smoke/sim_throughput.json" 2> /dev/null
-grep -q '"instructions_per_second"' \
-    "$BUILD_DIR/smoke/sim_throughput.json"
-grep -q '"cycles_per_second"' \
-    "$BUILD_DIR/smoke/sim_throughput.json"
-grep -q '"scheme":"batched-grid"' \
-    "$BUILD_DIR/smoke/sim_throughput.json"
-grep -q '"scheme":"shotgun+tracing"' \
-    "$BUILD_DIR/smoke/sim_throughput.json"
-grep -q '"scheme":"shotgun+uarch-probes"' \
-    "$BUILD_DIR/smoke/sim_throughput.json"
-
 echo "== one-pass grid: shared decode + warmed checkpoints, bitwise =="
 # A 6-scheme grid over one recorded trace must be byte-identical to
 # running the six points one at a time in separate processes (where

@@ -30,7 +30,7 @@
  * `dur` is steady-clock so durations cannot jump with NTP. PhaseTimer
  * is the always-on sibling: a steady-clock interval fed into registry
  * counters (sim.phase.*) whether or not tracing is enabled, cheap
- * enough for the bench budget, powering `--fleet-status`'s per-phase
+ * enough to leave on, powering `--fleet-status`'s per-phase
  * breakdown without any tracing machinery.
  */
 

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "prefetch/factory.hh"
 #include "runner/experiment.hh"
 #include "service/codec.hh"
 #include "sim/simulator.hh"
@@ -145,6 +146,77 @@ TEST(GoldenTrajectoryTest, RecordedTraceContiguousWindowsStitched)
     const window::WindowedOutcome outcome = window::runWindowedExperiment(
         exp, window::contiguousPlan(exp.config, 4), 2);
     EXPECT_EQ(fingerprint(outcome.stitched), "06598a77245176ad");
+
+    std::remove(traceIndexPath(path).c_str());
+    std::remove(path.c_str());
+}
+
+// Exact instruction and cycle counts of full-length runs (nutch, 500K
+// warm-up + 2M measured), where the fingerprints above stop at 140K
+// instructions. The six-scheme grid runs the one-pass pipeline
+// (shared decode, warmed checkpoints, cohort scheduling) end to end;
+// its total counts every point's warm-up as simulated work. Tracing
+// and probes are not re-run here: TracingInvisibilityTest
+// (test_obs.cc) and the probes-on cases of kGolden pin that they
+// cannot move a count.
+constexpr std::uint64_t kLongWarmup = 500000;
+constexpr std::uint64_t kLongMeasure = 2000000;
+
+SimConfig
+longConfig(const WorkloadPreset &preset, SchemeType type)
+{
+    SimConfig config = SimConfig::make(preset, type);
+    config.warmupInstructions = kLongWarmup;
+    config.measureInstructions = kLongMeasure;
+    return config;
+}
+
+TEST(GoldenCountsTest, BaselineAndShotgunAtFullLength)
+{
+    const WorkloadPreset nutch = makePreset(WorkloadId::Nutch);
+    const SimResult baseline =
+        runSimulation(longConfig(nutch, SchemeType::Baseline));
+    EXPECT_EQ(baseline.instructions, 2000000u);
+    EXPECT_EQ(baseline.cycles, 1631596u);
+
+    const SimResult shotgun =
+        runSimulation(longConfig(nutch, SchemeType::Shotgun));
+    EXPECT_EQ(shotgun.instructions, 2000001u);
+    EXPECT_EQ(shotgun.cycles, 1494843u);
+}
+
+TEST(GoldenCountsTest, SixSchemeGridOverRecordedTrace)
+{
+    const WorkloadPreset nutch = makePreset(WorkloadId::Nutch);
+    const std::string path =
+        testing::TempDir() + "shotgun_golden_grid.trace";
+    const std::uint64_t seed =
+        longConfig(nutch, SchemeType::Baseline).traceSeed;
+    Program program(nutch.program);
+    TraceGenerator gen(program, seed);
+    recordTraceInstructions(gen, nutch, seed, path,
+                            kLongWarmup + kLongMeasure + 10000);
+    writeTraceIndex(traceIndexPath(path), buildTraceIndex(path, 4096));
+
+    const WorkloadPreset replay = presetByName("trace:" + path);
+    std::vector<runner::Experiment> grid;
+    for (const SchemeType type :
+         {SchemeType::Baseline, SchemeType::FDIP, SchemeType::Boomerang,
+          SchemeType::Confluence, SchemeType::Shotgun,
+          SchemeType::RDIP}) {
+        runner::Experiment exp;
+        exp.workload = replay.name;
+        exp.config = longConfig(replay, type);
+        exp.label = schemeTypeName(type);
+        grid.push_back(std::move(exp));
+    }
+    std::uint64_t instructions = 0, cycles = 0;
+    for (const SimResult &result : runner::ExperimentRunner{}.run(grid)) {
+        instructions += kLongWarmup + result.instructions;
+        cycles += result.cycles;
+    }
+    EXPECT_EQ(instructions, 15000005u);
+    EXPECT_EQ(cycles, 9094948u);
 
     std::remove(traceIndexPath(path).c_str());
     std::remove(path.c_str());
