@@ -19,7 +19,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "branch/direction_predictor.hh"
+#include "common/types.hh"
 
 namespace shotgun
 {
@@ -43,16 +43,27 @@ struct TageParams
     std::uint64_t uResetPeriod = 256 * 1024;
 };
 
-class TagePredictor : public DirectionPredictor
+/**
+ * Usage protocol: predict(pc) followed immediately by
+ * update(pc, taken) for the same branch. This matches the simulator's
+ * trace-driven operation, where the architectural outcome is known as
+ * soon as the prediction is made; the predictor stashes
+ * prediction-time state between the two calls.
+ */
+class TagePredictor
 {
   public:
     explicit TagePredictor(const TageParams &params = TageParams{},
                            std::uint64_t seed = 0x7a6e);
 
-    bool predict(Addr pc) override;
-    void update(Addr pc, bool taken) override;
-    std::uint64_t storageBits() const override;
-    const char *name() const override { return "tage"; }
+    /** Predict the direction of the conditional branch at `pc`. */
+    bool predict(Addr pc);
+
+    /** Train with the architectural outcome of the branch at `pc`. */
+    void update(Addr pc, bool taken);
+
+    /** Total predictor state in bits (for budget accounting). */
+    std::uint64_t storageBits() const;
 
     /** Number of tagged tables. */
     std::size_t numTables() const { return tables_.size(); }

@@ -11,6 +11,7 @@
 #ifndef SHOTGUN_BTB_ASSOC_TABLE_HH
 #define SHOTGUN_BTB_ASSOC_TABLE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -24,7 +25,10 @@ class SetAssocTable
 {
   public:
     SetAssocTable(std::size_t sets, std::size_t ways)
-        : sets_(sets), ways_(ways), lines_(sets * ways)
+        : sets_(sets), ways_(ways),
+          setMask_((sets & (sets - 1)) == 0 ? sets - 1 : 0),
+          keys_(sets * ways),
+          stamps_(sets * ways), values_(sets * ways)
     {
         fatal_if(sets == 0 || ways == 0,
                  "SetAssocTable needs sets > 0 and ways > 0");
@@ -32,37 +36,38 @@ class SetAssocTable
 
     std::size_t sets() const { return sets_; }
     std::size_t ways() const { return ways_; }
-    std::size_t capacity() const { return lines_.size(); }
+    std::size_t capacity() const { return keys_.size(); }
 
     /** Probe without updating recency. */
     Value *
     find(std::uint64_t key)
     {
-        Line *line = findLine(key);
-        return line ? &line->value : nullptr;
+        const std::size_t way = findWay(key);
+        return way == kNone ? nullptr : &values_[way];
     }
 
     const Value *
     find(std::uint64_t key) const
     {
-        const Line *line =
-            const_cast<SetAssocTable *>(this)->findLine(key);
-        return line ? &line->value : nullptr;
+        const std::size_t way = findWay(key);
+        return way == kNone ? nullptr : &values_[way];
     }
 
     /** Probe and mark most-recently-used on hit. */
     Value *
     touch(std::uint64_t key)
     {
-        Line *line = findLine(key);
-        if (line)
-            line->lru = ++clock_;
-        return line ? &line->value : nullptr;
+        const std::size_t way = findWay(key);
+        if (way == kNone)
+            return nullptr;
+        stamps_[way] = ++clock_;
+        return &values_[way];
     }
 
     /**
      * Insert (or overwrite) the value for `key`, evicting the LRU way
-     * of the set if needed.
+     * of the set if needed: the first invalid way, else the way with
+     * the smallest stamp (the first one on ties).
      * @param evicted_key  if non-null, receives the evicted key.
      * @param evicted      if non-null, receives the evicted value.
      * @return true if a valid entry was evicted.
@@ -72,36 +77,30 @@ class SetAssocTable
            std::uint64_t *evicted_key = nullptr,
            Value *evicted = nullptr)
     {
-        Line *line = findLine(key);
-        if (line) {
-            line->value = value;
-            line->lru = ++clock_;
-            return false;
-        }
-
-        const std::size_t base = (key % sets_) * ways_;
-        Line *victim = &lines_[base];
-        for (std::size_t w = 0; w < ways_; ++w) {
-            Line &candidate = lines_[base + w];
-            if (!candidate.valid) {
-                victim = &candidate;
-                break;
+        // One pass: a match in any way wins; otherwise the smallest
+        // stamp is the victim, and an invalid way's 0 is smallest.
+        const std::size_t base = setBase(key);
+        std::size_t victim = base;
+        for (std::size_t w = base; w < base + ways_; ++w) {
+            if (keys_[w] == key && stamps_[w] != 0) {
+                values_[w] = value;
+                stamps_[w] = ++clock_;
+                return false;
             }
-            if (candidate.lru < victim->lru)
-                victim = &candidate;
+            if (stamps_[w] < stamps_[victim])
+                victim = w;
         }
 
-        const bool evicting = victim->valid;
+        const bool evicting = stamps_[victim] != 0;
         if (evicting) {
             if (evicted_key)
-                *evicted_key = victim->key;
+                *evicted_key = keys_[victim];
             if (evicted)
-                *evicted = victim->value;
+                *evicted = values_[victim];
         }
-        victim->key = key;
-        victim->value = value;
-        victim->valid = true;
-        victim->lru = ++clock_;
+        keys_[victim] = key;
+        values_[victim] = value;
+        stamps_[victim] = ++clock_;
         return evicting;
     }
 
@@ -109,10 +108,10 @@ class SetAssocTable
     bool
     erase(std::uint64_t key)
     {
-        Line *line = findLine(key);
-        if (!line)
+        const std::size_t way = findWay(key);
+        if (way == kNone)
             return false;
-        line->valid = false;
+        stamps_[way] = 0;
         return true;
     }
 
@@ -120,8 +119,7 @@ class SetAssocTable
     void
     clear()
     {
-        for (auto &line : lines_)
-            line.valid = false;
+        std::fill(stamps_.begin(), stamps_.end(), 0);
         clock_ = 0;
     }
 
@@ -130,8 +128,8 @@ class SetAssocTable
     occupancy() const
     {
         std::size_t count = 0;
-        for (const auto &line : lines_)
-            count += line.valid;
+        for (const std::uint64_t stamp : stamps_)
+            count += stamp != 0;
         return count;
     }
 
@@ -140,36 +138,51 @@ class SetAssocTable
     void
     forEach(Fn &&fn) const
     {
-        for (const auto &line : lines_) {
-            if (line.valid)
-                fn(line.key, line.value);
+        for (std::size_t i = 0; i < keys_.size(); ++i) {
+            if (stamps_[i] != 0)
+                fn(keys_[i], values_[i]);
         }
     }
 
   private:
-    struct Line
-    {
-        std::uint64_t key = 0;
-        std::uint64_t lru = 0;
-        Value value{};
-        bool valid = false;
-    };
+    static constexpr std::size_t kNone = ~std::size_t(0);
 
-    Line *
-    findLine(std::uint64_t key)
+    /** Index of the first way of `key`'s set. */
+    std::size_t
+    setBase(std::uint64_t key) const
     {
-        const std::size_t base = (key % sets_) * ways_;
-        for (std::size_t w = 0; w < ways_; ++w) {
-            Line &line = lines_[base + w];
-            if (line.valid && line.key == key)
-                return &line;
+        // A mask where the set count is a power of two (every default
+        // table), the modulo otherwise (budget and ablation sizes).
+        const std::uint64_t set =
+            setMask_ != 0 ? key & setMask_ : key % sets_;
+        return static_cast<std::size_t>(set) * ways_;
+    }
+
+    /** Index of the valid way holding `key`, or kNone. */
+    std::size_t
+    findWay(std::uint64_t key) const
+    {
+        const std::size_t base = setBase(key);
+        for (std::size_t w = base; w < base + ways_; ++w) {
+            if (keys_[w] == key && stamps_[w] != 0)
+                return w;
         }
-        return nullptr;
+        return kNone;
     }
 
     std::size_t sets_;
     std::size_t ways_;
-    std::vector<Line> lines_;
+    std::uint64_t setMask_; ///< sets_ - 1 for a power of two, else 0.
+
+    /**
+     * Structure of arrays, one element per line (set-major). A stamp
+     * is the clock value of the line's last insert or touch; the
+     * clock is pre-incremented, so a valid line's stamp is at least 1
+     * and 0 marks an invalid line.
+     */
+    std::vector<std::uint64_t> keys_;
+    std::vector<std::uint64_t> stamps_;
+    std::vector<Value> values_;
     std::uint64_t clock_ = 0;
 };
 

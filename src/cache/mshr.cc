@@ -1,12 +1,14 @@
 #include "cache/mshr.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace shotgun
 {
 
 MSHRFile::MSHRFile(std::size_t entries)
-    : capacity_(entries)
+    : slots_(entries)
 {
     fatal_if(entries == 0, "MSHR file needs at least one entry");
 }
@@ -14,32 +16,42 @@ MSHRFile::MSHRFile(std::size_t entries)
 MSHRFile::Entry *
 MSHRFile::find(Addr block_number)
 {
-    auto it = entries_.find(block_number);
-    return it == entries_.end() ? nullptr : &it->second;
+    for (std::size_t i = 0; i < size_; ++i) {
+        if (slots_[i].block == block_number)
+            return &slots_[i];
+    }
+    return nullptr;
 }
 
 MSHRFile::Entry *
 MSHRFile::allocate(Addr block_number, Cycle ready_at, bool is_prefetch)
 {
-    if (entries_.size() >= capacity_)
+    if (full())
         return nullptr;
-    panic_if(entries_.count(block_number),
+    panic_if(find(block_number) != nullptr,
              "MSHR double allocation for block");
-    Entry entry;
+    Entry &entry = slots_[size_++];
+    entry = Entry{};
     entry.block = block_number;
     entry.readyAt = ready_at;
     entry.isPrefetch = is_prefetch;
-    auto [it, inserted] = entries_.emplace(block_number, entry);
-    heap_.emplace(ready_at, block_number);
-    return &it->second;
+    nextReady_ = std::min(nextReady_, ready_at);
+    return &entry;
+}
+
+void
+MSHRFile::refreshNextReady()
+{
+    nextReady_ = kNever;
+    for (std::size_t i = 0; i < size_; ++i)
+        nextReady_ = std::min(nextReady_, slots_[i].readyAt);
 }
 
 void
 MSHRFile::clear()
 {
-    entries_.clear();
-    while (!heap_.empty())
-        heap_.pop();
+    size_ = 0;
+    nextReady_ = kNever;
 }
 
 } // namespace shotgun

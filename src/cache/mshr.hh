@@ -11,8 +11,6 @@
 #define SHOTGUN_CACHE_MSHR_HH
 
 #include <cstdint>
-#include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
@@ -20,6 +18,11 @@
 namespace shotgun
 {
 
+/**
+ * A fixed array of `capacity` entries searched linearly (the file is
+ * small: 64 entries in Table 3), with the earliest readyAt cached so
+ * the per-cycle drain of an idle file is one compare.
+ */
 class MSHRFile
 {
   public:
@@ -33,7 +36,11 @@ class MSHRFile
 
     explicit MSHRFile(std::size_t entries = 64);
 
-    /** In-flight entry for the block, or nullptr. */
+    /**
+     * In-flight entry for the block, or nullptr. Callers may set
+     * demandWaiting; readyAt is fixed at allocation. The pointer is
+     * valid until the next allocate(), drain() or clear().
+     */
     Entry *find(Addr block_number);
 
     /**
@@ -45,21 +52,25 @@ class MSHRFile
 
     /**
      * Complete every entry with readyAt <= now, invoking
-     * fn(const Entry&) for each, in readiness order.
+     * fn(const Entry&) for each, in (readyAt, block) order. An entry
+     * fn allocates is completed by the same drain if it is due.
      */
     template <typename Fn>
     void
     drain(Cycle now, Fn &&fn)
     {
-        while (!heap_.empty() && heap_.top().first <= now) {
-            const Addr block = heap_.top().second;
-            heap_.pop();
-            auto it = entries_.find(block);
-            // Stale heap nodes (re-allocated blocks) are skipped.
-            if (it == entries_.end() || it->second.readyAt > now)
-                continue;
-            Entry entry = it->second;
-            entries_.erase(it);
+        while (size_ > 0 && nextReady_ <= now) {
+            std::size_t first = 0;
+            for (std::size_t i = 1; i < size_; ++i) {
+                const Entry &e = slots_[i];
+                const Entry &best = slots_[first];
+                if (e.readyAt < best.readyAt ||
+                    (e.readyAt == best.readyAt && e.block < best.block))
+                    first = i;
+            }
+            const Entry entry = slots_[first];
+            slots_[first] = slots_[--size_];
+            refreshNextReady();
             fn(entry);
         }
     }
@@ -67,29 +78,23 @@ class MSHRFile
     /**
      * The earliest readyAt of any in-flight entry, kNever when the
      * file is empty: a drain at any cycle before it completes
-     * nothing. (A lower bound when a stale heap node is pending,
-     * which only makes an idle-cycle fast-forward stop early.)
+     * nothing.
      */
-    Cycle
-    nextReady() const
-    {
-        return heap_.empty() ? kNever : heap_.top().first;
-    }
+    Cycle nextReady() const { return nextReady_; }
 
-    bool full() const { return entries_.size() >= capacity_; }
-    std::size_t inFlight() const { return entries_.size(); }
-    std::size_t capacity() const { return capacity_; }
+    bool full() const { return size_ >= slots_.size(); }
+    std::size_t inFlight() const { return size_; }
+    std::size_t capacity() const { return slots_.size(); }
 
     void clear();
 
   private:
-    using HeapItem = std::pair<Cycle, Addr>;
+    void refreshNextReady();
 
-    std::size_t capacity_;
-    std::unordered_map<Addr, Entry> entries_;
-    std::priority_queue<HeapItem, std::vector<HeapItem>,
-                        std::greater<HeapItem>>
-        heap_;
+    /** slots_[0, size_) are the in-flight entries, in no order. */
+    std::vector<Entry> slots_;
+    std::size_t size_ = 0;
+    Cycle nextReady_ = kNever;
 };
 
 } // namespace shotgun

@@ -106,6 +106,29 @@ class Rng
     }
 
     /**
+     * The integer form of chance(p) for a p fixed across many draws:
+     * chanceBelow(chanceThreshold(p)) consumes the same draw and
+     * returns the same outcome as chance(p). With u = next() >> 11,
+     * chance(p) tests u * 2^-53 < p; scaling by 2^53 is exact, so
+     * that is u < p * 2^53, and for an integer u, u < ceil(p * 2^53).
+     */
+    static std::uint64_t
+    chanceThreshold(double p)
+    {
+        if (!(p > 0.0))
+            return 0; // Also NaN: chance() never succeeds.
+        if (p >= 1.0)
+            return std::uint64_t(1) << 53; // Every u succeeds.
+        return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+    }
+
+    bool
+    chanceBelow(std::uint64_t threshold)
+    {
+        return (next() >> 11) < threshold;
+    }
+
+    /**
      * The full engine state, for checkpointing (generator state
      * capture in windowed simulation). restoreState(state()) resumes
      * the exact same draw sequence.

@@ -12,7 +12,8 @@ Core::Core(const Program &program, TraceSource &source,
     : program_(program), source_(&source), params_(core_params),
       mem_(hierarchy_params), ras_(core_params.rasEntries),
       predecoder_(program, core_params.predecodeCycles),
-      ftq_(core_params.ftqEntries), dataRng_(core_params.dataSeed)
+      ftq_(core_params.ftqEntries),
+      backendQ_(core_params.backendEntries), dataRng_(core_params.dataSeed)
 {
     SchemeContext ctx;
     ctx.tage = &tage_;
@@ -30,7 +31,11 @@ Core::Core(const Program &program, TraceSource &source,
 
 Core::Core(const Core &other, TraceSource *source)
     : program_(other.program_), source_(source),
-      params_(other.params_), mem_(other.mem_), tage_(other.tage_),
+      params_(other.params_), loadThreshold_(other.loadThreshold_),
+      l1dMissThreshold_(other.l1dMissThreshold_),
+      llcDataMissThreshold_(other.llcDataMissThreshold_),
+      retireRate_(other.retireRate_), retireCap_(other.retireCap_),
+      mem_(other.mem_), tage_(other.tage_),
       ras_(other.ras_), predecoder_(other.predecoder_),
       ftq_(other.ftq_), backendQ_(other.backendQ_),
       backendInstrs_(other.backendInstrs_), now_(other.now_),
@@ -351,9 +356,8 @@ Core::accrueRetireCredit()
 {
     // Issue-efficiency model: the backend earns fractional retire
     // credit each cycle (capped so stalls cannot bank a burst).
-    retireCredit_ += params_.retireWidth * params_.issueEfficiency;
-    retireCredit_ = std::min(retireCredit_,
-                             static_cast<double>(params_.retireWidth));
+    retireCredit_ += retireRate_;
+    retireCredit_ = std::min(retireCredit_, retireCap_);
     const unsigned budget = static_cast<unsigned>(retireCredit_);
     retireCredit_ -= budget;
     return budget;
@@ -371,13 +375,13 @@ Core::backendStep()
         const unsigned n = std::min<unsigned>(budget, item.remaining);
         for (unsigned i = 0; i < n; ++i) {
             // Data-side model: per-instruction load/miss draws.
-            if (!dataRng_.chance(params_.loadFrac))
+            if (!dataRng_.chanceBelow(loadThreshold_))
                 continue;
-            if (!dataRng_.chance(params_.l1dMissRate))
+            if (!dataRng_.chanceBelow(l1dMissThreshold_))
                 continue;
             mem_.mesh().noteRequest(now_);
             const Cycle latency =
-                dataRng_.chance(params_.llcDataMissFrac)
+                dataRng_.chanceBelow(llcDataMissThreshold_)
                     ? mem_.mesh().memoryLatency(now_)
                     : mem_.mesh().llcLatency(now_);
             l1dFill_.sample(static_cast<double>(latency));

@@ -17,7 +17,6 @@
 #ifndef SHOTGUN_CPU_CORE_HH
 #define SHOTGUN_CPU_CORE_HH
 
-#include <deque>
 #include <memory>
 
 #include "branch/ras.hh"
@@ -25,6 +24,7 @@
 #include "cache/hierarchy.hh"
 #include "cache/predecoder.hh"
 #include "common/random.hh"
+#include "common/ring.hh"
 #include "cpu/ftq.hh"
 #include "cpu/params.hh"
 #include "obs/uarch.hh"
@@ -196,6 +196,7 @@ class Core
     InstrHierarchy &mem() { return mem_; }
     TagePredictor &tage() { return tage_; }
     ReturnAddressStack &ras() { return ras_; }
+    const Predecoder &predecoder() const { return predecoder_; }
     const CoreParams &params() const { return params_; }
     Cycle now() const { return now_; }
 
@@ -245,6 +246,22 @@ class Core
     TraceSource *source_; ///< Null only for a parked checkpoint clone.
     CoreParams params_;
 
+    /**
+     * Per-instruction constants of backendStep, derived once from
+     * params_: the data-side chance thresholds (Rng::chanceThreshold)
+     * and the retire credit earned per cycle and its cap, each the
+     * same value the expression over params_ yields.
+     */
+    const std::uint64_t loadThreshold_ =
+        Rng::chanceThreshold(params_.loadFrac);
+    const std::uint64_t l1dMissThreshold_ =
+        Rng::chanceThreshold(params_.l1dMissRate);
+    const std::uint64_t llcDataMissThreshold_ =
+        Rng::chanceThreshold(params_.llcDataMissFrac);
+    const double retireRate_ =
+        params_.retireWidth * params_.issueEfficiency;
+    const double retireCap_ = static_cast<double>(params_.retireWidth);
+
     InstrHierarchy mem_;
     TagePredictor tage_;
     ReturnAddressStack ras_;
@@ -253,13 +270,17 @@ class Core
 
     FTQ ftq_;
 
-    /** Fully fetched basic blocks awaiting retirement. */
+    /**
+     * Fully fetched basic blocks awaiting retirement. A block enters
+     * only while backendInstrs_ < backendEntries and holds at least
+     * one instruction, so backendEntries slots always suffice.
+     */
     struct BackendItem
     {
         BBRecord record;
         std::uint8_t remaining = 0;
     };
-    std::deque<BackendItem> backendQ_;
+    Ring<BackendItem> backendQ_;
     std::size_t backendInstrs_ = 0;
 
     Cycle now_ = 0;

@@ -10,9 +10,8 @@
 #ifndef SHOTGUN_CPU_FTQ_HH
 #define SHOTGUN_CPU_FTQ_HH
 
-#include <deque>
-
 #include "common/logging.hh"
+#include "common/ring.hh"
 #include "trace/instruction.hh"
 
 namespace shotgun
@@ -30,15 +29,15 @@ struct FTQEntry
 class FTQ
 {
   public:
-    explicit FTQ(std::size_t entries) : capacity_(entries)
+    explicit FTQ(std::size_t entries) : queue_(entries)
     {
         fatal_if(entries == 0, "FTQ needs at least one entry");
     }
 
-    bool full() const { return queue_.size() >= capacity_; }
+    bool full() const { return queue_.full(); }
     bool empty() const { return queue_.empty(); }
     std::size_t size() const { return queue_.size(); }
-    std::size_t capacity() const { return capacity_; }
+    std::size_t capacity() const { return queue_.capacity(); }
 
     void
     push(const BBRecord &record)
@@ -54,8 +53,7 @@ class FTQ
     void clear() { queue_.clear(); }
 
   private:
-    std::size_t capacity_;
-    std::deque<FTQEntry> queue_;
+    Ring<FTQEntry> queue_;
 };
 
 } // namespace shotgun

@@ -349,6 +349,9 @@ TraceFileSource::next(BBRecord &out)
     out.startAddr = le64(0);
     out.target = le64(8);
     out.numInstrs = buf[16];
+    fatal_if(out.numInstrs == 0,
+             "'%s': corrupt record %llu (zero instructions)",
+             path_.c_str(), static_cast<unsigned long long>(read_));
     fatal_if(buf[17] >= static_cast<unsigned>(BranchType::NumTypes),
              "'%s': corrupt record %llu (bad branch type %u)",
              path_.c_str(), static_cast<unsigned long long>(read_),

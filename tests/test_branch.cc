@@ -1,14 +1,16 @@
 /**
  * @file
- * Tests for the direction predictors (bimodal, gshare, TAGE) and the
- * return address stack, including comparative accuracy properties
- * that the simulator's results depend on.
+ * Tests for the TAGE direction predictor and the return address
+ * stack, including comparative accuracy properties that the
+ * simulator's results depend on.
  */
 
 #include <gtest/gtest.h>
 
-#include "branch/bimodal.hh"
-#include "branch/gshare.hh"
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "branch/ras.hh"
 #include "branch/tage.hh"
 #include "common/random.hh"
@@ -20,9 +22,32 @@ namespace shotgun
 namespace
 {
 
+/**
+ * Reference bimodal predictor for comparisons: a PC-indexed table of
+ * 2-bit saturating counters, initialised weakly taken.
+ */
+class TwoBitCounters
+{
+  public:
+    explicit TwoBitCounters(std::size_t entries) : table_(entries, 2) {}
+    bool predict(Addr pc) const { return table_[index(pc)] >= 2; }
+
+    void
+    update(Addr pc, bool taken)
+    {
+        std::uint8_t &c = table_[index(pc)];
+        c = static_cast<std::uint8_t>(taken ? std::min(c + 1, 3)
+                                            : std::max(c - 1, 0));
+    }
+
+  private:
+    std::size_t index(Addr pc) const { return (pc >> 2) % table_.size(); }
+    std::vector<std::uint8_t> table_;
+};
+
 /** Accuracy of a predictor on a synthetic branch stream. */
 double
-measureAccuracy(DirectionPredictor &pred,
+measureAccuracy(TagePredictor &pred,
                 const std::vector<std::pair<Addr, bool>> &stream)
 {
     std::uint64_t correct = 0;
@@ -61,29 +86,6 @@ patternedStream(std::size_t n, unsigned period)
     return stream;
 }
 
-TEST(BimodalTest, LearnsStrongBias)
-{
-    BimodalPredictor pred(4096);
-    const double acc = measureAccuracy(pred, biasedStream(50000, 0.95, 1));
-    EXPECT_GT(acc, 0.90);
-}
-
-TEST(BimodalTest, CannotLearnPatterns)
-{
-    BimodalPredictor pred(4096);
-    // Period-3 alternation is invisible to a per-PC counter: the
-    // counter converges to the majority direction (not-taken 2/3).
-    const double acc = measureAccuracy(pred, patternedStream(30000, 3));
-    EXPECT_LT(acc, 0.75);
-}
-
-TEST(GshareTest, LearnsPatterns)
-{
-    GsharePredictor pred(16384, 12);
-    const double acc = measureAccuracy(pred, patternedStream(30000, 3));
-    EXPECT_GT(acc, 0.95);
-}
-
 TEST(TageTest, LearnsStrongBias)
 {
     TagePredictor pred;
@@ -120,7 +122,7 @@ TEST(TageTest, BeatsBimodalOnWorkloadStream)
     TraceGenerator gen(prog, 7);
 
     TagePredictor tage;
-    BimodalPredictor bimodal(8192);
+    TwoBitCounters bimodal(8192);
     std::uint64_t tage_ok = 0, bimodal_ok = 0, total = 0;
     BBRecord rec;
     for (int i = 0; i < 400000; ++i) {

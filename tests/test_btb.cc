@@ -10,10 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "btb/assoc_table.hh"
 #include "btb/conventional_btb.hh"
 #include "btb/prefetch_buffer.hh"
+#include "common/random.hh"
 #include "core/footprint.hh"
 #include "core/footprint_recorder.hh"
 #include "core/shotgun_btb.hh"
@@ -99,6 +102,198 @@ TEST(AssocTableTest, FloorLog2)
     EXPECT_EQ(floorLog2(2), 1u);
     EXPECT_EQ(floorLog2(511), 8u);
     EXPECT_EQ(floorLog2(512), 9u);
+}
+
+// Reference for the differential test below: the array-of-structs
+// table with a valid flag per line and a two-pass insert (find, then
+// a victim scan) that the flat table replaced.
+template <typename Value>
+class RefSetAssocTable
+{
+  public:
+    RefSetAssocTable(std::size_t sets, std::size_t ways)
+        : sets_(sets), ways_(ways), lines_(sets * ways)
+    {}
+
+    Value *
+    find(std::uint64_t key)
+    {
+        Line *line = findLine(key);
+        return line ? &line->value : nullptr;
+    }
+
+    Value *
+    touch(std::uint64_t key)
+    {
+        Line *line = findLine(key);
+        if (line)
+            line->lru = ++clock_;
+        return line ? &line->value : nullptr;
+    }
+
+    bool
+    insert(std::uint64_t key, const Value &value,
+           std::uint64_t *evicted_key, Value *evicted)
+    {
+        Line *line = findLine(key);
+        if (line) {
+            line->value = value;
+            line->lru = ++clock_;
+            return false;
+        }
+        const std::size_t base = (key % sets_) * ways_;
+        Line *victim = &lines_[base];
+        for (std::size_t w = 0; w < ways_; ++w) {
+            Line &candidate = lines_[base + w];
+            if (!candidate.valid) {
+                victim = &candidate;
+                break;
+            }
+            if (candidate.lru < victim->lru)
+                victim = &candidate;
+        }
+        const bool evicting = victim->valid;
+        if (evicting) {
+            *evicted_key = victim->key;
+            *evicted = victim->value;
+        }
+        victim->key = key;
+        victim->value = value;
+        victim->valid = true;
+        victim->lru = ++clock_;
+        return evicting;
+    }
+
+    bool
+    erase(std::uint64_t key)
+    {
+        Line *line = findLine(key);
+        if (!line)
+            return false;
+        line->valid = false;
+        return true;
+    }
+
+    void
+    clear()
+    {
+        for (auto &line : lines_)
+            line.valid = false;
+        clock_ = 0;
+    }
+
+    std::size_t
+    occupancy() const
+    {
+        std::size_t count = 0;
+        for (const auto &line : lines_)
+            count += line.valid;
+        return count;
+    }
+
+    std::vector<std::pair<std::uint64_t, Value>>
+    contents() const
+    {
+        std::vector<std::pair<std::uint64_t, Value>> out;
+        for (const auto &line : lines_) {
+            if (line.valid)
+                out.emplace_back(line.key, line.value);
+        }
+        return out;
+    }
+
+  private:
+    struct Line
+    {
+        std::uint64_t key = 0;
+        std::uint64_t lru = 0;
+        Value value{};
+        bool valid = false;
+    };
+
+    Line *
+    findLine(std::uint64_t key)
+    {
+        const std::size_t base = (key % sets_) * ways_;
+        for (std::size_t w = 0; w < ways_; ++w) {
+            Line &line = lines_[base + w];
+            if (line.valid && line.key == key)
+                return &line;
+        }
+        return nullptr;
+    }
+
+    std::size_t sets_;
+    std::size_t ways_;
+    std::vector<Line> lines_;
+    std::uint64_t clock_ = 0;
+};
+
+TEST(AssocTableTest, MatchesReferenceOnRandomOperations)
+{
+    // Power-of-two and odd set counts (301 sets: the NoBitVector
+    // U-BTB's 1806 entries / 6 ways), every associativity in use.
+    for (const std::size_t sets : {1u, 8u, 64u, 301u}) {
+        for (const std::size_t ways : {1u, 2u, 4u, 6u, 16u}) {
+            SCOPED_TRACE(testing::Message()
+                         << sets << " sets x " << ways << " ways");
+            SetAssocTable<std::uint64_t> table(sets, ways);
+            RefSetAssocTable<std::uint64_t> ref(sets, ways);
+            Rng rng(sets * 131 + ways);
+            // Twice as many distinct keys as lines, spread over the
+            // whole 64-bit range, so sets fill, hit and evict.
+            std::vector<std::uint64_t> keys(2 * sets * ways);
+            for (std::uint64_t &key : keys)
+                key = rng.next();
+            for (int op = 0; op < 20000; ++op) {
+                const std::uint64_t key = keys[rng.below(keys.size())];
+                const std::uint64_t kind = rng.below(1000);
+                if (kind < 400) {
+                    const std::uint64_t value = rng.next();
+                    std::uint64_t got_key = 0, want_key = 0;
+                    std::uint64_t got_value = 0, want_value = 0;
+                    const bool got =
+                        table.insert(key, value, &got_key, &got_value);
+                    const bool want =
+                        ref.insert(key, value, &want_key, &want_value);
+                    ASSERT_EQ(got, want) << "insert, op " << op;
+                    if (want) {
+                        ASSERT_EQ(got_key, want_key) << "op " << op;
+                        ASSERT_EQ(got_value, want_value) << "op " << op;
+                    }
+                } else if (kind < 650) {
+                    const std::uint64_t *got = table.touch(key);
+                    const std::uint64_t *want = ref.touch(key);
+                    ASSERT_EQ(got == nullptr, want == nullptr)
+                        << "touch, op " << op;
+                    if (want) {
+                        ASSERT_EQ(*got, *want) << "op " << op;
+                    }
+                } else if (kind < 900) {
+                    const std::uint64_t *got = table.find(key);
+                    const std::uint64_t *want = ref.find(key);
+                    ASSERT_EQ(got == nullptr, want == nullptr)
+                        << "find, op " << op;
+                    if (want) {
+                        ASSERT_EQ(*got, *want) << "op " << op;
+                    }
+                } else if (kind < 999) {
+                    ASSERT_EQ(table.erase(key), ref.erase(key))
+                        << "erase, op " << op;
+                } else {
+                    table.clear();
+                    ref.clear();
+                }
+                ASSERT_EQ(table.occupancy(), ref.occupancy())
+                    << "op " << op;
+            }
+            std::vector<std::pair<std::uint64_t, std::uint64_t>> got;
+            table.forEach([&got](std::uint64_t key, std::uint64_t value) {
+                got.emplace_back(key, value);
+            });
+            EXPECT_EQ(got, ref.contents());
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -212,6 +407,170 @@ TEST(PrefetchBufferTest, DuplicateInsertRefreshes)
     buf.insert(e);
     EXPECT_TRUE(buf.contains(0x1000));
     EXPECT_FALSE(buf.contains(0x2000));
+}
+
+TEST(PrefetchBufferTest, ReinsertBehindAnEmptiedSlotStoresADuplicate)
+{
+    // Insert scans the slots in order and stops at the first empty
+    // one, so a live copy of A behind an emptied slot is not found: A
+    // goes into the empty slot without refreshing the live copy and
+    // can then be extracted twice. Today's behaviour, pinned; ROADMAP
+    // item 3 lists it as a model defect to fix deliberately.
+    BTBPrefetchBuffer buf(3);
+    BTBEntry e;
+    e.bbStart = 0x1000;
+    buf.insert(e);
+    e.bbStart = 0x2000;
+    buf.insert(e);
+    BTBEntry out;
+    ASSERT_TRUE(buf.extract(0x1000, out)); // empties slot 0
+    e.target = 0x2222;
+    buf.insert(e); // 0x2000 again: fills slot 0, slot 1 is untouched
+    EXPECT_EQ(buf.occupancy(), 2u);
+    EXPECT_EQ(buf.evictions(), 0u);
+    ASSERT_TRUE(buf.extract(0x2000, out));
+    EXPECT_EQ(out.target, 0x2222u); // the new copy, from slot 0
+    ASSERT_TRUE(buf.extract(0x2000, out));
+    EXPECT_EQ(out.target, 0u); // the stale copy, from slot 1
+    EXPECT_FALSE(buf.contains(0x2000));
+    EXPECT_EQ(buf.hits(), 3u);
+}
+
+// Reference for the differential test below: the array-of-structs
+// slot scan that the bitset buffer replaced.
+class RefPrefetchBuffer
+{
+  public:
+    explicit RefPrefetchBuffer(std::size_t entries) : entries_(entries) {}
+
+    void
+    insert(const BTBEntry &entry)
+    {
+        ++inserts;
+        Slot *victim = &entries_.front();
+        for (auto &slot : entries_) {
+            if (slot.valid && slot.entry.bbStart == entry.bbStart) {
+                slot.entry = entry;
+                slot.lru = ++clock_;
+                return;
+            }
+            if (!slot.valid) {
+                victim = &slot;
+                break;
+            }
+            if (slot.lru < victim->lru)
+                victim = &slot;
+        }
+        if (victim->valid)
+            ++evictions;
+        victim->entry = entry;
+        victim->valid = true;
+        victim->lru = ++clock_;
+    }
+
+    bool
+    extract(Addr bb_start, BTBEntry &out)
+    {
+        for (auto &slot : entries_) {
+            if (slot.valid && slot.entry.bbStart == bb_start) {
+                out = slot.entry;
+                slot.valid = false;
+                ++hits;
+                return true;
+            }
+        }
+        return false;
+    }
+
+    bool
+    contains(Addr bb_start) const
+    {
+        for (const auto &slot : entries_) {
+            if (slot.valid && slot.entry.bbStart == bb_start)
+                return true;
+        }
+        return false;
+    }
+
+    std::size_t
+    occupancy() const
+    {
+        std::size_t count = 0;
+        for (const auto &slot : entries_)
+            count += slot.valid;
+        return count;
+    }
+
+    void
+    clear()
+    {
+        for (auto &slot : entries_)
+            slot.valid = false;
+        clock_ = 0;
+    }
+
+    std::uint64_t hits = 0;
+    std::uint64_t inserts = 0;
+    std::uint64_t evictions = 0;
+
+  private:
+    struct Slot
+    {
+        BTBEntry entry{};
+        std::uint64_t lru = 0;
+        bool valid = false;
+    };
+
+    std::vector<Slot> entries_;
+    std::uint64_t clock_ = 0;
+};
+
+TEST(PrefetchBufferTest, MatchesReferenceOnRandomOperations)
+{
+    // 70 and 130 entries span several bitset words; the block range
+    // is three times the capacity, or eight times spread over 64KB
+    // so blocks share hash buckets.
+    for (const std::size_t entries : {1u, 2u, 4u, 32u, 70u, 130u}) {
+        for (const Addr stride : {Addr(4), Addr(0x2000)}) {
+            SCOPED_TRACE(testing::Message()
+                         << entries << " entries, stride " << stride);
+            BTBPrefetchBuffer buf(entries);
+            RefPrefetchBuffer ref(entries);
+            Rng rng(entries + stride);
+            const std::uint64_t blocks = (stride == 4 ? 3 : 8) * entries;
+            for (int op = 0; op < 20000; ++op) {
+                const Addr bb = 0x400000 + stride * rng.below(blocks);
+                const std::uint64_t kind = rng.below(1000);
+                if (kind < 550) {
+                    BTBEntry e;
+                    e.bbStart = bb;
+                    e.target = rng.next() & ~Addr(3);
+                    e.numInstrs =
+                        static_cast<std::uint8_t>(1 + rng.below(31));
+                    buf.insert(e);
+                    ref.insert(e);
+                } else if (kind < 850) {
+                    BTBEntry got, want;
+                    const bool hit = ref.extract(bb, want);
+                    ASSERT_EQ(buf.extract(bb, got), hit) << "op " << op;
+                    if (hit) {
+                        ASSERT_EQ(got.target, want.target) << "op " << op;
+                        ASSERT_EQ(got.numInstrs, want.numInstrs);
+                    }
+                } else if (kind < 999) {
+                    ASSERT_EQ(buf.contains(bb), ref.contains(bb))
+                        << "op " << op;
+                } else {
+                    buf.clear();
+                    ref.clear();
+                }
+                ASSERT_EQ(buf.occupancy(), ref.occupancy()) << "op " << op;
+                ASSERT_EQ(buf.inserts(), ref.inserts) << "op " << op;
+                ASSERT_EQ(buf.hits(), ref.hits) << "op " << op;
+                ASSERT_EQ(buf.evictions(), ref.evictions) << "op " << op;
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

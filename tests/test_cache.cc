@@ -7,12 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <queue>
+#include <tuple>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cache/cache.hh"
 #include "cache/hierarchy.hh"
 #include "cache/mshr.hh"
 #include "cache/predecoder.hh"
+#include "common/random.hh"
 #include "trace/program.hh"
 
 namespace shotgun
@@ -155,6 +161,151 @@ TEST(MshrTest, DoubleAllocatePanics)
     MSHRFile mshrs(4);
     mshrs.allocate(5, 10, false);
     EXPECT_DEATH(mshrs.allocate(5, 20, false), "double allocation");
+}
+
+// Reference for the differential test below: the hash map plus
+// min-heap of (readyAt, block) that the flat file replaced.
+class RefMSHRFile
+{
+  public:
+    explicit RefMSHRFile(std::size_t entries) : capacity_(entries) {}
+
+    MSHRFile::Entry *
+    find(Addr block)
+    {
+        auto it = entries_.find(block);
+        return it == entries_.end() ? nullptr : &it->second;
+    }
+
+    MSHRFile::Entry *
+    allocate(Addr block, Cycle ready_at, bool is_prefetch)
+    {
+        if (entries_.size() >= capacity_)
+            return nullptr;
+        MSHRFile::Entry entry;
+        entry.block = block;
+        entry.readyAt = ready_at;
+        entry.isPrefetch = is_prefetch;
+        auto it = entries_.emplace(block, entry).first;
+        heap_.emplace(ready_at, block);
+        return &it->second;
+    }
+
+    template <typename Fn>
+    void
+    drain(Cycle now, Fn &&fn)
+    {
+        while (!heap_.empty() && heap_.top().first <= now) {
+            const Addr block = heap_.top().second;
+            heap_.pop();
+            auto it = entries_.find(block);
+            if (it == entries_.end() || it->second.readyAt > now)
+                continue;
+            MSHRFile::Entry entry = it->second;
+            entries_.erase(it);
+            fn(entry);
+        }
+    }
+
+    Cycle
+    nextReady() const
+    {
+        return heap_.empty() ? kNever : heap_.top().first;
+    }
+
+    bool full() const { return entries_.size() >= capacity_; }
+    std::size_t inFlight() const { return entries_.size(); }
+
+    void
+    clear()
+    {
+        entries_.clear();
+        heap_ = {};
+    }
+
+  private:
+    using HeapItem = std::pair<Cycle, Addr>;
+    std::size_t capacity_;
+    std::unordered_map<Addr, MSHRFile::Entry> entries_;
+    std::priority_queue<HeapItem, std::vector<HeapItem>,
+                        std::greater<HeapItem>>
+        heap_;
+};
+
+/** What a drain observed: (block, readyAt, isPrefetch, demandWaiting). */
+using DrainLog = std::vector<std::tuple<Addr, Cycle, bool, bool>>;
+
+TEST(MshrTest, MatchesReferenceOnRandomOperations)
+{
+    for (const std::size_t capacity : {1u, 4u, 16u, 64u}) {
+        SCOPED_TRACE(testing::Message() << capacity << " entries");
+        MSHRFile mshrs(capacity);
+        RefMSHRFile ref(capacity);
+        Rng rng(capacity);
+        Cycle now = 0;
+        // Fills a drain callback allocates, some already due: both
+        // files must complete those within the same drain.
+        auto drainBoth = [&](Cycle at) {
+            DrainLog got, want;
+            auto follow_up = [at](auto &file, DrainLog &log) {
+                return [&file, &log, at](const MSHRFile::Entry &e) {
+                    log.emplace_back(e.block, e.readyAt, e.isPrefetch,
+                                     e.demandWaiting);
+                    const Addr next = e.block + 1;
+                    if (e.block % 5 == 0 && file.find(next) == nullptr)
+                        file.allocate(next, at + 5 * (e.block % 2), false);
+                };
+            };
+            mshrs.drain(at, follow_up(mshrs, got));
+            ref.drain(at, follow_up(ref, want));
+            return std::make_pair(got, want);
+        };
+        for (int op = 0; op < 20000; ++op) {
+            // Few distinct blocks and readiness values, so equal
+            // readyAt ties (ordered by block) are common.
+            const Addr block = rng.below(4 * capacity + 8);
+            const std::uint64_t kind = rng.below(1000);
+            if (kind < 450) {
+                const MSHRFile::Entry *want = ref.find(block);
+                const MSHRFile::Entry *got = mshrs.find(block);
+                ASSERT_EQ(got == nullptr, want == nullptr) << "op " << op;
+                if (want == nullptr) {
+                    const Cycle ready = now + rng.below(40);
+                    const bool pf = rng.below(2) == 0;
+                    want = ref.allocate(block, ready, pf);
+                    got = mshrs.allocate(block, ready, pf);
+                    ASSERT_EQ(got == nullptr, want == nullptr)
+                        << "allocate, op " << op;
+                    if (want) {
+                        ASSERT_EQ(got->readyAt, want->readyAt);
+                    }
+                } else {
+                    ASSERT_EQ(got->readyAt, want->readyAt);
+                    ASSERT_EQ(got->isPrefetch, want->isPrefetch);
+                    ASSERT_EQ(got->demandWaiting, want->demandWaiting);
+                }
+            } else if (kind < 600) {
+                MSHRFile::Entry *want = ref.find(block);
+                MSHRFile::Entry *got = mshrs.find(block);
+                ASSERT_EQ(got == nullptr, want == nullptr) << "op " << op;
+                if (want)
+                    want->demandWaiting = got->demandWaiting = true;
+            } else if (kind < 999) {
+                now += rng.below(8);
+                const auto [got, want] = drainBoth(now);
+                ASSERT_EQ(got, want) << "drain at " << now << ", op " << op;
+            } else {
+                mshrs.clear();
+                ref.clear();
+            }
+            ASSERT_EQ(mshrs.nextReady(), ref.nextReady()) << "op " << op;
+            ASSERT_EQ(mshrs.inFlight(), ref.inFlight()) << "op " << op;
+            ASSERT_EQ(mshrs.full(), ref.full()) << "op " << op;
+        }
+        const auto [got, want] = drainBoth(kNever - 10);
+        EXPECT_EQ(got, want);
+        EXPECT_EQ(mshrs.inFlight(), ref.inFlight());
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "common/random.hh"
 #include "common/sat_counter.hh"
@@ -118,6 +119,46 @@ TEST(RngTest, ChanceExtremes)
     for (int i = 0; i < 1000; ++i) {
         EXPECT_FALSE(rng.chance(0.0));
         EXPECT_TRUE(rng.chance(1.0));
+    }
+}
+
+TEST(RngTest, ChanceThresholdIsExactBoundary)
+{
+    // chance(p) succeeds for u = next() >> 11 exactly when
+    // u * 2^-53 < p. The threshold T must be the first u that fails:
+    // T - 1 succeeds and T fails (both products are exact doubles).
+    // Random p plus the edges: 0, 1, NaN, tiny, just below 1, and
+    // values where p * 2^53 is an integer.
+    std::vector<double> ps = {0.0, 1.0, std::nan(""), -0.5, 2.0,
+                              1e-300, 0x1p-53, 3 * 0x1p-53,
+                              std::nextafter(1.0, 0.0), 0.5, 0.30, 0.02};
+    Rng source(5);
+    for (int i = 0; i < 2000; ++i)
+        ps.push_back(source.uniform());
+    for (const double p : ps) {
+        const std::uint64_t t = Rng::chanceThreshold(p);
+        ASSERT_LE(t, std::uint64_t(1) << 53) << p;
+        if (t > 0) {
+            EXPECT_TRUE(static_cast<double>(t - 1) * 0x1p-53 < p) << p;
+        }
+        if (t < (std::uint64_t(1) << 53)) {
+            EXPECT_FALSE(static_cast<double>(t) * 0x1p-53 < p) << p;
+        }
+    }
+}
+
+TEST(RngTest, ChanceBelowDrawsLikeChance)
+{
+    // Same seed, same probabilities: the same outcomes draw for draw,
+    // and the streams stay in step afterwards.
+    for (const double p : {0.0, 0.02, 0.2, 0.30, 0.5, 1.0}) {
+        Rng a(99), b(99);
+        const std::uint64_t t = Rng::chanceThreshold(p);
+        for (int i = 0; i < 20000; ++i) {
+            ASSERT_EQ(a.chance(p), b.chanceBelow(t))
+                << p << ", draw " << i;
+        }
+        EXPECT_EQ(a.next(), b.next());
     }
 }
 

@@ -8,7 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "common/logging.hh"
+#include "common/random.hh"
+#include "common/ring.hh"
 #include "cpu/core.hh"
 #include "cpu/ftq.hh"
 #include "sim/simulator.hh"
@@ -57,6 +61,55 @@ TEST(FtqTest, EntryTracksFetchProgress)
     EXPECT_EQ(ftq.front().fetched, 4u);
     ftq.clear();
     EXPECT_TRUE(ftq.empty());
+}
+
+TEST(RingTest, MatchesDequeOnRandomOperations)
+{
+    // std::deque is the reference the pipeline queues used before the
+    // ring. Pushes only while not full, as the FTQ and backend do, so
+    // the ring runs at capacity and wraps around many times.
+    for (const std::size_t capacity : {1u, 2u, 3u, 32u, 128u}) {
+        SCOPED_TRACE(testing::Message() << "capacity " << capacity);
+        Ring<std::uint64_t> ring(capacity);
+        std::deque<std::uint64_t> ref;
+        Rng rng(capacity);
+        for (int op = 0; op < 20000; ++op) {
+            const std::uint64_t kind = rng.below(1000);
+            if (kind < 500) {
+                if (ref.size() < capacity) {
+                    const std::uint64_t value = rng.next();
+                    ring.push_back(value);
+                    ref.push_back(value);
+                }
+            } else if (kind < 995) {
+                if (!ref.empty()) {
+                    ASSERT_EQ(ring.front(), ref.front()) << "op " << op;
+                    ++ring.front(); // front() is the live slot
+                    ++ref.front();
+                    ASSERT_EQ(ring.front(), ref.front()) << "op " << op;
+                    ring.pop_front();
+                    ref.pop_front();
+                }
+            } else {
+                ring.clear();
+                ref.clear();
+            }
+            ASSERT_EQ(ring.size(), ref.size()) << "op " << op;
+            ASSERT_EQ(ring.empty(), ref.empty()) << "op " << op;
+            ASSERT_EQ(ring.full(), ref.size() == capacity) << "op " << op;
+            if (!ref.empty()) {
+                ASSERT_EQ(ring.front(), ref.front()) << "op " << op;
+            }
+        }
+    }
+}
+
+TEST(RingTest, OverflowPanics)
+{
+    Ring<int> ring(2);
+    ring.push_back(1);
+    ring.push_back(2);
+    EXPECT_DEATH(ring.push_back(3), "ring buffer overflow");
 }
 
 TEST(LoggingTest, PanicAborts)

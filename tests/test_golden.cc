@@ -21,6 +21,9 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "core/shotgun.hh"
+#include "cpu/core.hh"
+#include "prefetch/baseline.hh"
 #include "prefetch/factory.hh"
 #include "runner/experiment.hh"
 #include "service/codec.hh"
@@ -183,6 +186,116 @@ TEST(GoldenCountsTest, BaselineAndShotgunAtFullLength)
         runSimulation(longConfig(nutch, SchemeType::Shotgun));
     EXPECT_EQ(shotgun.instructions, 2000001u);
     EXPECT_EQ(shotgun.cycles, 1494843u);
+}
+
+// Structure operation counts of full-length runs (oracle, 500K
+// warm-up + 2M measured, no stats reset in between), read from the
+// counters the structures already keep. They pin how much work each
+// front-end structure does per simulated instruction, independently
+// of host speed: a host-time change that keeps the trajectory must
+// leave every count as it is, and one that skips or repeats a
+// structure operation moves one.
+struct OpCounts
+{
+    std::uint64_t blocksDecoded = 0;
+    std::uint64_t l1iAccesses = 0, l1iFills = 0;
+    std::uint64_t llcAccesses = 0, llcFills = 0;
+    std::uint64_t prefetchesIssued = 0;
+    std::uint64_t btbLookups = 0; ///< Conventional BTB (baseline).
+    std::uint64_t bufferInserts = 0, bufferHits = 0, bufferEvictions = 0;
+    std::uint64_t cbtbLookups = 0, cbtbPrefills = 0;
+    std::uint64_t ubtbLookups = 0, ribLookups = 0;
+};
+
+OpCounts
+opCounts(SchemeType type)
+{
+    const WorkloadPreset oracle = makePreset(WorkloadId::Oracle);
+    const SimConfig config = longConfig(oracle, type);
+    const Program &program = programFor(oracle);
+    TraceGenerator gen(program, config.traceSeed);
+    CoreParams core_params = config.core;
+    core_params.loadFrac = oracle.loadFrac;
+    core_params.l1dMissRate = oracle.l1dMissRate;
+    core_params.llcDataMissFrac = oracle.llcDataMissFrac;
+    core_params.dataSeed =
+        mix64(config.traceSeed ^ mix64(oracle.program.seed));
+    HierarchyParams hierarchy;
+    hierarchy.mesh.backgroundLoad = oracle.backgroundLoad;
+    Core core(program, gen, core_params, hierarchy, config.scheme);
+    core.run(kLongWarmup + kLongMeasure);
+
+    OpCounts c;
+    c.blocksDecoded = core.predecoder().blocksDecoded();
+    c.l1iAccesses = core.mem().l1i().accesses();
+    c.l1iFills = core.mem().l1i().fills();
+    c.llcAccesses = core.mem().llc().accesses();
+    c.llcFills = core.mem().llc().fills();
+    c.prefetchesIssued = core.mem().prefetchesIssued();
+    if (auto *base = dynamic_cast<BaselineScheme *>(&core.scheme()))
+        c.btbLookups = base->btb().lookups();
+    if (auto *shot = dynamic_cast<ShotgunScheme *>(&core.scheme())) {
+        c.bufferInserts = shot->prefetchBuffer().inserts();
+        c.bufferHits = shot->prefetchBuffer().hits();
+        c.bufferEvictions = shot->prefetchBuffer().evictions();
+        c.cbtbLookups = shot->btbs().cbtb().lookups();
+        c.cbtbPrefills = shot->btbs().cbtb().prefills();
+        c.ubtbLookups = shot->btbs().ubtb().lookups();
+        c.ribLookups = shot->btbs().rib().lookups();
+    }
+    return c;
+}
+
+void
+expectOpCounts(const OpCounts &got, const OpCounts &want)
+{
+    EXPECT_EQ(got.blocksDecoded, want.blocksDecoded);
+    EXPECT_EQ(got.l1iAccesses, want.l1iAccesses);
+    EXPECT_EQ(got.l1iFills, want.l1iFills);
+    EXPECT_EQ(got.llcAccesses, want.llcAccesses);
+    EXPECT_EQ(got.llcFills, want.llcFills);
+    EXPECT_EQ(got.prefetchesIssued, want.prefetchesIssued);
+    EXPECT_EQ(got.btbLookups, want.btbLookups);
+    EXPECT_EQ(got.bufferInserts, want.bufferInserts);
+    EXPECT_EQ(got.bufferHits, want.bufferHits);
+    EXPECT_EQ(got.bufferEvictions, want.bufferEvictions);
+    EXPECT_EQ(got.cbtbLookups, want.cbtbLookups);
+    EXPECT_EQ(got.cbtbPrefills, want.cbtbPrefills);
+    EXPECT_EQ(got.ubtbLookups, want.ubtbLookups);
+    EXPECT_EQ(got.ribLookups, want.ribLookups);
+}
+
+TEST(GoldenOpCountsTest, OracleBaselineAndShotgun)
+{
+    OpCounts baseline;
+    baseline.l1iAccesses = 588822;
+    baseline.l1iFills = 102781;
+    baseline.llcAccesses = 102781;
+    baseline.llcFills = 5281;
+    baseline.btbLookups = 362530;
+    {
+        SCOPED_TRACE("baseline");
+        expectOpCounts(opCounts(SchemeType::Baseline), baseline);
+    }
+
+    OpCounts shotgun;
+    shotgun.blocksDecoded = 284480;
+    shotgun.l1iAccesses = 516931;
+    shotgun.l1iFills = 117169;
+    shotgun.llcAccesses = 117172;
+    shotgun.llcFills = 6816;
+    shotgun.prefetchesIssued = 114422;
+    shotgun.bufferInserts = 230141;
+    shotgun.bufferHits = 5870;
+    shotgun.bufferEvictions = 133456;
+    shotgun.cbtbLookups = 315954;
+    shotgun.cbtbPrefills = 393318;
+    shotgun.ubtbLookups = 402017;
+    shotgun.ribLookups = 350646;
+    {
+        SCOPED_TRACE("shotgun");
+        expectOpCounts(opCounts(SchemeType::Shotgun), shotgun);
+    }
 }
 
 TEST(GoldenCountsTest, SixSchemeGridOverRecordedTrace)

@@ -843,6 +843,36 @@ TEST(TraceIODeathTest, RejectsTruncatedRecords)
     std::remove(path.c_str());
 }
 
+TEST(TraceIODeathTest, RejectsZeroInstructionRecord)
+{
+    // A basic block holds at least one instruction; the core's
+    // backend queue is sized on that bound.
+    const WorkloadPreset preset = tinyPreset();
+    Program prog(preset.program);
+    TraceGenerator gen(prog, 1);
+    const std::string path = "/tmp/shotgun_test_zero_instrs.bin";
+    recordTrace(gen, preset, 1, path, 100);
+
+    // Records are the file's tail, 19 bytes each; byte 16 of a record
+    // is its instruction count. Zero the last record's.
+    {
+        std::fstream f(path, std::ios::in | std::ios::out |
+                                 std::ios::binary);
+        f.seekp(static_cast<std::streamoff>(
+            std::filesystem::file_size(path) - 19 + 16));
+        f.put('\0');
+    }
+    EXPECT_EXIT(
+        {
+            TraceFileSource source(path);
+            BBRecord rec;
+            while (source.next(rec)) {
+            }
+        },
+        ::testing::ExitedWithCode(1), "record 99 \\(zero instructions\\)");
+    std::remove(path.c_str());
+}
+
 TEST(TraceIODeathTest, RejectsTraceShorterThanRun)
 {
     const WorkloadPreset preset = tinyPreset();
