@@ -3,9 +3,9 @@
 # exercise the parallel experiment runner end-to-end with one quick
 # bench sweep that must emit JSON/CSV results, record a trace and
 # verify replaying it (standalone and through a bench grid) works,
-# then start the simulation service on a Unix socket, submit a grid
-# through it, and assert the results are byte-identical to the same
-# grid run in-process.
+# then start a fleet (shotgun-coord plus shotgun-serve workers) on
+# Unix sockets, submit grids through the coordinator, and assert the
+# results are byte-identical to the same grids run in-process.
 #
 # Usage: scripts/smoke.sh [build-dir]
 set -euo pipefail
@@ -100,10 +100,28 @@ for tool in shotgun-trace shotgun-serve shotgun-submit shotgun-coord; do
     }
 done
 
-echo "== service: serve -> submit -> verify bitwise vs in-process =="
+echo "== one job frontend: no grid reaches a worker =="
+# A worker needs a coordinator, and a worker's control endpoint takes
+# no grid: both are usage errors, caught before any socket is used.
+rc=0
+"$BUILD_DIR/shotgun-serve" --listen "unix:$BUILD_DIR/smoke/lone.sock" \
+    > /dev/null 2>&1 || rc=$?
+test "$rc" -eq 2 || {
+    echo "shotgun-serve without --coordinator exited $rc, expected 2" >&2
+    exit 1
+}
+rc=0
+"$BUILD_DIR/shotgun-submit" --server "unix:$BUILD_DIR/smoke/lone.sock" \
+    --workload nutch --schemes shotgun > /dev/null 2>&1 || rc=$?
+test "$rc" -eq 2 || {
+    echo "shotgun-submit --server with a grid exited $rc, expected 2" >&2
+    exit 1
+}
+
+echo "== fleet: coord + one worker -> submit -> verify bitwise vs in-process =="
 # Every spawned daemon registers its PID here; the EXIT trap kills
 # whatever is still alive, so a failing mid-script step (set -e)
-# can never leak a shotgun-serve orphan onto the CI machine.
+# can never leak a daemon orphan onto the CI machine.
 DAEMON_PIDS=()
 cleanup_daemons() {
     for pid in "${DAEMON_PIDS[@]}"; do
@@ -112,33 +130,59 @@ cleanup_daemons() {
 }
 trap cleanup_daemons EXIT
 
-start_serve() { # start_serve SOCKET [extra flags...]
-    local sock="$1"
-    shift
-    "$BUILD_DIR/shotgun-serve" --listen "unix:$sock" --quiet "$@" &
-    DAEMON_PIDS+=($!)
+wait_socket() { # wait_socket SOCKET
     for _ in $(seq 50); do
-        [ -S "$sock" ] && return 0
+        [ -S "$1" ] && return 0
         sleep 0.1
     done
-    echo "daemon on $sock did not come up" >&2
+    echo "daemon on $1 did not come up" >&2
     return 1
 }
 
+start_coord() { # start_coord SOCKET [extra flags...]
+    local sock="$1"
+    shift
+    "$BUILD_DIR/shotgun-coord" --listen "unix:$sock" --quiet \
+        --heartbeat-ms 200 "$@" &
+    DAEMON_PIDS+=($!)
+    wait_socket "$sock"
+}
+
+start_serve() { # start_serve SOCKET COORD_SOCKET [extra flags...]
+    local sock="$1" coord="$2"
+    shift 2
+    "$BUILD_DIR/shotgun-serve" --listen "unix:$sock" \
+        --coordinator "unix:$coord" --quiet --heartbeat-ms 200 "$@" &
+    DAEMON_PIDS+=($!)
+    wait_socket "$sock"
+}
+
+stop_fleet() { # stop_fleet COORD_SOCKET WORKER_SOCKET...
+    local coord="$1"
+    shift
+    for sock in "$@"; do
+        "$BUILD_DIR/shotgun-submit" --server "unix:$sock" --shutdown
+    done
+    "$BUILD_DIR/shotgun-submit" --coordinator "unix:$coord" --shutdown
+}
+
+COORD_S="$BUILD_DIR/smoke/coord_s.sock"
 SOCK="$BUILD_DIR/smoke/serve.sock"
 GRID=(--workload nutch --schemes fdip,shotgun
       --warmup 100000 --instructions 200000 --no-progress)
 
-start_serve "$SOCK"
+start_coord "$COORD_S"
+start_serve "$SOCK" "$COORD_S" --name smoke-s
 "$BUILD_DIR/shotgun-submit" --server "unix:$SOCK" --ping
+"$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_S" --ping
 
-# The same grid through the service, again through the service (the
-# repeat is answered from the server's result cache), and fully
+# The same grid through the fleet, again through the fleet (the
+# repeat is answered from the coordinator's result cache), and fully
 # in-process (--local): all three must produce byte-identical
 # JSON/CSV.
-"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK" "${GRID[@]}" \
+"$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_S" "${GRID[@]}" \
     --out "$BUILD_DIR/smoke/svc_remote" > /dev/null
-"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK" "${GRID[@]}" \
+"$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_S" "${GRID[@]}" \
     --out "$BUILD_DIR/smoke/svc_cached" > /dev/null
 "$BUILD_DIR/shotgun-submit" --local "${GRID[@]}" \
     --out "$BUILD_DIR/smoke/svc_local" > /dev/null
@@ -150,24 +194,24 @@ for ext in json csv; do
 done
 
 # Two submits of one 3-point grid, but only 3 distinct configs
-# simulated: the repeat was served from the fingerprint cache,
-# whose stats are surfaced in the status frame.
+# simulated: the worker computed each once (its control endpoint's
+# status frame shows the cache), and the coordinator answered the
+# repeat from its own cache.
 STATUS=$("$BUILD_DIR/shotgun-submit" --server "unix:$SOCK" --status)
 echo "$STATUS" | grep -q '"cache_entries":3'
 echo "$STATUS" | grep -q '"cache":{"entries":3'
 echo "$STATUS" | grep -q '"evictions":0'
-
-"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK" --shutdown
-wait "${DAEMON_PIDS[0]}"
+"$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_S" --status \
+    | grep -q '"cache":{"entries":3,[^}]*"hits":3,"misses":3'
 
 echo "== windowed simulation: record -> index -> windowed submit =="
-# One heavy workload split into 3 measurement windows, submitted to a
-# server as grid points and stitched back: the result must match the
-# monolithic run numerically -- the CSVs (which carry every metric)
-# are compared byte for byte. The coordinator step below repeats this
-# with a worker killed mid-run. The index tool is exercised first
-# (build + inspect; full-coverage windows re-simulate their prefix
-# for exactness, so the .idx serves the sampled mode).
+# One heavy workload split into 3 measurement windows, submitted to
+# the coordinator as grid points and stitched back: the result must
+# match the monolithic run numerically -- the CSVs (which carry every
+# metric) are compared byte for byte. The fleet step below repeats
+# this with a worker killed mid-run. The index tool is exercised
+# first (build + inspect; full-coverage windows re-simulate their
+# prefix for exactness, so the .idx serves the sampled mode).
 WTRACE="$BUILD_DIR/smoke/window.trace"
 "$BUILD_DIR/shotgun-trace" record nutch "$WTRACE" \
     --warmup 100000 --instructions 200000
@@ -181,13 +225,11 @@ test -s "$WTRACE.idx" || {
 
 WGRID=(--workload "trace:$WTRACE" --schemes shotgun
        --warmup 100000 --instructions 200000 --no-progress)
-SOCK_W="$BUILD_DIR/smoke/serve_w.sock"
-start_serve "$SOCK_W"
 
 "$BUILD_DIR/shotgun-submit" --local "${WGRID[@]}" \
     --out "$BUILD_DIR/smoke/win_mono" > /dev/null
 
-"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_W" \
+"$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_S" \
     "${WGRID[@]}" --window-shards 3 \
     --out "$BUILD_DIR/smoke/win_server" > /dev/null
 cmp "$BUILD_DIR/smoke/win_server.csv" "$BUILD_DIR/smoke/win_mono.csv"
@@ -198,7 +240,7 @@ grep -q '"windows": 3' "$BUILD_DIR/smoke/win_server.json"
     --out "$BUILD_DIR/smoke/win_local" > /dev/null
 cmp "$BUILD_DIR/smoke/win_local.csv" "$BUILD_DIR/smoke/win_mono.csv"
 
-"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_W" --shutdown
+stop_fleet "$COORD_S" "$SOCK"
 
 echo "== fleet: coord + 3 workers, kill one, verify bitwise =="
 # The same windowed grid through the coordinator fleet: three
@@ -211,25 +253,14 @@ echo "== fleet: coord + 3 workers, kill one, verify bitwise =="
 COORD_SOCK="$BUILD_DIR/smoke/coord.sock"
 FLEET_CACHE="$BUILD_DIR/smoke/fleet_cache"
 rm -rf "$FLEET_CACHE"
-"$BUILD_DIR/shotgun-coord" --listen "unix:$COORD_SOCK" --quiet \
-    --heartbeat-ms 200 --cache-dir "$FLEET_CACHE" &
-DAEMON_PIDS+=($!)
-for _ in $(seq 50); do
-    [ -S "$COORD_SOCK" ] && break
-    sleep 0.1
-done
-[ -S "$COORD_SOCK" ] || {
-    echo "shotgun-coord did not come up" >&2
-    exit 1
-}
+start_coord "$COORD_SOCK" --cache-dir "$FLEET_CACHE"
 
 SOCK_F1="$BUILD_DIR/smoke/serve_f1.sock"
 SOCK_F2="$BUILD_DIR/smoke/serve_f2.sock"
 SOCK_F3="$BUILD_DIR/smoke/serve_f3.sock"
 for i in 1 2 3; do
     eval "sock=\$SOCK_F$i"
-    start_serve "$sock" --coordinator "unix:$COORD_SOCK" \
-        --name "smoke-w$i" --heartbeat-ms 200 --jobs 1
+    start_serve "$sock" "$COORD_SOCK" --name "smoke-w$i" --jobs 1
 done
 FLEET_VICTIM_PID="${DAEMON_PIDS[-1]}"
 
@@ -257,9 +288,7 @@ echo "== fleet: persistent cache answers across a coord restart =="
 # Stop the whole fleet, then restart only the coordinator on the
 # same --cache-dir with zero workers: the resubmitted grid must be
 # answered entirely from the on-disk result cache, byte-identically.
-"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_F1" --shutdown
-"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_F2" --shutdown
-"$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_SOCK" --shutdown
+stop_fleet "$COORD_SOCK" "$SOCK_F1" "$SOCK_F2"
 sleep 0.3
 
 "$BUILD_DIR/shotgun-coord" --listen "unix:$COORD_SOCK" --quiet \
@@ -288,20 +317,12 @@ echo "== fleet: coord + 2 workers, one cross-process trace =="
 COORD_T_SOCK="$BUILD_DIR/smoke/coord_t.sock"
 COORD_TRACE="$BUILD_DIR/smoke/coord_trace.json"
 SUBMIT_TRACE="$BUILD_DIR/smoke/submit_trace.json"
-"$BUILD_DIR/shotgun-coord" --listen "unix:$COORD_T_SOCK" --quiet \
-    --heartbeat-ms 200 --trace-out "$COORD_TRACE" &
-COORD_T_PID=$!
-DAEMON_PIDS+=($COORD_T_PID)
-for _ in $(seq 50); do
-    [ -S "$COORD_T_SOCK" ] && break
-    sleep 0.1
-done
+start_coord "$COORD_T_SOCK" --trace-out "$COORD_TRACE"
+COORD_T_PID="${DAEMON_PIDS[-1]}"
 SOCK_T1="$BUILD_DIR/smoke/serve_t1.sock"
 SOCK_T2="$BUILD_DIR/smoke/serve_t2.sock"
-start_serve "$SOCK_T1" --coordinator "unix:$COORD_T_SOCK" \
-    --name trace-w1 --heartbeat-ms 200 --jobs 1
-start_serve "$SOCK_T2" --coordinator "unix:$COORD_T_SOCK" \
-    --name trace-w2 --heartbeat-ms 200 --jobs 1
+start_serve "$SOCK_T1" "$COORD_T_SOCK" --name trace-w1 --jobs 1
+start_serve "$SOCK_T2" "$COORD_T_SOCK" --name trace-w2 --jobs 1
 
 "$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_T_SOCK" \
     "${GRID[@]}" --trace-out "$SUBMIT_TRACE" \
@@ -309,10 +330,7 @@ start_serve "$SOCK_T2" --coordinator "unix:$COORD_T_SOCK" \
 cmp "$BUILD_DIR/smoke/traced_run.csv" "$BUILD_DIR/smoke/svc_local.csv"
 grep -q '"timing"' "$BUILD_DIR/smoke/traced_run.json"
 
-"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_T1" --shutdown
-"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_T2" --shutdown
-"$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_T_SOCK" \
-    --shutdown
+stop_fleet "$COORD_T_SOCK" "$SOCK_T1" "$SOCK_T2"
 wait "$COORD_T_PID" 2>/dev/null || true
 
 # Both trace files are valid JSON...
@@ -359,13 +377,15 @@ for scheme in ${ALL_SCHEMES//,/ }; do
 done
 cmp "$BUILD_DIR/smoke/cohort_grid.csv" "$BUILD_DIR/smoke/point_grid.csv"
 
-# Through the service the status frame proves the reuse: the grid
-# decoded the trace once and simulated each scheme's warmup once
+# Through the fleet the worker's status frame proves the reuse: the
+# grid decoded the trace once and simulated each scheme's warmup once
 # (6 misses, one per checkpoint key); a second grid with a shorter
 # measure phase shares those keys and restores all six warmups.
+COORD_G="$BUILD_DIR/smoke/coord_g.sock"
 SOCK_G="$BUILD_DIR/smoke/serve_g.sock"
-start_serve "$SOCK_G"
-"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_G" "${CGRID[@]}" \
+start_coord "$COORD_G"
+start_serve "$SOCK_G" "$COORD_G" --name smoke-g
+"$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_G" "${CGRID[@]}" \
     --schemes "$ALL_SCHEMES" \
     --out "$BUILD_DIR/smoke/cohort_svc" > /dev/null
 cmp "$BUILD_DIR/smoke/cohort_svc.csv" "$BUILD_DIR/smoke/cohort_grid.csv"
@@ -373,18 +393,20 @@ cmp "$BUILD_DIR/smoke/cohort_svc.csv" "$BUILD_DIR/smoke/cohort_grid.csv"
     | grep -q '"checkpoint":{"entries":6,[^}]*"hits":0,"misses":6'
 "$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_G" --status \
     | grep -q '"traces":{"entries":1,[^}]*"decodes":1'
-"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_G" "${CGRID[@]}" \
+"$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_G" "${CGRID[@]}" \
     --schemes "$ALL_SCHEMES" --instructions 100000 \
     --out "$BUILD_DIR/smoke/cohort_rerun" > /dev/null
 "$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_G" --status \
     | grep -q '"checkpoint":{"entries":6,[^}]*"hits":6,"misses":6'
-"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_G" --shutdown
+stop_fleet "$COORD_G" "$SOCK_G"
 
-# A bounded cache on a live daemon evicts instead of growing: after
-# a grid bigger than the budget, the status frame reports evictions.
+# A bounded cache on a live worker evicts instead of growing: after
+# a grid bigger than the budget, its status frame reports evictions.
+COORD_C="$BUILD_DIR/smoke/coord_c.sock"
 SOCK_C="$BUILD_DIR/smoke/serve_c.sock"
-start_serve "$SOCK_C" --cache-bytes 600
-"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_C" "${GRID[@]}" \
+start_coord "$COORD_C"
+start_serve "$SOCK_C" "$COORD_C" --name smoke-c --cache-bytes 600
+"$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_C" "${GRID[@]}" \
     > /dev/null
 "$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_C" --status \
     | grep -q '"evictions":[1-9]'
@@ -413,20 +435,19 @@ if grep -q '"uarch"' "$BUILD_DIR/smoke/svc_local.json"; then
     exit 1
 fi
 
-# The same probed grid through a server: the breakdown rides the
+# The same probed grid through the fleet: the breakdown rides the
 # result frames' optional "uarch" member home, so the remote report
-# (and CSV) must match the local ones byte for byte.
-SOCK_U="$BUILD_DIR/smoke/serve_u.sock"
-start_serve "$SOCK_U"
-"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_U" \
+# (and CSV) must match the local ones byte for byte. (Probed configs
+# fingerprint apart from probe-free ones, so nothing is served from
+# the earlier run's caches.)
+"$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_C" \
     "${GRID[@]}" --out "$BUILD_DIR/smoke/uarch_remote" \
     --uarch-report "$BUILD_DIR/smoke/uarch_remote_report.json" \
     > /dev/null
 cmp "$BUILD_DIR/smoke/uarch_remote.csv" "$BUILD_DIR/smoke/svc_local.csv"
 cmp "$BUILD_DIR/smoke/uarch_remote_report.json" "$UARCH_REPORT"
 
-"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_U" --shutdown
-"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_C" --shutdown
-wait "${DAEMON_PIDS[@]:1}" 2>/dev/null || true
+stop_fleet "$COORD_C" "$SOCK_C"
+wait "${DAEMON_PIDS[@]}" 2>/dev/null || true
 
 echo "smoke OK"

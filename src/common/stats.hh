@@ -1,17 +1,15 @@
 /**
  * @file
- * Lightweight statistics package: named scalar counters, averages and
- * histograms that register themselves with a StatGroup for uniform
- * reporting. Inspired by (a tiny fraction of) the gem5 stats package.
+ * Lightweight statistics package: scalar counters, averages and
+ * fixed-bucket histograms. Inspired by (a tiny fraction of) the gem5
+ * stats package.
  */
 
 #ifndef SHOTGUN_COMMON_STATS_HH
 #define SHOTGUN_COMMON_STATS_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <ostream>
-#include <string>
 #include <vector>
 
 namespace shotgun
@@ -111,34 +109,6 @@ class Histogram
     std::vector<std::uint64_t> buckets_;
     std::uint64_t overflow_ = 0;
     std::uint64_t total_ = 0;
-};
-
-/**
- * A named collection of stats. Components own a StatGroup and register
- * their counters so drivers can dump everything uniformly.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    Counter &counter(const std::string &stat_name);
-    Average &average(const std::string &stat_name);
-
-    /** Read a counter value, 0 if never registered. */
-    std::uint64_t counterValue(const std::string &stat_name) const;
-
-    const std::string &name() const { return name_; }
-
-    /** Dump all registered stats as "group.stat value" lines. */
-    void dump(std::ostream &os) const;
-
-    void reset();
-
-  private:
-    std::string name_;
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, Average> averages_;
 };
 
 } // namespace shotgun

@@ -25,15 +25,11 @@ using Clock = std::chrono::steady_clock;
 namespace
 {
 
-/** Same crude-but-monotone sizing the SimServer cache uses. */
-std::size_t
-resultCacheBytes(const std::string &fingerprint,
-                 const CachedResult &cached)
-{
-    return fingerprint.size() + sizeof(CachedResult) +
-           cached.result.workload.size() +
-           cached.result.scheme.size();
-}
+/**
+ * Worker losses a task survives: a point whose slot dies this many
+ * times fails its job instead of being requeued again.
+ */
+constexpr unsigned kMaxLostWorkers = 2;
 
 /**
  * Relative simulated length of one grid point: the queue's
@@ -163,6 +159,7 @@ struct FleetCoordinator::Task
     std::uint64_t cost = 0;      ///< experimentCost() of the point.
     State state = State::Done;   ///< Cache-prefilled unless queued.
     Slot *slot = nullptr;        ///< Owning slot while InFlight.
+    unsigned lostWorkers = 0;    ///< Slots that died holding it.
 
     /** Queue-entry timestamps for the "queued" span (traced jobs). */
     std::uint64_t queuedWallUs = 0;
@@ -206,7 +203,7 @@ FleetCoordinator::FleetCoordinator(const std::string &endpoint_spec,
                                    CoordinatorOptions options)
     : options_(options),
       listener_(service::Endpoint::parse(endpoint_spec)),
-      cache_(options.cacheBytes, resultCacheBytes)
+      cache_(options.cacheBytes, service::resultCacheBytes)
 {
     if (!options_.cacheDir.empty()) {
         disk_.reset(new DiskResultCache(options_.cacheDir,
@@ -434,8 +431,8 @@ FleetCoordinator::handleClientFrame(
     try {
         const std::string type = service::frameType(frame);
         if (type == "submit") {
-            handleSubmit(conn, frame);
-            return true; // handleSubmit sent `accepted` itself.
+            admitJob(conn, frame);
+            return true; // admitJob sent `accepted` itself.
         } else if (type == "status") {
             service::frameReader(frame, "status").finish();
             reply = statusFrame();
@@ -484,7 +481,7 @@ FleetCoordinator::handleClientFrame(
 }
 
 void
-FleetCoordinator::handleSubmit(
+FleetCoordinator::admitJob(
     const std::shared_ptr<Connection> &conn, const json::Value &frame)
 {
     service::SubmitRequest request = service::decodeSubmit(frame);
@@ -494,8 +491,7 @@ FleetCoordinator::handleSubmit(
     // Traces are NOT validated here: the coordinator need not share
     // a filesystem with its workers. Workers validate each point
     // before simulating and report a failure as an error result,
-    // which fails the job -- same outcome as a SimServer rejecting
-    // the submit, just detected where the file lives.
+    // which fails the job where the file lives.
     auto job = std::make_shared<Job>();
     job->experiment = request.experiment;
     job->priority = std::max<std::uint64_t>(1, request.priority);
@@ -894,11 +890,36 @@ FleetCoordinator::runWorkerSlot(
                 auto jt = jobs_.find(task->jobId);
                 if (jt != jobs_.end())
                     open_job = jt->second;
-            } else {
+            } else if (++task->lostWorkers < kMaxLostWorkers) {
                 task->state = Task::State::Queued;
                 queue_.insert(task);
                 log("task " + std::to_string(task->id) +
                     " requeued (worker slot lost)");
+            } else {
+                // A point that took down every worker it reached may
+                // be what kills them (fatal, crash, OOM): fail its job
+                // instead of walking it through the whole fleet.
+                Job *job = task->job;
+                const runner::Experiment &exp = job->grid[task->index];
+                task->state = Task::State::Done;
+                tasksById_.erase(task->id);
+                --job->pendingTasks;
+                if (!job->failed) {
+                    job->failed = true;
+                    job->message =
+                        "grid point \"" + exp.workload + "/" +
+                        exp.label + "\" (index " +
+                        std::to_string(task->index) + ") lost " +
+                        std::to_string(task->lostWorkers) +
+                        " workers while in flight; not requeued";
+                }
+                log("task " + std::to_string(task->id) + " failed: " +
+                    job->message);
+                auto jt = jobs_.find(task->jobId);
+                if (jt != jobs_.end()) {
+                    open_job = jt->second;
+                    dropQueuedLocked(open_job);
+                }
             }
         }
         if (slot->worker != nullptr) {

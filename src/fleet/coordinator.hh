@@ -16,11 +16,10 @@
  *   +------------------------------------------------------------+
  *                  ^ steal -> work -> result (1 conn per slot)
  *
- * Clients speak the ordinary service protocol (protocol.hh): the
- * coordinator accepts `submit` and streams `result`/`done` frames in
- * strict grid order, exactly like a SimServer, so ServiceClient and
- * all its sharding/stitching machinery work against a coordinator
- * unchanged -- and the assembled output stays byte-identical to an
+ * Clients speak the service protocol (protocol.hh), and the
+ * coordinator is the one place a grid can be submitted: it accepts
+ * `submit` and streams `result`/`done` frames in strict grid order,
+ * so the output ServiceClient assembles stays byte-identical to an
  * in-process run.
  *
  * Scheduling: queued tasks are ordered by job priority (the submit
@@ -37,7 +36,11 @@
  * returned are kept, and a late duplicate result from a worker that
  * was wrongly declared dead is dropped, so every grid point lands
  * exactly once. Simulations are pure functions of their config, so
- * re-running a lost point on any worker yields identical bytes.
+ * re-running a lost point on any worker yields identical bytes. A
+ * point whose worker is lost twice is not requeued a third time: it
+ * may be what kills workers (a fatal(), a crash, OOM), so its job
+ * fails with a message naming the point instead of the point walking
+ * through the whole fleet.
  *
  * Results are cached by config fingerprint in an LRU memo cache
  * with an optional persistent directory backend (disk_cache.hh):
@@ -154,8 +157,8 @@ class FleetCoordinator
     void handleConnection(std::shared_ptr<Connection> conn);
     bool handleClientFrame(const std::shared_ptr<Connection> &conn,
                            const json::Value &frame);
-    void handleSubmit(const std::shared_ptr<Connection> &conn,
-                      const json::Value &frame);
+    void admitJob(const std::shared_ptr<Connection> &conn,
+                  const json::Value &frame);
     void runWorkerControl(const std::shared_ptr<Connection> &conn,
                           const json::Value &frame);
     void runWorkerSlot(const std::shared_ptr<Connection> &conn,

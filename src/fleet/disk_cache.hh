@@ -5,7 +5,7 @@
  * service::CachedResult (the derived result plus, for windowed
  * points, the raw stitchable counters). Plugged into an
  * LruMemoCache as its write-through backend (memo.hh setBackend), it
- * makes a daemon's fingerprint cache survive restarts: the in-memory
+ * makes the coordinator's fingerprint cache survive restarts: the in-memory
  * LRU keeps the hot set, the directory keeps everything, and a miss
  * after a restart is answered from disk instead of re-simulating.
  *
@@ -17,10 +17,9 @@
  * caveat as configFingerprint(): re-recording a different workload
  * over an existing trace path aliases entries. Don't do that.
  *
- * Shared by the coordinator (fleet-wide cache) and by
- * shotgun-serve --cache-dir (per-worker cache); the service layer
- * itself stays storage-ignorant and only sees the memo-cache
- * backend callbacks.
+ * The backend of shotgun-coord --cache-dir, the one persistent
+ * result cache; the memo cache itself stays storage-ignorant and only
+ * sees the backend callbacks.
  */
 
 #ifndef SHOTGUN_FLEET_DISK_CACHE_HH
@@ -29,7 +28,7 @@
 #include <cstdint>
 #include <string>
 
-#include "service/server.hh"
+#include "service/protocol.hh"
 
 namespace shotgun
 {

@@ -123,31 +123,6 @@ Registry::snapshot() const
     return samples;
 }
 
-json::Value
-Registry::snapshotJson() const
-{
-    Value out = Value::object();
-    for (const MetricSample &s : snapshot()) {
-        if (s.kind == MetricSample::Kind::Histogram) {
-            Value hist = Value::object();
-            hist.set("count", Value::number(s.count));
-            hist.set("sum", Value::number(s.sum));
-            Value buckets = Value::array();
-            for (const std::uint64_t c : s.buckets)
-                buckets.push(Value::number(c));
-            hist.set("buckets", std::move(buckets));
-            hist.set("p50", Value::number(histogramQuantile(s, 0.50)));
-            hist.set("p95", Value::number(histogramQuantile(s, 0.95)));
-            hist.set("p99", Value::number(histogramQuantile(s, 0.99)));
-            out.set(s.name, std::move(hist));
-        } else {
-            out.set(s.name,
-                    Value::number(static_cast<std::int64_t>(s.value)));
-        }
-    }
-    return out;
-}
-
 Registry &
 metrics()
 {

@@ -177,9 +177,6 @@ class Registry
 
     std::vector<MetricSample> snapshot() const;
 
-    /** The snapshot as one JSON object, name -> value/summary. */
-    json::Value snapshotJson() const;
-
   private:
     struct Entry
     {

@@ -110,9 +110,10 @@ class SpanCollector
 /**
  * The thread-local tracing context. Null by default -- installing
  * one (ScopedTraceContext) is what turns span recording on for a
- * thread. GridScheduler captures the submitting thread's context
- * into the job and re-installs it around every hooks.simulate call,
- * so the context survives the hop onto pool worker threads.
+ * thread. runner::scheduleGrid captures the calling thread's context
+ * and re-installs it around every simulate call, so the context
+ * survives the hop onto its worker threads; the fleet worker installs
+ * one per traced work item.
  */
 struct TraceContext
 {

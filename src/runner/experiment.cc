@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <deque>
-#include <mutex>
 
 #include "common/logging.hh"
 #include "sim/checkpoint.hh"
@@ -65,7 +62,6 @@ ExperimentSet::addBaseline(const WorkloadPreset &preset,
     config.measureInstructions = measure;
     config.traceSeed = trace_seed;
     const std::size_t index = add(preset, "baseline", std::move(config));
-    all_[index].viaBaselineCache = true;
     baselines_.emplace(preset.name, index);
     return index;
 }
@@ -87,18 +83,7 @@ ExperimentSet::enableUarchProbes()
 SimResult
 runExperiment(const Experiment &exp)
 {
-    // The baseline memo is keyed on (workload, lengths, seed) only --
-    // a windowed config is a different simulation and must not alias
-    // the whole-region baseline, and a probed config carries a
-    // payload (the uarch breakdown) the memo's probe-free run never
-    // produced, so both route around the cache.
-    return exp.viaBaselineCache && !exp.config.window.enabled() &&
-                   !exp.config.core.uarchProbes
-               ? baselineFor(exp.config.workload,
-                             exp.config.warmupInstructions,
-                             exp.config.measureInstructions,
-                             exp.config.traceSeed)
-               : runSimulation(exp.config);
+    return runSimulation(exp.config);
 }
 
 ExperimentRunner::ExperimentRunner(RunnerOptions options)
@@ -124,37 +109,7 @@ ExperimentRunner::run(const std::vector<Experiment> &grid) const
         return {};
 
     ProgressReporter progress(grid.size(), options_.progress);
-
-    // One single-job GridScheduler run: the same cooperative
-    // dispatch machinery the simulation service multiplexes many
-    // jobs over, so every bench and test exercises the scheduler's
-    // ordering guarantees. Workers push the ordered results into a
-    // hand-off queue; this thread drains it so onResult keeps its
-    // caller's-thread contract while later points still simulate.
-    //
-    // The hand-off state is declared before the scheduler on
-    // purpose: if this function unwinds (an onResult callback
-    // throws), the scheduler must be destroyed -- joining workers
-    // that still touch these locals through the hooks -- first.
-    struct Ready
-    {
-        std::size_t index = 0;
-        SimResult result;
-        bool hasObservation = false;
-        obs::PointTiming timing;
-        std::vector<obs::SpanRecord> spans;
-    };
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::deque<Ready> ready;
-    bool done = false;
-    GridScheduler::Outcome outcome;
-
-    GridScheduler::Options sched_opts;
-    sched_opts.workers = effectiveJobs(grid.size());
-    GridScheduler scheduler(sched_opts);
-
-    GridScheduler::JobHooks hooks;
+    GridHooks hooks;
     hooks.simulate = [this, &progress](std::size_t index,
                                        const Experiment &exp) {
         const auto start = std::chrono::steady_clock::now();
@@ -168,36 +123,16 @@ ExperimentRunner::run(const std::vector<Experiment> &grid) const
         progress.completed(exp.workload + "/" + exp.label, seconds);
         return result;
     };
-    // For traced runs the scheduler hands each point's observation
-    // to onObservation right before that point's onResult; emissions
-    // of one job never run concurrently, so the pending slot safely
-    // bridges the pair into one hand-off entry.
-    bool pending_has = false;
-    obs::PointTiming pending_timing;
-    std::vector<obs::SpanRecord> pending_spans;
-    if (options_.onObservation) {
-        hooks.onObservation =
-            [&](std::size_t,
-                const GridScheduler::PointObservation &point) {
-                pending_timing = point.timing;
-                pending_spans = point.spans;
-                pending_has = true;
-            };
-    }
-    hooks.onResult = [&](std::size_t index, const Experiment &,
-                         const SimResult &result) {
-        std::lock_guard<std::mutex> lock(mutex);
-        Ready item;
-        item.index = index;
-        item.result = result;
-        if (pending_has) {
-            item.hasObservation = true;
-            item.timing = pending_timing;
-            item.spans = std::move(pending_spans);
-            pending_has = false;
-        }
-        ready.push_back(std::move(item));
-        cv.notify_one();
+    std::vector<SimResult> results;
+    results.reserve(grid.size());
+    hooks.onResult = [&](std::size_t index, SimResult &&result,
+                         const PointObservation *observation) {
+        results.push_back(std::move(result));
+        if (observation != nullptr && options_.onObservation)
+            options_.onObservation(index, observation->timing,
+                                   observation->spans);
+        if (options_.onResult)
+            options_.onResult(index, grid[index], results.back());
     };
     if (!options_.simulate) {
         // Group grid points by warmed-state checkpoint key so the
@@ -211,43 +146,7 @@ ExperimentRunner::run(const std::vector<Experiment> &grid) const
                        : checkpointKey(exp.config, nullptr);
         };
     }
-    hooks.onDone = [&](const GridScheduler::Outcome &o) {
-        std::lock_guard<std::mutex> lock(mutex);
-        outcome = o;
-        done = true;
-        cv.notify_one();
-    };
-    scheduler.submit(grid, 0, std::move(hooks));
-
-    std::vector<SimResult> results;
-    results.reserve(grid.size());
-    {
-        std::unique_lock<std::mutex> lock(mutex);
-        for (;;) {
-            cv.wait(lock,
-                    [&]() { return done || !ready.empty(); });
-            while (!ready.empty()) {
-                Ready item = std::move(ready.front());
-                ready.pop_front();
-                lock.unlock();
-                results.push_back(std::move(item.result));
-                if (item.hasObservation && options_.onObservation)
-                    options_.onObservation(item.index, item.timing,
-                                           item.spans);
-                if (options_.onResult)
-                    options_.onResult(item.index, grid[item.index],
-                                      results.back());
-                lock.lock();
-            }
-            if (done)
-                break;
-        }
-    }
-
-    // The first simulate exception stops dispatch of the remaining
-    // points and is rethrown here once in-flight work finished.
-    if (outcome.status == GridScheduler::Outcome::Status::Error)
-        std::rethrow_exception(outcome.error);
+    scheduleGrid(grid, effectiveJobs(grid.size()), hooks);
     return results;
 }
 

@@ -35,13 +35,10 @@ struct Experiment
     SimConfig config;
 
     /**
-     * Route through baselineFor()'s process-wide memo instead of a
-     * direct runSimulation(), so ad-hoc baselineFor() callers later in
-     * the binary get a cache hit instead of a re-run. In-process
-     * only: the wire codec drops it, because the memo ignores
-     * everything but the workload, lengths and seed, and a peer that
-     * set it could make a server answer any config with baseline
-     * numbers.
+     * Read by nothing: every grid point simulates its own config (see
+     * runExperiment). The member remains only because the benchmark's
+     * measuring program (perfbench/shotbench.cc) aggregate-initializes
+     * four members; it goes with that initializer.
      */
     bool viaBaselineCache = false;
 };
@@ -58,8 +55,9 @@ class ExperimentSet
                     SimConfig config);
 
     /**
-     * Append the workload's no-prefetch baseline (memoized, label
-     * "baseline"). Idempotent per workload name: a re-add with the
+     * Append the workload's no-prefetch baseline (label "baseline"),
+     * configured exactly as baselineFor() simulates it. Idempotent per
+     * workload name: a re-add with the
      * same preset, lengths and seed returns the existing index; one
      * that differs in any of them is fatal (it would otherwise get
      * the first point as its speedup denominator).
@@ -100,10 +98,10 @@ struct RunnerOptions
 
     /**
      * Optional executor override. When set, the runner calls this
-     * instead of runExperiment() for every grid point -- the
-     * simulation service hooks its fingerprint-keyed result cache and
-     * job cancellation in here. Must be thread-safe; called from
-     * worker threads with the experiment's grid index.
+     * instead of runExperiment() for every grid point (and skips
+     * cohort gating, which only pays off for real simulations). Must
+     * be thread-safe; called from worker threads with the
+     * experiment's grid index.
      */
     std::function<SimResult(std::size_t index, const Experiment &)>
         simulate;
@@ -111,8 +109,8 @@ struct RunnerOptions
     /**
      * Optional per-result stream, called on the run() caller's thread
      * in strict grid order as soon as each result (and all results
-     * before it) completed. The service uses it to stream `result`
-     * frames while later grid points are still simulating.
+     * before it) completed, while later grid points are still
+     * simulating.
      */
     std::function<void(std::size_t index, const Experiment &,
                        const SimResult &)>
@@ -131,11 +129,7 @@ struct RunnerOptions
         onObservation;
 };
 
-/**
- * Execute one experiment the way the runner would: through
- * baselineFor()'s process-wide memo when `viaBaselineCache` is set,
- * directly through runSimulation() otherwise.
- */
+/** Execute one experiment the way the runner would. */
 SimResult runExperiment(const Experiment &exp);
 
 class ExperimentRunner
@@ -157,9 +151,9 @@ class ExperimentRunner
                                ResultSink *sink = nullptr) const;
 
     /**
-     * Execute a bare grid (no baseline bookkeeping, no sink): the
-     * form a remote shard arrives in. Same ordering and determinism
-     * guarantees as the ExperimentSet overload.
+     * Execute a bare grid (no baseline bookkeeping, no sink). Same
+     * ordering and determinism guarantees as the ExperimentSet
+     * overload.
      */
     std::vector<SimResult> run(const std::vector<Experiment> &grid) const;
 

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
+#include <exception>
 #include <map>
-#include <string>
+#include <mutex>
+#include <thread>
 #include <utility>
 
-#include "obs/metrics.hh"
 #include "runner/thread_pool.hh"
 
 namespace shotgun
@@ -17,632 +19,275 @@ namespace runner
 namespace
 {
 
-// Registry counters the scheduler always ticks (migrated from the
-// ad-hoc per-scheduler counts): resolved once, then updates are one
-// relaxed atomic add each.
-obs::Counter *
-jobsSubmittedCounter()
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+using SteadyClock = std::chrono::steady_clock;
+
+std::uint64_t
+microsSince(SteadyClock::time_point start)
 {
-    static obs::Counter *c =
-        obs::metrics().counter("sched.jobs_submitted");
-    return c;
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            SteadyClock::now() - start)
+            .count());
 }
 
-obs::Counter *
-pointsSubmittedCounter()
+/** Tracing captured from the calling thread; immutable once built. */
+struct GridTrace
 {
-    static obs::Counter *c =
-        obs::metrics().counter("sched.points_submitted");
-    return c;
+    bool traced = false;
+    std::uint64_t traceId = 0;
+    std::uint64_t parent = 0;
+    std::uint64_t startUs = 0; ///< Wall clock when the grid queued.
+    SteadyClock::time_point start;
+};
+
+/** All members guarded by `mutex` except where noted. */
+struct GridState
+{
+    std::mutex mutex;
+    std::condition_variable workCv;  ///< Workers: a point may be free.
+    std::condition_variable readyCv; ///< Caller: a result is ready.
+
+    /** Per index: its cohort leader's index, or kNone (no gate). */
+    std::vector<std::size_t> leader;
+    std::vector<char> dispatched;
+    std::vector<char> ready;
+    std::size_t nextDispatch = 0; ///< First undispatched index.
+    bool stop = false;
+    std::exception_ptr error; ///< Lowest-index simulate failure.
+    std::size_t errorIndex = kNone;
+
+    /** Written by the point's worker before `ready` is set; read by
+     * the caller only after it saw `ready`. */
+    std::vector<SimResult> results;
+    std::vector<PointObservation> observations;
+
+    /** Next dispatchable index, or kNone when every undispatched
+     * point waits on a cohort leader (or none is left). */
+    std::size_t nextEligible() const
+    {
+        for (std::size_t i = nextDispatch; i < dispatched.size(); ++i) {
+            if (!dispatched[i] &&
+                (leader[i] == kNone || ready[leader[i]]))
+                return i;
+        }
+        return kNone;
+    }
+};
+
+SimResult
+simulateTraced(const GridHooks &hooks, const Experiment &exp,
+               std::size_t index, const GridTrace &trace,
+               const std::string &lane, PointObservation &observation)
+{
+    // Re-install the grid's tracing context on this pool thread: the
+    // point's collector catches the sim spans, the timing slot the
+    // phase breakdown, and "queued" + "dispatched" frame the point's
+    // lifecycle.
+    obs::SpanCollector collector;
+    obs::TraceContext ctx;
+    ctx.traceId = trace.traceId;
+    ctx.parentSpan = trace.parent;
+    ctx.collector = &collector;
+    ctx.timing = &observation.timing;
+    ctx.lane = lane;
+    obs::ScopedTraceContext guard(&ctx);
+
+    obs::SpanRecord queued;
+    queued.traceId = trace.traceId;
+    queued.id = obs::tracer().nextSpanId();
+    queued.parent = trace.parent;
+    queued.name = "queued";
+    queued.category = "sched";
+    queued.process = obs::tracer().processName();
+    queued.lane = "queue";
+    queued.startUs = trace.startUs;
+    queued.durUs = microsSince(trace.start);
+    collector.add(queued);
+    if (obs::tracer().enabled())
+        obs::tracer().record(std::move(queued));
+
+    SimResult result;
+    {
+        obs::Span dispatched("dispatched", "sched");
+        result = hooks.simulate(index, exp);
+    }
+    observation.spans = collector.take();
+    return result;
 }
 
-obs::Counter *
-pointsDispatchedCounter()
+void
+workerLoop(const std::vector<Experiment> &grid, const GridHooks &hooks,
+           const GridTrace &trace, GridState &state, unsigned worker)
 {
-    static obs::Counter *c =
-        obs::metrics().counter("sched.points_dispatched");
-    return c;
-}
+    const std::string lane = "worker-" + std::to_string(worker);
+    std::unique_lock<std::mutex> lock(state.mutex);
+    for (;;) {
+        std::size_t index = kNone;
+        state.workCv.wait(lock, [&]() {
+            if (state.stop || state.nextDispatch == grid.size())
+                return true;
+            index = state.nextEligible();
+            return index != kNone;
+        });
+        if (index == kNone)
+            return; // Stopped, or every point is dispatched.
+        state.dispatched[index] = 1;
+        while (state.nextDispatch < grid.size() &&
+               state.dispatched[state.nextDispatch])
+            ++state.nextDispatch;
+        lock.unlock();
 
-obs::Counter *
-pointsEmittedCounter()
-{
-    static obs::Counter *c =
-        obs::metrics().counter("sched.points_emitted");
-    return c;
+        SimResult result;
+        PointObservation observation;
+        std::exception_ptr error;
+        try {
+            result = trace.traced
+                         ? simulateTraced(hooks, grid[index], index,
+                                          trace, lane, observation)
+                         : hooks.simulate(index, grid[index]);
+        } catch (...) {
+            error = std::current_exception();
+        }
+
+        lock.lock();
+        if (error != nullptr) {
+            if (index < state.errorIndex) {
+                state.error = error;
+                state.errorIndex = index;
+            }
+            state.stop = true;
+        } else {
+            state.results[index] = std::move(result);
+            if (trace.traced)
+                state.observations[index] = std::move(observation);
+            state.ready[index] = 1;
+        }
+        // A finished point may open its cohort, and a failure must
+        // wake every idle worker so it can exit.
+        state.workCv.notify_all();
+        state.readyCv.notify_one();
+    }
 }
 
 } // namespace
 
-/**
- * All fields are guarded by the scheduler mutex. Ordered emission
- * uses the `emitting` flag as a hand-off token: the worker that
- * finds it clear becomes the job's sole emitter and streams the
- * ready prefix (dropping the mutex around each onResult batch); a
- * worker that finds it set just parks its result -- the active
- * emitter re-carves under the mutex before clearing the flag, so a
- * parked prefix entry is never orphaned. One job's onResult calls
- * therefore never interleave or reorder, and a slow consumer blocks
- * only the one emitting worker, never the pool.
- */
-struct GridScheduler::JobState
+void
+scheduleGrid(const std::vector<Experiment> &grid, unsigned workers,
+             const GridHooks &hooks)
 {
-    static constexpr std::size_t kNoCohort =
-        static_cast<std::size_t>(-1);
+    const std::size_t n = grid.size();
+    if (n == 0)
+        return;
 
-    std::uint64_t id = 0;
-    std::vector<Experiment> grid;
-    unsigned budget = 0;
-    std::uint64_t weight = 1; ///< Fair-share weight (>= 1).
-    std::uint64_t served = 0; ///< Points dispatched so far.
-    JobHooks hooks;
-
-    /**
-     * Dispatch permutation: grid indices in the order they go to
-     * workers -- grid order by default, descending costOf when the
-     * job installed the hook. Emission order is grid order either
-     * way.
-     */
-    std::vector<std::size_t> order;
-
-    /**
-     * Cohort gating (see JobHooks::cohortOf): per grid index, the
-     * dense cohort id or kNoCohort; per cohort, the leader's grid
-     * index and whether the leader has completed. A follower is held
-     * back until its cohort opens; everything else dispatches as if
-     * cohorts did not exist. Empty when the job has no cohortOf.
-     */
-    std::vector<std::size_t> cohortIds;
-    std::vector<std::size_t> cohortLeader;
-    std::vector<char> cohortOpen;
-    std::vector<char> dispatched; ///< Per grid index (cohorts only).
-
-    std::size_t nextDispatch = 0; ///< First undispatched order slot.
-    unsigned active = 0;          ///< Points in flight right now.
-    std::vector<char> ready;      ///< Computed flags, per index.
-    std::vector<SimResult> results;
-    std::size_t nextEmit = 0; ///< First unemitted index.
-    bool emitting = false;    ///< A worker is streaming the prefix.
-    bool started = false;
-    bool cancelled = false;
-    bool failed = false;
-
-    /**
-     * Tracing, captured from the submitting thread's TraceContext
-     * (immutable after submit, so workers read it without the
-     * mutex). Untraced jobs skip every tracing branch and never
-     * touch `observations`.
-     */
-    bool traced = false;
-    std::uint64_t traceId = 0;
-    std::uint64_t traceParent = 0;
-    std::uint64_t queuedUs = 0; ///< Wall-clock at submit (traced).
-    std::chrono::steady_clock::time_point queuedSteady;
-    std::vector<PointObservation> observations;
-
-    std::exception_ptr error; ///< Lowest-index hook exception.
-    std::size_t errorIndex = 0; ///< Its grid index (tie-breaker).
-    bool finalized = false;
-
-    /**
-     * Record a hook failure, keeping the lowest-index exception:
-     * several in-flight points can fail together, and the reported
-     * error must not depend on which worker reached the mutex
-     * first. (Points after the first failure are never dispatched,
-     * so the surviving choice is as deterministic as early-stop
-     * allows.) Call with the scheduler mutex held.
-     */
-    void recordFailure(std::size_t index, std::exception_ptr e)
-    {
-        if (!failed || index < errorIndex) {
-            failed = true;
-            error = std::move(e);
-            errorIndex = index;
-        }
-    }
-
-    /** May grid index `i` be dispatched right now (cohort gate)? */
-    bool eligible(std::size_t i) const
-    {
-        if (cohortIds.empty())
-            return true;
-        const std::size_t c = cohortIds[i];
-        return c == kNoCohort || cohortOpen[c] || cohortLeader[c] == i;
-    }
-
-    /**
-     * The order slot of the next dispatchable point, or grid.size()
-     * when every undispatched point is cohort-gated (or none is
-     * left). Without cohorts this is just nextDispatch.
-     */
-    std::size_t nextEligibleSlot() const
-    {
-        if (cohortIds.empty())
-            return nextDispatch;
-        for (std::size_t s = nextDispatch; s < order.size(); ++s) {
-            const std::size_t i = order[s];
-            if (!dispatched[i] && eligible(i))
-                return s;
-        }
-        return grid.size();
-    }
-
-    /** Claim the point in order slot `s`; returns its grid index. */
-    std::size_t claimSlot(std::size_t s)
-    {
-        const std::size_t index = order[s];
-        if (cohortIds.empty()) {
-            ++nextDispatch;
-            return index;
-        }
-        dispatched[index] = 1;
-        while (nextDispatch < order.size() &&
-               dispatched[order[nextDispatch]])
-            ++nextDispatch;
-        return index;
-    }
-
-    /**
-     * A completed point opens its cohort if it led one; true when
-     * that may have unblocked gated followers (callers wake idle
-     * workers).
-     */
-    bool noteCompleted(std::size_t index)
-    {
-        if (cohortIds.empty() || cohortIds[index] == kNoCohort)
-            return false;
-        const std::size_t c = cohortIds[index];
-        if (cohortLeader[c] != index || cohortOpen[c])
-            return false;
-        cohortOpen[c] = 1;
-        return true;
-    }
-
-    bool dispatchable() const
-    {
-        return !cancelled && !failed && active < budget &&
-               nextEligibleSlot() < grid.size();
-    }
-
-    /** No further dispatch or in-flight work can touch this job. */
-    bool terminal() const
-    {
-        if (finalized || active != 0)
-            return false;
-        return nextEmit == grid.size() || cancelled || failed;
-    }
-};
-
-GridScheduler::GridScheduler(Options options) : options_(options)
-{
-    const unsigned count = std::max(
-        1u, options_.workers == 0 ? ThreadPool::hardwareJobs()
-                                  : options_.workers);
-    threads_.reserve(count);
-    for (unsigned i = 0; i < count; ++i)
-        threads_.emplace_back([this, i]() { workerLoop(i); });
-}
-
-GridScheduler::~GridScheduler()
-{
-    std::vector<std::shared_ptr<JobState>> finished;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stopping_ = true;
-        for (auto &job : jobs_)
-            job->cancelled = true;
-        finished = reapLocked();
-    }
-    workCv_.notify_all();
-    deliverOutcomes(std::move(finished));
-    // In-flight points finish on their workers, which reap and
-    // deliver the remaining outcomes before exiting.
-    for (auto &thread : threads_)
-        thread.join();
-}
-
-std::uint64_t
-GridScheduler::submit(std::vector<Experiment> grid, unsigned budget,
-                      JobHooks hooks)
-{
-    return submit(std::move(grid), budget, 1, std::move(hooks));
-}
-
-std::uint64_t
-GridScheduler::submit(std::vector<Experiment> grid, unsigned budget,
-                      std::uint64_t weight, JobHooks hooks)
-{
-    auto job = std::make_shared<JobState>();
-    job->grid = std::move(grid);
-    job->weight = std::max<std::uint64_t>(1, weight);
-    job->hooks = std::move(hooks);
-    job->ready.assign(job->grid.size(), 0);
-    job->results.resize(job->grid.size());
-
-    // Capture the submitting thread's tracing context into the job:
-    // workers re-install it around simulate, so spans and per-point
-    // timing survive the hop onto pool threads. No context (the
-    // default) means no tracing work anywhere on the job's path.
-    if (const obs::TraceContext *ctx = obs::currentTraceContext()) {
-        job->traced = ctx->traceId != 0 || ctx->collector != nullptr ||
-                      obs::tracer().enabled();
-        if (job->traced) {
-            job->traceId = ctx->traceId != 0
-                               ? ctx->traceId
-                               : obs::tracer().defaultTraceId();
-            job->traceParent = ctx->parentSpan;
-            job->queuedUs = obs::wallClockUs();
-            job->queuedSteady = std::chrono::steady_clock::now();
-            job->observations.resize(job->grid.size());
-        }
-    }
-    jobsSubmittedCounter()->add(1);
-    pointsSubmittedCounter()->add(job->grid.size());
-
-    job->order.resize(job->grid.size());
-    for (std::size_t i = 0; i < job->order.size(); ++i)
-        job->order[i] = i;
-    if (job->hooks.costOf) {
-        // Cost every point once up front (the hook may be slow), then
-        // dispatch longest-first; stable sort keeps grid order for
-        // equal costs, so the permutation is deterministic.
-        std::vector<std::uint64_t> cost(job->grid.size());
-        for (std::size_t i = 0; i < job->grid.size(); ++i)
-            cost[i] = job->hooks.costOf(i, job->grid[i]);
-        std::stable_sort(job->order.begin(), job->order.end(),
-                         [&cost](std::size_t a, std::size_t b) {
-                             return cost[a] > cost[b];
-                         });
-    }
-
-    if (job->hooks.cohortOf && !job->grid.empty()) {
-        // Key every point once up front; the first member of each
-        // cohort *in dispatch order* leads it, so with a costOf
-        // permutation the longest member warms the checkpoint up.
-        job->cohortIds.assign(job->grid.size(),
-                              JobState::kNoCohort);
-        job->dispatched.assign(job->grid.size(), 0);
-        std::map<std::string, std::size_t> ids;
-        for (std::size_t s = 0; s < job->order.size(); ++s) {
-            const std::size_t i = job->order[s];
-            std::string key = job->hooks.cohortOf(i, job->grid[i]);
+    GridState state;
+    state.leader.assign(n, kNone);
+    state.dispatched.assign(n, 0);
+    state.ready.assign(n, 0);
+    state.results.resize(n);
+    if (hooks.cohortOf) {
+        std::map<std::string, std::size_t> leaders;
+        for (std::size_t i = 0; i < n; ++i) {
+            std::string key = hooks.cohortOf(i, grid[i]);
             if (key.empty())
                 continue;
-            auto it = ids.find(key);
-            if (it == ids.end()) {
-                it = ids.emplace(std::move(key),
-                                 job->cohortLeader.size())
-                         .first;
-                job->cohortLeader.push_back(i);
-                job->cohortOpen.push_back(0);
-            }
-            job->cohortIds[i] = it->second;
+            auto inserted = leaders.emplace(std::move(key), i);
+            if (!inserted.second)
+                state.leader[i] = inserted.first->second;
         }
     }
 
-    std::vector<std::shared_ptr<JobState>> finished;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        job->id = nextId_++;
-        const unsigned pool =
-            static_cast<unsigned>(threads_.size());
-        job->budget = budget == 0 ? pool : std::min(budget, pool);
-        // A job admitted into a stopping scheduler (or with nothing
-        // to do) is finalized through the normal path so onDone
-        // still fires exactly once.
-        if (stopping_)
-            job->cancelled = true;
-        jobs_.push_back(job);
-        if (job->terminal())
-            finished = reapLocked();
+    // The calling thread's tracing context opts the grid in; without
+    // one no tracing work happens anywhere on the grid's path.
+    GridTrace trace;
+    if (const obs::TraceContext *ctx = obs::currentTraceContext()) {
+        trace.traced = ctx->traceId != 0 || ctx->collector != nullptr ||
+                       obs::tracer().enabled();
+        if (trace.traced) {
+            trace.traceId = ctx->traceId != 0
+                                ? ctx->traceId
+                                : obs::tracer().defaultTraceId();
+            trace.parent = ctx->parentSpan;
+            trace.startUs = obs::wallClockUs();
+            trace.start = SteadyClock::now();
+            state.observations.resize(n);
+        }
     }
-    workCv_.notify_all();
-    deliverOutcomes(std::move(finished));
-    return job->id;
-}
 
-void
-GridScheduler::cancel(std::uint64_t job_id)
-{
-    std::vector<std::shared_ptr<JobState>> finished;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (auto &job : jobs_) {
-            if (job->id == job_id) {
-                job->cancelled = true;
+    const unsigned requested =
+        workers == 0 ? ThreadPool::hardwareJobs() : workers;
+    const unsigned count = static_cast<unsigned>(
+        std::max<std::size_t>(1, std::min<std::size_t>(requested, n)));
+
+    std::vector<std::thread> threads;
+    std::exception_ptr caller_error;
+    try {
+        threads.reserve(count);
+        for (unsigned w = 0; w < count; ++w)
+            threads.emplace_back([&, w]() {
+                workerLoop(grid, hooks, trace, state, w);
+            });
+
+        // Emit the ready prefix in grid order, on this thread.
+        std::size_t next_emit = 0;
+        std::unique_lock<std::mutex> lock(state.mutex);
+        while (next_emit < n) {
+            state.readyCv.wait(lock, [&]() {
+                return state.stop || state.ready[next_emit];
+            });
+            if (state.stop)
                 break;
-            }
-        }
-        finished = reapLocked();
-    }
-    // A queued job with nothing in flight finalizes right here, on
-    // the cancelling thread -- no worker will ever touch it again.
-    deliverOutcomes(std::move(finished));
-}
-
-void
-GridScheduler::cancelAll()
-{
-    std::vector<std::shared_ptr<JobState>> finished;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (auto &job : jobs_)
-            job->cancelled = true;
-        finished = reapLocked();
-    }
-    deliverOutcomes(std::move(finished));
-}
-
-void
-GridScheduler::waitIdle()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    idleCv_.wait(lock, [this]() {
-        return jobs_.empty() && finalizing_ == 0;
-    });
-}
-
-bool
-GridScheduler::anyDispatchableLocked() const
-{
-    for (const auto &job : jobs_) {
-        if (job->dispatchable())
-            return true;
-    }
-    return false;
-}
-
-std::shared_ptr<GridScheduler::JobState>
-GridScheduler::pickJobLocked()
-{
-    // Stride scheduling: serve the dispatchable job with the lowest
-    // served/weight ratio, so a weight-3 job gets three points per
-    // weight-1 job's one and equal weights alternate fairly. The
-    // comparison cross-multiplies to stay in integers; ties go to the
-    // lower id (the older job), keeping the pick deterministic.
-    std::shared_ptr<JobState> best;
-    for (auto &job : jobs_) {
-        if (!job->dispatchable())
-            continue;
-        if (best == nullptr ||
-            job->served * best->weight < best->served * job->weight)
-            best = job;
-    }
-    if (best != nullptr)
-        ++best->served;
-    return best;
-}
-
-std::vector<std::shared_ptr<GridScheduler::JobState>>
-GridScheduler::reapLocked()
-{
-    std::vector<std::shared_ptr<JobState>> finished;
-    for (auto it = jobs_.begin(); it != jobs_.end();) {
-        if ((*it)->terminal()) {
-            (*it)->finalized = true;
-            ++finalizing_;
-            finished.push_back(*it);
-            it = jobs_.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    return finished;
-}
-
-void
-GridScheduler::deliverOutcomes(
-    std::vector<std::shared_ptr<JobState>> finished)
-{
-    for (auto &job : finished) {
-        Outcome outcome;
-        outcome.completed = job->nextEmit;
-        if (job->failed) {
-            outcome.status = Outcome::Status::Error;
-            outcome.error = job->error;
-        } else if (job->nextEmit == job->grid.size()) {
-            // Everything was emitted: a cancel that raced job
-            // completion reports Ok, truthfully.
-            outcome.status = Outcome::Status::Ok;
-        } else {
-            outcome.status = Outcome::Status::Cancelled;
-        }
-        if (job->hooks.onDone) {
-            try {
-                job->hooks.onDone(outcome);
-            } catch (...) {
-                // Outcome delivery must never kill a worker thread
-                // (or the destructor); a throwing onDone loses only
-                // its own notification.
-            }
-        }
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            --finalizing_;
-        }
-        idleCv_.notify_all();
-    }
-}
-
-void
-GridScheduler::workerLoop(unsigned worker_index)
-{
-    const std::string lane =
-        "worker-" + std::to_string(worker_index);
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-        workCv_.wait(lock, [this]() {
-            return stopping_ || anyDispatchableLocked();
-        });
-        if (!anyDispatchableLocked()) {
-            if (stopping_)
-                return;
-            continue;
-        }
-
-        auto job = pickJobLocked();
-        const std::size_t index =
-            job->claimSlot(job->nextEligibleSlot());
-        ++job->active;
-        const bool first = !job->started;
-        job->started = true;
-        lock.unlock();
-        pointsDispatchedCounter()->add(1);
-
-        // Hook exceptions (onStart/simulate/onResult) fail the job,
-        // never the worker thread: an exception escaping here would
-        // std::terminate the process and take every job with it.
-        SimResult result;
-        std::exception_ptr error;
-        if (first && job->hooks.onStart) {
-            try {
-                job->hooks.onStart();
-            } catch (...) {
-                error = std::current_exception();
-            }
-        }
-        obs::SpanCollector collector;
-        obs::PointTiming timing;
-        if (error == nullptr) {
-            try {
-                if (job->traced) {
-                    // Re-install the job's tracing context on this
-                    // pool thread: the point's collector catches the
-                    // sim spans, the timing slot catches the phase
-                    // breakdown, and the "queued" + "dispatched"
-                    // spans frame the point's lifecycle.
-                    obs::TraceContext ctx;
-                    ctx.traceId = job->traceId;
-                    ctx.parentSpan = job->traceParent;
-                    ctx.collector = &collector;
-                    ctx.timing = &timing;
-                    ctx.lane = lane;
-                    obs::ScopedTraceContext guard(&ctx);
-                    obs::SpanRecord queued;
-                    queued.traceId = job->traceId;
-                    queued.id = obs::tracer().nextSpanId();
-                    queued.parent = job->traceParent;
-                    queued.name = "queued";
-                    queued.category = "sched";
-                    queued.process = obs::tracer().processName();
-                    queued.lane = "queue";
-                    queued.startUs = job->queuedUs;
-                    queued.durUs = static_cast<std::uint64_t>(
-                        std::chrono::duration_cast<
-                            std::chrono::microseconds>(
-                            std::chrono::steady_clock::now() -
-                            job->queuedSteady)
-                            .count());
-                    collector.add(queued);
-                    if (obs::tracer().enabled())
-                        obs::tracer().record(std::move(queued));
-                    obs::Span dispatched("dispatched", "sched");
-                    result =
-                        job->hooks.simulate(index, job->grid[index]);
-                } else {
-                    result =
-                        job->hooks.simulate(index, job->grid[index]);
-                }
-            } catch (...) {
-                error = std::current_exception();
-            }
-        }
-
-        std::vector<std::shared_ptr<JobState>> finished;
-        lock.lock();
-        if (error != nullptr) {
-            job->recordFailure(index, error);
-        } else {
-            if (job->traced) {
-                job->observations[index].timing = timing;
-                job->observations[index].spans = collector.take();
-            }
-            job->results[index] = std::move(result);
-            job->ready[index] = 1;
-            // Become the job's emitter unless a peer already is (it
-            // re-carves before clearing the flag, so this parked
-            // result cannot be orphaned). The mutex is dropped
-            // around each onResult batch: a slow consumer stalls
-            // only this worker's current task, and every other
-            // worker keeps parking results and serving other jobs.
-            if (!job->emitting) {
-                job->emitting = true;
-                for (;;) {
-                    const std::size_t from = job->nextEmit;
-                    std::size_t to = from;
-                    while (to < job->grid.size() && job->ready[to])
-                        ++to;
-                    if (to == from) {
-                        job->emitting = false;
-                        break;
-                    }
-                    job->nextEmit = to;
-                    lock.unlock();
-                    const std::uint64_t emit_start_us =
-                        job->traced ? obs::wallClockUs() : 0;
-                    const auto emit_start_steady =
-                        std::chrono::steady_clock::now();
-                    std::exception_ptr emit_error;
-                    try {
-                        for (std::size_t i = from; i < to; ++i) {
-                            if (job->traced &&
-                                job->hooks.onObservation)
-                                job->hooks.onObservation(
-                                    i, job->observations[i]);
-                            if (job->hooks.onResult)
-                                job->hooks.onResult(i, job->grid[i],
-                                                    job->results[i]);
-                        }
-                    } catch (...) {
-                        emit_error = std::current_exception();
-                    }
-                    pointsEmittedCounter()->add(to - from);
-                    if (job->traced && obs::tracer().enabled()) {
-                        // One "emit" span per streamed batch closes
-                        // the lifecycle (queued -> dispatched -> sim
-                        // phases -> emit) in the local trace file.
-                        obs::SpanRecord emit;
-                        emit.traceId = job->traceId;
-                        emit.id = obs::tracer().nextSpanId();
-                        emit.parent = job->traceParent;
-                        emit.name = "emit";
-                        emit.category = "sched";
-                        emit.process = obs::tracer().processName();
-                        emit.lane = "emit";
-                        emit.startUs = emit_start_us;
-                        emit.durUs = static_cast<std::uint64_t>(
-                            std::chrono::duration_cast<
-                                std::chrono::microseconds>(
-                                std::chrono::steady_clock::now() -
-                                emit_start_steady)
-                                .count());
-                        obs::tracer().record(std::move(emit));
-                    }
-                    lock.lock();
-                    if (emit_error != nullptr) {
-                        job->recordFailure(from, emit_error);
-                        job->emitting = false;
-                        break;
-                    }
-                }
-            }
-        }
-        --job->active;
-        // Success or failure, a finished leader opens its cohort:
-        // followers of a failed job never dispatch anyway, and a
-        // gate that outlived its leader would deadlock a cancel
-        // that raced the leader's completion.
-        const bool opened = job->noteCompleted(index);
-        finished = reapLocked();
-        if (!finished.empty() || opened || job->dispatchable()) {
+            std::size_t to = next_emit;
+            while (to < n && state.ready[to])
+                ++to;
             lock.unlock();
-            deliverOutcomes(std::move(finished));
-            // This worker freed budget (or finished a job): idle
-            // workers must re-evaluate what is dispatchable.
-            workCv_.notify_all();
+            const bool trace_emit = trace.traced && obs::tracer().enabled();
+            const std::uint64_t emit_start_us =
+                trace_emit ? obs::wallClockUs() : 0;
+            const SteadyClock::time_point emit_start = SteadyClock::now();
+            if (hooks.onResult) {
+                for (std::size_t i = next_emit; i < to; ++i)
+                    hooks.onResult(i, std::move(state.results[i]),
+                                   trace.traced ? &state.observations[i]
+                                                : nullptr);
+            }
+            if (trace_emit) {
+                // One "emit" span per delivered batch closes the
+                // lifecycle in the local trace file.
+                obs::SpanRecord emit;
+                emit.traceId = trace.traceId;
+                emit.id = obs::tracer().nextSpanId();
+                emit.parent = trace.parent;
+                emit.name = "emit";
+                emit.category = "sched";
+                emit.process = obs::tracer().processName();
+                emit.lane = "emit";
+                emit.startUs = emit_start_us;
+                emit.durUs = microsSince(emit_start);
+                obs::tracer().record(std::move(emit));
+            }
+            next_emit = to;
             lock.lock();
         }
+    } catch (...) {
+        caller_error = std::current_exception();
     }
+
+    // Stop dispatch (a no-op after a clean run) and let the in-flight
+    // points finish before anything they reference goes away.
+    {
+        std::lock_guard<std::mutex> lock(state.mutex);
+        state.stop = true;
+    }
+    state.workCv.notify_all();
+    for (std::thread &thread : threads)
+        thread.join();
+
+    if (caller_error != nullptr)
+        std::rethrow_exception(caller_error);
+    if (state.error != nullptr)
+        std::rethrow_exception(state.error);
 }
 
 } // namespace runner

@@ -1,49 +1,30 @@
 /**
  * @file
- * Work-conserving multi-grid scheduler: one fixed pool of worker
- * threads executing any number of concurrently admitted experiment
- * grids ("jobs"). Dispatch picks one grid point at a time across
- * jobs by weighted fair share (stride scheduling: the job with the
- * smallest dispatched/weight ratio goes next, so equal weights
- * degenerate to round-robin and a weight-3 job receives three
- * points for a weight-1 job's one), so every admitted job makes
- * progress while a long sweep runs -- no job owns the pool. Each
- * job declares a worker budget capping how many pool threads may
- * simulate its points at once; budgets above the pool size (or 0)
- * mean "whole pool", and unused budget is always available to
- * other jobs.
+ * The single-grid dispatcher that ExperimentRunner::run() and
+ * window::runWindowedExperiment() share: a private pool of worker
+ * threads simulates one grid's points, dispatched in grid order, and
+ * the calling thread receives the results strictly in grid order
+ * (index 0, 1, 2, ...) as soon as each result and every result
+ * before it exists.
  *
- * Within one job, points dispatch in grid order by default; a job
- * that knows its points' relative costs can install a costOf hook
- * and have them dispatched longest-first (classic LPT: starting the
- * heavy windows first minimizes the tail where one straggler holds
- * the whole job). Neither weights nor cost ordering change what is
- * *emitted*: onResult order is strict grid order regardless.
+ * Determinism: simulations are pure functions of their config and
+ * emission order is fixed, so a grid observes exactly the results a
+ * serial run of it yields, whatever the worker count.
  *
- * Determinism: simulations are pure functions of their config, and
- * each job's results are emitted strictly in grid order (index 0,
- * 1, 2, ...) no matter which worker finished which point when. A
- * job therefore observes exactly the results a serial in-process
- * run of its grid yields, independent of what else the pool is
- * chewing on -- the property the simulation service's byte-identical
- * contract rests on.
- *
- * Cancellation and failure stop *dispatch* of the job's remaining
- * points; in-flight points finish (a simulation cannot be torn down
- * midway), then the job's terminal outcome is reported once via
- * onDone. Other jobs are unaffected.
+ * Failure: the first simulate (or onResult) exception stops dispatch
+ * of the remaining points; in-flight points finish (a simulation
+ * cannot be torn down midway), and then the exception is rethrown on
+ * the calling thread. When several in-flight points fail, the one
+ * with the lowest grid index wins, so the reported error does not
+ * depend on thread timing.
  */
 
 #ifndef SHOTGUN_RUNNER_GRID_SCHEDULER_HH
 #define SHOTGUN_RUNNER_GRID_SCHEDULER_HH
 
-#include <condition_variable>
-#include <cstdint>
-#include <exception>
+#include <cstddef>
 #include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include "obs/trace.hh"
@@ -54,183 +35,56 @@ namespace shotgun
 namespace runner
 {
 
-class GridScheduler
+/**
+ * Per-point tracing payload: the phase timing breakdown and the
+ * spans recorded while the point simulated. Only produced for traced
+ * grids (a TraceContext with a trace id or collector was installed on
+ * the calling thread, or the process tracer is enabled).
+ */
+struct PointObservation
 {
-  public:
-    struct Options
-    {
-        // Explicit constructor instead of member initializers: a
-        // default argument of `Options()` below would otherwise trip
-        // GCC's enclosing-class NSDMI restriction.
-        Options(unsigned workers_ = 0) : workers(workers_) {}
-
-        /** Pool worker threads; 0 means one per hardware thread. */
-        unsigned workers;
-    };
-
-    /** A job's terminal report, delivered exactly once via onDone. */
-    struct Outcome
-    {
-        enum class Status
-        {
-            Ok,        ///< Every point emitted.
-            Cancelled, ///< Dispatch stopped by cancel()/cancelAll().
-            Error,     ///< A simulate call threw; `error` holds it.
-        };
-
-        Status status = Status::Ok;
-
-        /** Points emitted through onResult (the ordered prefix). */
-        std::size_t completed = 0;
-
-        /** First simulate exception (Status::Error only). */
-        std::exception_ptr error;
-    };
-
-    /**
-     * Per-point tracing payload: the phase timing breakdown and the
-     * spans recorded while the point simulated. Only produced for
-     * traced jobs (a TraceContext was installed on the submitting
-     * thread); untraced jobs never allocate one.
-     */
-    struct PointObservation
-    {
-        obs::PointTiming timing;
-        std::vector<obs::SpanRecord> spans;
-    };
-
-    /**
-     * Per-job callbacks. `simulate` is required and runs on pool
-     * worker threads (thread-safe w.r.t. other jobs and other points
-     * of the same job, up to the job's budget). The others are
-     * optional: `onStart` fires once when the job's first point is
-     * dispatched; `onResult` fires in strict grid order from worker
-     * threads (never two emissions of one job concurrently);
-     * `onDone` fires exactly once after the last in-flight point of
-     * a finished/cancelled/failed job completed.
-     *
-     * An exception thrown by onStart, simulate or onResult fails
-     * the job (Outcome::Status::Error carries it) and never escapes
-     * a worker thread; an exception from onDone is swallowed.
-     */
-    struct JobHooks
-    {
-        std::function<SimResult(std::size_t index, const Experiment &)>
-            simulate;
-        std::function<void()> onStart;
-        std::function<void(std::size_t index, const Experiment &,
-                           const SimResult &)>
-            onResult;
-        std::function<void(const Outcome &)> onDone;
-
-        /**
-         * Optional tracing tap: for a *traced* job (the submitting
-         * thread had a TraceContext installed) this fires right
-         * before the point's onResult, on the same emitter thread
-         * and in the same strict grid order, carrying the point's
-         * phase timing and recorded spans. Never called for
-         * untraced jobs, so installing it costs nothing by default.
-         * Exceptions fail the job exactly like onResult's.
-         */
-        std::function<void(std::size_t index,
-                           const PointObservation &)>
-            onObservation;
-
-        /**
-         * Optional relative cost of a grid point (e.g. its simulated
-         * instruction count). When set, the job's points are
-         * *dispatched* in descending cost order (ties keep grid
-         * order) so the longest work starts first; emission order is
-         * unaffected. Called once per point at submit time, on the
-         * submitting thread.
-         */
-        std::function<std::uint64_t(std::size_t index,
-                                    const Experiment &)>
-            costOf;
-
-        /**
-         * Optional cohort key of a grid point (e.g. its warmup
-         * checkpoint key, see sim/checkpoint.hh). Points sharing a
-         * non-empty key form a cohort: the first of them in dispatch
-         * order is the cohort's leader, and the rest only become
-         * dispatchable after the leader *completed* -- so the leader
-         * populates the checkpoint cache and every follower restores
-         * instead of re-simulating the shared warmup. An empty key
-         * opts the point out (no gating). Points of different
-         * cohorts (and cohort-free points) still dispatch freely in
-         * parallel, and emission order stays strict grid order, so
-         * cohort batching changes wall-clock shape but never
-         * results. Called once per point at submit time.
-         */
-        std::function<std::string(std::size_t index,
-                                  const Experiment &)>
-            cohortOf;
-    };
-
-    explicit GridScheduler(Options options = Options());
-
-    /** Cancels every job, then joins the pool (onDone still fires). */
-    ~GridScheduler();
-
-    GridScheduler(const GridScheduler &) = delete;
-    GridScheduler &operator=(const GridScheduler &) = delete;
-
-    /** Pool size. */
-    unsigned workers() const
-    {
-        return static_cast<unsigned>(threads_.size());
-    }
-
-    /**
-     * Admit a job and return its id immediately; execution starts as
-     * soon as a pool thread is free. `budget` caps the job's
-     * concurrent points (0 or anything >= the pool size means the
-     * whole pool). An empty grid completes immediately with Ok.
-     * `weight` is the job's fair-share weight against other admitted
-     * jobs (see the header comment; 0 is clamped to 1; the overload
-     * without it submits at weight 1).
-     */
-    std::uint64_t submit(std::vector<Experiment> grid, unsigned budget,
-                         JobHooks hooks);
-    std::uint64_t submit(std::vector<Experiment> grid, unsigned budget,
-                         std::uint64_t weight, JobHooks hooks);
-
-    /**
-     * Stop dispatching a job's remaining points. In-flight points
-     * finish; onDone then reports Cancelled -- or Ok, truthfully, if
-     * every point had already been emitted. Unknown/finished ids are
-     * ignored.
-     */
-    void cancel(std::uint64_t job);
-
-    /** cancel() every admitted job. */
-    void cancelAll();
-
-    /** Block until no job is admitted or finalizing. */
-    void waitIdle();
-
-  private:
-    struct JobState;
-
-    void workerLoop(unsigned worker_index);
-    bool anyDispatchableLocked() const;
-    std::shared_ptr<JobState> pickJobLocked();
-    std::vector<std::shared_ptr<JobState>> reapLocked();
-    void deliverOutcomes(
-        std::vector<std::shared_ptr<JobState>> finished);
-
-    Options options_;
-
-    mutable std::mutex mutex_; ///< jobs_, cursor, per-job counters.
-    std::condition_variable workCv_;
-    std::condition_variable idleCv_;
-    std::vector<std::shared_ptr<JobState>> jobs_; ///< Admitted, by id.
-    std::uint64_t nextId_ = 1;
-    std::size_t finalizing_ = 0; ///< Outcomes being delivered.
-    bool stopping_ = false;
-
-    std::vector<std::thread> threads_;
+    obs::PointTiming timing;
+    std::vector<obs::SpanRecord> spans;
 };
+
+struct GridHooks
+{
+    /** Required; runs on worker threads, concurrently. */
+    std::function<SimResult(std::size_t index, const Experiment &)>
+        simulate;
+
+    /**
+     * Optional; runs on the calling thread in strict grid order.
+     * `observation` is null for untraced grids.
+     */
+    std::function<void(std::size_t index, SimResult &&result,
+                       const PointObservation *observation)>
+        onResult;
+
+    /**
+     * Optional cohort key of a grid point (e.g. its warmup
+     * checkpoint key, see sim/checkpoint.hh). Points sharing a
+     * non-empty key form a cohort: the first of them in grid order is
+     * the cohort's leader, and the rest only become dispatchable
+     * after the leader *completed* -- so the leader populates the
+     * checkpoint cache and every follower restores instead of
+     * re-simulating the shared warmup. An empty key opts the point
+     * out. Points of different cohorts (and cohort-free points) still
+     * dispatch freely in parallel, and emission stays in grid order,
+     * so cohorts change wall-clock shape but never results. Called
+     * once per point before dispatch starts.
+     */
+    std::function<std::string(std::size_t index, const Experiment &)>
+        cohortOf;
+};
+
+/**
+ * Simulate `grid` on `workers` threads (0 = one per hardware thread;
+ * never more threads than points) and block until every point was
+ * handed to onResult or the first failure was rethrown.
+ */
+void scheduleGrid(const std::vector<Experiment> &grid, unsigned workers,
+                  const GridHooks &hooks);
 
 } // namespace runner
 } // namespace shotgun

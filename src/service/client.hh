@@ -1,10 +1,10 @@
 /**
  * @file
  * Client side of the simulation service: submit an experiment grid to
- * one endpoint -- a shotgun-serve daemon or a shotgun-coord fleet --
- * and stream its results back index-aligned with the grid, so the
- * assembled vector is bitwise-identical to running the grid in one
- * process. Every receive is bounded by a socket deadline: a wedged
+ * a shotgun-coord fleet and stream its results back index-aligned
+ * with the grid, so the assembled vector is bitwise-identical to
+ * running the grid in one process. The same client reads a worker's
+ * control endpoint (status, ping, shutdown). Every receive is bounded by a socket deadline: a wedged
  * server fails the call with a clear timeout error instead of hanging
  * the client forever. Worker death is the coordinator's to handle
  * (it requeues the dead worker's in-flight points); the client sees
@@ -98,12 +98,12 @@ class ServiceClient
 /**
  * Run a grid with each experiment split into `window_shards`
  * full-coverage windows (window::contiguousPlan). The expanded grid
- * goes to one endpoint in one submit(): a coordinator spreads the
- * windows over its fleet and requeues those of a worker that dies;
- * a plain server runs them on its own pool. Each window's raw delta
- * is collected from its result frame and the windows are stitched
- * back, so the returned vector (index-aligned with `request.grid`)
- * equals running each experiment monolithically.
+ * goes to the coordinator in one submit(): it spreads the windows
+ * over its fleet and requeues those of a worker that dies. Each
+ * window's raw delta is collected from its result frame and the
+ * windows are stitched back, so the returned vector (index-aligned
+ * with `request.grid`) equals running each experiment
+ * monolithically.
  *
  * `on_result` observes every window's event (`index` is the
  * expanded-grid index). Throws like ServiceClient::submit(), and

@@ -291,6 +291,15 @@ decodeResultEvent(const json::Value &frame)
     return event;
 }
 
+std::size_t
+resultCacheBytes(const std::string &fingerprint,
+                 const CachedResult &cached)
+{
+    return fingerprint.size() + sizeof(CachedResult) +
+           cached.result.workload.size() +
+           cached.result.scheme.size();
+}
+
 json::Value
 encodeDone(const DoneEvent &event)
 {

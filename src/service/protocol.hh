@@ -1,26 +1,28 @@
 /**
  * @file
- * The shotgun-serve wire protocol, version 4: newline-delimited JSON
- * frames over a stream socket (TCP or Unix). Every frame is one line,
- * one JSON object, with a "type" member. See src/service/README.md
- * for the grammar and an example session, src/fleet/README.md for
- * the coordinator<->worker frames.
+ * The service wire protocol, version 4: newline-delimited JSON frames
+ * over a stream socket (TCP or Unix). Every frame is one line, one
+ * JSON object, with a "type" member. See src/service/README.md for
+ * the grammar and an example session, src/fleet/README.md for the
+ * coordinator<->worker frames.
  *
- * Client -> server (or coordinator):
+ * Client -> coordinator (shotgun-coord):
  *   {"type":"submit","protocol":4,"experiment":...,"jobs":N,
  *    "priority":N,"grid":[{"workload":...,"label":...,
  *    "config":{...}},...][,"trace":{"id":N,"parent":N}]}
  *   {"type":"status"}          {"type":"cancel","job":N}
  *   {"type":"ping"}            {"type":"shutdown"}
+ * A worker's control endpoint (shotgun-serve --listen) answers only
+ * status, ping and shutdown; any other frame gets an error frame.
  *
- * Server -> client:
+ * Coordinator (or worker control endpoint) -> client:
  *   {"type":"accepted","job":N,"total":N,"fingerprints":[...]}
  *   {"type":"result","job":N,"index":N,"cached":b,
  *    "workload":...,"label":...,"fingerprint":...,"result":{...}
  *    [,"delta":{...}][,"spans":[...]][,"timing":{...}]}
  *   {"type":"done","job":N,"status":"ok|cancelled|error",
  *    "completed":N,"cached":N[,"message":...]}
- *   {"type":"status","server":{...},"jobs":[...][,"fleet":{...}]}
+ *   {"type":"status","server":{...}[,"jobs":[...],"fleet":{...}]}
  *   {"type":"pong"}  {"type":"bye"}  {"type":"error","message":...}
  *
  * Worker -> coordinator (control connection):
@@ -45,7 +47,8 @@
  * other than kProtocolVersion throws CodecError. The bracketed
  * members are conditional and their absence carries meaning: "delta"
  * only for windowed points, "trace"/"spans"/"timing" only for traced
- * ones, "message" only for failures, "fleet" only from a coordinator.
+ * ones, "message" only for failures, "jobs" and "fleet" only from a
+ * coordinator.
  */
 
 #ifndef SHOTGUN_SERVICE_PROTOCOL_HH
@@ -79,14 +82,13 @@ struct SubmitRequest
 {
     std::string experiment; ///< Sweep name (result-sink header).
 
-    /** Worker threads for this job; 0 = server default; the server
-     * additionally clamps to its --jobs cap. */
+    /** The client's --jobs; carried on the wire, unused by the
+     * coordinator. */
     std::uint64_t jobs = 0;
 
     /**
-     * Fair-share weight against other admitted jobs: a priority-3
-     * job is dispatched three points per priority-1 job's one (see
-     * runner/grid_scheduler.hh). 0 is clamped to 1 server-side.
+     * Queue priority: the coordinator dispatches queued points of
+     * higher-priority jobs first. 0 is clamped to 1.
      */
     std::uint64_t priority = 1;
 
@@ -135,6 +137,29 @@ struct ResultEvent
 json::Value encodeResultEvent(const ResultEvent &event);
 ResultEvent decodeResultEvent(const json::Value &frame);
 
+/**
+ * A cached grid-point outcome, as the coordinator's and the workers'
+ * fingerprint caches hold it: the derived result plus, for windowed
+ * configs, the raw window counters -- a cache hit must replay the
+ * same `delta` member the original `result` frame carried, or a
+ * resubmitted window could no longer be stitched.
+ */
+struct CachedResult
+{
+    SimResult result;
+    bool hasDelta = false;
+    StatsDelta delta;
+};
+
+/**
+ * Accounted size of one cached result for a cache byte budget: the
+ * key plus the struct plus its heap strings. Crude (allocator
+ * overhead is ignored) but monotone in the real footprint, which is
+ * all a budget needs.
+ */
+std::size_t resultCacheBytes(const std::string &fingerprint,
+                             const CachedResult &cached);
+
 /** Terminal job states reported in `done` frames. */
 struct DoneEvent
 {
@@ -157,7 +182,7 @@ struct JobStatus
     std::uint64_t total = 0;
     std::uint64_t completed = 0;
     std::uint64_t cached = 0;
-    std::uint64_t budget = 0; ///< Scheduler worker budget.
+    std::uint64_t budget = 0; ///< Always 0 from a coordinator.
 };
 
 json::Value encodeJobStatus(const JobStatus &status);
@@ -247,8 +272,8 @@ WorkItem decodeWork(const json::Value &frame);
 /**
  * A slot's finished point. `ok` false reports a failed simulation
  * (bad trace on this worker, ...) with the detail in `message`; the
- * coordinator fails the owning job, mirroring how a local simulate
- * exception fails a SimServer job.
+ * coordinator fails the owning job, as a simulate exception fails an
+ * in-process grid.
  */
 struct WorkResult
 {
@@ -296,11 +321,7 @@ WorkerStatus decodeWorkerStatus(const json::Value &v);
 
 // -------------------------------------------------- shared helpers
 
-/**
- * Wire form of one grid point (shared by submit and work frames).
- * Experiment::viaBaselineCache stays off the wire: a decoded point
- * always simulates its own config.
- */
+/** Wire form of one grid point (shared by submit and work frames). */
 json::Value encodeExperiment(const runner::Experiment &exp);
 runner::Experiment decodeExperiment(const json::Value &v);
 

@@ -1,12 +1,10 @@
 #include "window/windowed_runner.hh"
 
-#include <condition_variable>
-#include <mutex>
 #include <string>
 #include <utility>
 
 #include "common/logging.hh"
-#include "runner/thread_pool.hh"
+#include "runner/grid_scheduler.hh"
 #include "sim/checkpoint.hh"
 
 namespace shotgun
@@ -27,8 +25,6 @@ expandExperiment(const runner::Experiment &exp, const WindowPlan &plan)
         sub.label = exp.label + "#w" + std::to_string(i) + "/" +
                     std::to_string(configs.size());
         sub.config = configs[i];
-        // Never via the baseline memo: it is keyed without windows.
-        sub.viaBaselineCache = false;
         grid.push_back(std::move(sub));
     }
     return grid;
@@ -57,27 +53,19 @@ stitchWindows(const std::vector<SimulationDelta> &windows)
 
 WindowedOutcome
 runWindowedExperiment(
-    const runner::Experiment &exp, const WindowPlan &plan,
-    runner::GridScheduler &scheduler, unsigned budget,
+    const runner::Experiment &exp, const WindowPlan &plan, unsigned jobs,
     const std::function<void(std::size_t window,
                              const SimResult &result)> &on_window)
 {
-    std::vector<runner::Experiment> grid =
+    const std::vector<runner::Experiment> grid =
         expandExperiment(exp, plan);
-    const std::size_t count = grid.size();
 
     // Raw deltas land in per-window slots from worker threads; the
-    // scheduler's completion accounting plus the hand-off mutex below
-    // order those writes before our reads after `done`.
+    // dispatcher joins them before returning.
     WindowedOutcome outcome;
-    outcome.windows.resize(count);
+    outcome.windows.resize(grid.size());
 
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool done = false;
-    runner::GridScheduler::Outcome sched_outcome;
-
-    runner::GridScheduler::JobHooks hooks;
+    runner::GridHooks hooks;
     hooks.simulate = [&outcome](std::size_t index,
                                 const runner::Experiment &sub) {
         SimulationDelta delta = runSimulationDelta(sub.config);
@@ -88,61 +76,25 @@ runWindowedExperiment(
         return result;
     };
     if (on_window) {
-        // GridScheduler emits results strictly in grid order ==
-        // window order, never two emissions of one job concurrently.
         hooks.onResult = [&on_window](std::size_t index,
-                                      const runner::Experiment &,
-                                      const SimResult &result) {
+                                      SimResult &&result,
+                                      const runner::PointObservation *) {
             on_window(index, result);
         };
     }
-    hooks.onDone = [&](const runner::GridScheduler::Outcome &o) {
-        std::lock_guard<std::mutex> lock(mutex);
-        sched_outcome = o;
-        done = true;
-        cv.notify_one();
-    };
     // Contiguous windows share warmup and skip, hence a checkpoint
     // key: the first window warms the core once and every later
     // window restores it (sampled plans differ in skipInstructions,
     // so their keys split and no gating applies).
-    hooks.cohortOf = [](std::size_t,
-                        const runner::Experiment &sub) {
+    hooks.cohortOf = [](std::size_t, const runner::Experiment &sub) {
         return sub.config.warmupInstructions == 0
                    ? std::string()
                    : checkpointKey(sub.config, nullptr);
     };
-    scheduler.submit(std::move(grid), budget, std::move(hooks));
-
-    {
-        std::unique_lock<std::mutex> lock(mutex);
-        cv.wait(lock, [&]() { return done; });
-    }
-    if (sched_outcome.status ==
-        runner::GridScheduler::Outcome::Status::Error)
-        std::rethrow_exception(sched_outcome.error);
-    fatal_if(sched_outcome.status !=
-                 runner::GridScheduler::Outcome::Status::Ok,
-             "windowed run of %s/%s was cancelled after %zu of %zu "
-             "windows",
-             exp.workload.c_str(), exp.label.c_str(),
-             sched_outcome.completed, count);
+    runner::scheduleGrid(grid, jobs, hooks);
 
     outcome.stitched = stitchWindows(outcome.windows);
     return outcome;
-}
-
-WindowedOutcome
-runWindowedExperiment(const runner::Experiment &exp,
-                      const WindowPlan &plan, unsigned jobs)
-{
-    runner::GridScheduler::Options options;
-    const unsigned requested =
-        jobs == 0 ? runner::ThreadPool::hardwareJobs() : jobs;
-    options.workers = static_cast<unsigned>(
-        std::min<std::size_t>(requested, plan.windows.size()));
-    runner::GridScheduler scheduler(options);
-    return runWindowedExperiment(exp, plan, scheduler, 0);
 }
 
 } // namespace window

@@ -1,11 +1,10 @@
 /**
  * @file
  * Windowed execution of one experiment: expand a WindowPlan into
- * per-window sub-points, schedule them on a runner::GridScheduler
- * (the same pool the experiment runner and the simulation service
- * multiplex their jobs over), emit per-window results strictly in
- * window order, and stitch the raw per-window deltas back into one
- * SimResult.
+ * per-window sub-points, run them through runner::scheduleGrid (the
+ * dispatcher the experiment runner uses), emit per-window results
+ * strictly in window order, and stitch the raw per-window deltas back
+ * into one SimResult.
  *
  * For a full-coverage plan the stitched result is numerically
  * identical to running the experiment monolithically -- the windows
@@ -23,7 +22,7 @@
 #include <functional>
 #include <vector>
 
-#include "runner/grid_scheduler.hh"
+#include "runner/experiment.hh"
 #include "window/window_plan.hh"
 
 namespace shotgun
@@ -42,12 +41,9 @@ struct WindowedOutcome
 
 /**
  * The window sub-points of `exp` under `plan`, as ordinary grid
- * points: per-window configs from expandPlan(), labels
- * "<label>#w<i>/<n>", and -- load-bearing -- viaBaselineCache
- * cleared, because the baseline memo is keyed without windows and a
- * window must simulate as itself wherever it lands. Shared by the
- * in-process runner below and the service client's submitWindowed(),
- * so both expand identically.
+ * points: per-window configs from expandPlan() and labels
+ * "<label>#w<i>/<n>". Shared by the in-process runner below and the
+ * service client's submitWindowed(), so both expand identically.
  */
 std::vector<runner::Experiment>
 expandExperiment(const runner::Experiment &exp, const WindowPlan &plan);
@@ -62,25 +58,18 @@ expandExperiment(const runner::Experiment &exp, const WindowPlan &plan);
 SimResult stitchWindows(const std::vector<SimulationDelta> &windows);
 
 /**
- * Run `exp` as `plan`'s windows on `scheduler` (worker budget
- * `budget`, 0 = whole pool) and stitch. Full-coverage plans are
- * validated first. `on_window` (optional) observes each window's
- * standalone result strictly in window order. Blocks until every
- * window completed; rethrows the first window's failure.
+ * Run `exp` as `plan`'s windows on `jobs` worker threads (0 = one per
+ * hardware thread, never more than the window count) and stitch.
+ * Full-coverage plans are validated first. `on_window` (optional)
+ * observes each window's standalone result strictly in window order,
+ * on the calling thread. Blocks until every window completed;
+ * rethrows the first window's failure.
  */
 WindowedOutcome runWindowedExperiment(
     const runner::Experiment &exp, const WindowPlan &plan,
-    runner::GridScheduler &scheduler, unsigned budget = 0,
+    unsigned jobs = 0,
     const std::function<void(std::size_t window,
                              const SimResult &result)> &on_window = {});
-
-/**
- * Convenience overload: a transient scheduler with `jobs` workers
- * (0 = one per hardware thread, clamped to the window count).
- */
-WindowedOutcome runWindowedExperiment(const runner::Experiment &exp,
-                                      const WindowPlan &plan,
-                                      unsigned jobs);
 
 } // namespace window
 } // namespace shotgun

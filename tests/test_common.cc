@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for src/common: types, RNG, saturating counters, stats
- * and the table printer.
+ * Unit tests for src/common: types, RNG, histograms and the table
+ * printer.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/random.hh"
-#include "common/sat_counter.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "common/types.hh"
@@ -231,68 +230,6 @@ TEST(SplitMixTest, MixIsStable)
     EXPECT_NE(mix64(42), mix64(43));
 }
 
-TEST(SatCounterTest, SaturatesHigh)
-{
-    SatCounter c(2);
-    for (int i = 0; i < 10; ++i)
-        c.increment();
-    EXPECT_EQ(c.value(), 3u);
-    EXPECT_TRUE(c.predictTaken());
-    EXPECT_TRUE(c.saturated());
-}
-
-TEST(SatCounterTest, SaturatesLow)
-{
-    SatCounter c(2, 3);
-    for (int i = 0; i < 10; ++i)
-        c.decrement();
-    EXPECT_EQ(c.value(), 0u);
-    EXPECT_FALSE(c.predictTaken());
-    EXPECT_TRUE(c.saturated());
-}
-
-TEST(SatCounterTest, Hysteresis)
-{
-    SatCounter c(2, 3); // strongly taken
-    c.update(false);    // 2: still predicts taken
-    EXPECT_TRUE(c.predictTaken());
-    c.update(false);    // 1: now not taken
-    EXPECT_FALSE(c.predictTaken());
-}
-
-TEST(SatCounterTest, WeakTakenInit)
-{
-    SatCounter c(3);
-    c.set(c.weakTaken());
-    EXPECT_TRUE(c.predictTaken());
-    c.update(false);
-    EXPECT_FALSE(c.predictTaken());
-}
-
-TEST(SignedSatCounterTest, Range)
-{
-    SignedSatCounter c(3);
-    EXPECT_EQ(c.min(), -4);
-    EXPECT_EQ(c.max(), 3);
-    for (int i = 0; i < 10; ++i)
-        c.update(true);
-    EXPECT_EQ(c.value(), 3);
-    for (int i = 0; i < 20; ++i)
-        c.update(false);
-    EXPECT_EQ(c.value(), -4);
-    EXPECT_FALSE(c.predictTaken());
-}
-
-TEST(SignedSatCounterTest, WeakDetection)
-{
-    SignedSatCounter c(3, 0);
-    EXPECT_TRUE(c.isWeak());
-    c.set(-1);
-    EXPECT_TRUE(c.isWeak());
-    c.set(2);
-    EXPECT_FALSE(c.isWeak());
-}
-
 TEST(HistogramTest, BucketsAndOverflow)
 {
     Histogram h(4);
@@ -323,31 +260,6 @@ TEST(HistogramTest, PercentileBucket)
         h.sample(i, 10);
     EXPECT_EQ(h.percentileBucket(0.5), 4u);
     EXPECT_EQ(h.percentileBucket(0.95), 9u);
-}
-
-TEST(StatGroupTest, CountersAndDump)
-{
-    StatGroup g("core0");
-    ++g.counter("cycles");
-    g.counter("cycles") += 9;
-    g.average("ipc").sample(2.0);
-    g.average("ipc").sample(4.0);
-
-    EXPECT_EQ(g.counterValue("cycles"), 10u);
-    EXPECT_EQ(g.counterValue("missing"), 0u);
-    EXPECT_NEAR(g.average("ipc").mean(), 3.0, 1e-9);
-
-    std::ostringstream os;
-    g.dump(os);
-    EXPECT_NE(os.str().find("core0.cycles 10"), std::string::npos);
-}
-
-TEST(StatGroupTest, Reset)
-{
-    StatGroup g("x");
-    g.counter("a") += 5;
-    g.reset();
-    EXPECT_EQ(g.counterValue("a"), 0u);
 }
 
 TEST(TextTableTest, AlignsColumns)

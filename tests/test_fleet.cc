@@ -2,7 +2,7 @@
  * @file
  * End-to-end tests for the fleet control plane: a real
  * FleetCoordinator on a Unix socket in this process, with real
- * SimServer+FleetWorker workers attached to it. The load-bearing
+ * FleetWorkers attached to it (tests/fleet_harness.hh). The load-bearing
  * assertions are determinism and exactly-once delivery: a grid
  * submitted to the coordinator -- including one whose worker is
  * killed or stops heartbeating mid-grid -- returns results bitwise
@@ -26,13 +26,14 @@
 
 #include <utime.h>
 
-#include "fleet/coordinator.hh"
 #include "fleet/disk_cache.hh"
-#include "fleet/worker.hh"
+#include "fleet_harness.hh"
 #include "runner/experiment.hh"
 #include "runner/result_sink.hh"
 #include "service/client.hh"
-#include "service/server.hh"
+#include "trace/generator.hh"
+#include "trace/program.hh"
+#include "trace/trace_io.hh"
 
 namespace shotgun
 {
@@ -93,91 +94,6 @@ requestFor(const runner::ExperimentSet &set, const std::string &name)
     return request;
 }
 
-/** A serve()ing FleetCoordinator on a Unix socket, RAII-stopped. */
-class TestCoordinator
-{
-  public:
-    explicit TestCoordinator(const std::string &tag,
-                             CoordinatorOptions options = {})
-        : coordinator_("unix:/tmp/shotgun_fleet_c_" + tag + ".sock",
-                       options),
-          thread_([this]() { coordinator_.serve(); })
-    {
-    }
-
-    ~TestCoordinator() { shutdown(); }
-
-    void shutdown()
-    {
-        if (thread_.joinable()) {
-            coordinator_.requestShutdown();
-            thread_.join();
-        }
-    }
-
-    std::string endpoint() const { return coordinator_.endpoint(); }
-    FleetCoordinator &coordinator() { return coordinator_; }
-
-  private:
-    FleetCoordinator coordinator_;
-    std::thread thread_;
-};
-
-/** A SimServer with a FleetWorker attached to a coordinator. */
-class TestWorker
-{
-  public:
-    TestWorker(const std::string &tag, const std::string &coordinator,
-               unsigned slots = 1, unsigned heartbeat_ms = 100)
-        : server_("unix:/tmp/shotgun_fleet_w_" + tag + ".sock",
-                  service::ServerOptions{}),
-          thread_([this]() { server_.serve(); })
-    {
-        WorkerOptions options;
-        options.coordinator = coordinator;
-        options.name = tag;
-        options.slots = slots;
-        options.heartbeatMs = heartbeat_ms;
-        worker_.reset(new FleetWorker(server_, options));
-        worker_->start();
-    }
-
-    ~TestWorker() { stop(); }
-
-    /** Tear the fleet side down first, then the server. Idempotent. */
-    void stop()
-    {
-        if (worker_ != nullptr) {
-            worker_->stop();
-            worker_.reset();
-        }
-        if (thread_.joinable()) {
-            server_.requestShutdown();
-            thread_.join();
-        }
-    }
-
-    service::SimServer &server() { return server_; }
-
-  private:
-    service::SimServer server_;
-    std::thread thread_;
-    std::unique_ptr<FleetWorker> worker_;
-};
-
-/** Poll until the coordinator sees `count` live workers. */
-void
-awaitWorkers(FleetCoordinator &coordinator, std::size_t count,
-             unsigned timeout_ms = 10000)
-{
-    for (unsigned waited = 0; waited < timeout_ms; ++waited) {
-        if (coordinator.liveWorkers() == count)
-            return;
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    FAIL() << "never saw " << count << " live workers";
-}
-
 std::string
 freshDir(const std::string &tag)
 {
@@ -185,6 +101,53 @@ freshDir(const std::string &tag)
     std::system(("rm -rf " + dir).c_str());
     return dir;
 }
+
+/**
+ * A raw-socket worker: registered, one slot attached and parked on a
+ * steal. It never heartbeats, so the tests using it finish well
+ * inside the coordinator's default miss limit.
+ */
+class FakeWorker
+{
+  public:
+    FakeWorker(const std::string &endpoint, const std::string &name)
+        : control_(service::connectTo(service::Endpoint::parse(endpoint))),
+          slot_(service::connectTo(service::Endpoint::parse(endpoint)))
+    {
+        service::RegisterRequest reg;
+        reg.name = name;
+        std::string line;
+        EXPECT_TRUE(
+            control_.sendLine(service::encodeRegister(reg).dump()));
+        EXPECT_TRUE(control_.recvLine(line));
+        json::Value attach = service::makeFrame("attach");
+        attach.set("worker", json::Value::parse(line).at("worker"));
+        EXPECT_TRUE(slot_.sendLine(attach.dump()));
+        EXPECT_TRUE(slot_.recvLine(line));
+        EXPECT_TRUE(slot_.sendLine(service::makeFrame("steal").dump()));
+    }
+
+    ~FakeWorker() { crash(); }
+
+    /** Block until the coordinator hands the slot a task. */
+    service::WorkItem awaitWork()
+    {
+        std::string line;
+        EXPECT_TRUE(slot_.recvLine(line));
+        return service::decodeWork(json::Value::parse(line));
+    }
+
+    /** Close both connections, as a crashed process would. */
+    void crash()
+    {
+        control_.socket().shutdownBoth();
+        slot_.socket().shutdownBoth();
+    }
+
+  private:
+    LineChannel control_;
+    LineChannel slot_;
+};
 
 TEST(FleetDiskCacheTest, RoundTripDamageAndForeignKeys)
 {
@@ -459,6 +422,190 @@ TEST(FleetTest, WindowShardsSurviveWorkerDeath)
     victim.reset();
 }
 
+TEST(FleetTest, PointThatLosesTwoWorkersFailsItsJob)
+{
+    // A point that kills every worker it reaches (a fatal(), a
+    // crash, OOM) must not walk through the whole fleet: the
+    // coordinator requeues it after the first lost worker and fails
+    // its job, naming the point, after the second.
+    const runner::ExperimentSet set = quickGrid(1);
+    const auto local = runner::ExperimentRunner().run(set);
+    SubmitRequest poison = requestFor(set, "fleet-poison");
+    poison.grid.resize(1);
+    const std::string point =
+        poison.grid[0].workload + "/" + poison.grid[0].label;
+
+    TestCoordinator coord("poison");
+    ServiceClient client(coord.endpoint());
+    FakeWorker first(coord.endpoint(), "victim-1");
+    std::string failure;
+    std::thread submitter([&]() {
+        try {
+            client.submit(poison);
+            failure = "the job completed";
+        } catch (const service::ServiceError &e) {
+            failure = e.what();
+        }
+    });
+    EXPECT_EQ(first.awaitWork().experiment.label, poison.grid[0].label);
+    first.crash();
+    FakeWorker second(coord.endpoint(), "victim-2");
+    EXPECT_EQ(second.awaitWork().experiment.label,
+              poison.grid[0].label);
+    second.crash();
+    submitter.join();
+
+    EXPECT_NE(failure.find("grid point \"" + point + "\""),
+              std::string::npos)
+        << failure;
+    EXPECT_NE(failure.find("lost 2 workers"), std::string::npos)
+        << failure;
+    EXPECT_EQ(coord.coordinator().queueDepth(), 0u);
+
+    // A real worker joins; the next job is bitwise equal to the
+    // in-process run.
+    TestWorker worker("poison-w", coord.endpoint());
+    const auto good = client.submit(requestFor(set, "fleet-healed"));
+    ASSERT_EQ(good.size(), set.size());
+    for (std::size_t i = 0; i < set.size(); ++i)
+        EXPECT_TRUE(good[i] == local[i]) << "index " << i;
+    EXPECT_EQ(coord.coordinator().queueDepth(), 0u);
+}
+
+TEST(FleetTest, BadTraceFilesFailTheJobNotTheWorker)
+{
+    // A file that is not a trace, and a real trace recorded from a
+    // different program than the submitted config describes (the
+    // distributed stale-copy case): the worker's pre-simulation
+    // probe turns each into an error result that fails its job,
+    // where a mid-run fatal() would have killed the worker. (A
+    // missing file is DeterministicJobFailureFailsTheJobNotTheFleet.)
+    const WorkloadPreset preset = tinyPreset("fleet-trace", 1);
+    SubmitRequest request;
+    request.experiment = "bad-trace";
+    runner::Experiment exp;
+    exp.workload = "fleet-trace";
+    exp.label = "shotgun";
+    exp.config = SimConfig::make(preset, SchemeType::Shotgun);
+    request.grid.push_back(exp);
+
+    TestCoordinator coord("badtrace");
+    TestWorker worker("badtrace-w", coord.endpoint());
+    awaitWorkers(coord.coordinator(), 1);
+    ServiceClient client(coord.endpoint());
+
+    const std::string garbage = "/tmp/shotgun_fleet_garbage.trace";
+    {
+        std::ofstream out(garbage, std::ios::binary);
+        out << "definitely not a shotgun trace, but quite long";
+    }
+    request.grid[0].config.workload.tracePath = garbage;
+    EXPECT_THROW(client.submit(request), service::ServiceError);
+    EXPECT_TRUE(client.ping());
+    std::remove(garbage.c_str());
+
+    const std::string trace = "/tmp/shotgun_fleet_stale.trace";
+    {
+        Program prog(preset.program);
+        TraceGenerator gen(prog, 1);
+        recordTrace(gen, preset, 1, trace, 5000);
+    }
+    request.grid[0].config.workload.tracePath = trace;
+    request.grid[0].config.workload.program.numFuncs += 1;
+    request.grid[0].config.warmupInstructions = 10;
+    request.grid[0].config.measureInstructions = 10;
+    try {
+        client.submit(request);
+        ADD_FAILURE() << "stale trace accepted";
+    } catch (const service::ServiceError &e) {
+        EXPECT_NE(std::string(e.what())
+                      .find("different program parameters"),
+                  std::string::npos)
+            << e.what();
+    }
+    std::remove(trace.c_str());
+    EXPECT_TRUE(client.ping());
+    EXPECT_EQ(coord.coordinator().liveWorkers(), 1u);
+}
+
+TEST(FleetTest, CacheEvictionRespectsByteBudget)
+{
+    // Byte budgets of roughly one result on both the coordinator's
+    // cache and the worker's: a 6-point grid must evict while it
+    // runs, and recomputed results are identical to the first run
+    // and to in-process -- eviction never serves a stale entry.
+    const runner::ExperimentSet set = quickGrid(2);
+    constexpr std::size_t kBudget = 400;
+    CoordinatorOptions options;
+    options.cacheBytes = kBudget;
+    TestCoordinator coord("evict", options);
+    TestWorker worker("evict-w", coord.endpoint(), /*slots=*/2,
+                      /*heartbeat_ms=*/100, kBudget);
+    awaitWorkers(coord.coordinator(), 1);
+
+    ServiceClient client(coord.endpoint());
+    const auto first = client.submit(requestFor(set, "evict"));
+    for (const MemoCacheStats &stats :
+         {coord.coordinator().cacheStats(),
+          worker.worker().cacheStats()}) {
+        EXPECT_LE(stats.bytes, kBudget);
+        EXPECT_GT(stats.evictions, 0u);
+        EXPECT_LT(stats.entries, set.size());
+    }
+
+    const auto second = client.submit(requestFor(set, "evict"));
+    const auto local = runner::ExperimentRunner().run(set);
+    ASSERT_EQ(second.size(), set.size());
+    for (std::size_t i = 0; i < set.size(); ++i) {
+        EXPECT_TRUE(first[i] == second[i]) << "index " << i;
+        EXPECT_TRUE(second[i] == local[i]) << "index " << i;
+    }
+    EXPECT_LE(coord.coordinator().cacheStats().bytes, kBudget);
+}
+
+TEST(FleetTest, CancelDropsAQueuedJob)
+{
+    // With no worker registered the job's points stay queued; a
+    // cancel from a second connection drops them, the submitter gets
+    // an honest `cancelled` done frame, and an unknown job id is an
+    // error.
+    const runner::ExperimentSet set = quickGrid(1);
+    TestCoordinator coord("cancel");
+    ServiceClient control(coord.endpoint());
+    EXPECT_THROW(control.cancel(12345), service::ServiceError);
+
+    std::string failure;
+    std::thread submitter([&]() {
+        ServiceClient client(coord.endpoint());
+        try {
+            client.submit(requestFor(set, "fleet-cancel"));
+            failure = "submit returned ok despite cancel";
+        } catch (const service::ServiceError &e) {
+            if (std::string(e.what()).find("cancelled") ==
+                std::string::npos)
+                failure = std::string("unexpected error: ") + e.what();
+        }
+    });
+    std::uint64_t job = 0;
+    for (int waited = 0; job == 0 && waited < 10000; ++waited) {
+        const json::Value status = control.status();
+        if (status.at("jobs").size() == 1)
+            job = service::decodeJobStatus(status.at("jobs").items()[0])
+                      .id;
+        else
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_NE(job, 0u);
+    control.cancel(job);
+    submitter.join();
+    EXPECT_TRUE(failure.empty()) << failure;
+    EXPECT_EQ(coord.coordinator().queueDepth(), 0u);
+    const service::JobStatus row = service::decodeJobStatus(
+        control.status().at("jobs").items()[0]);
+    EXPECT_EQ(row.state, "cancelled");
+    EXPECT_EQ(row.completed, 0u);
+}
+
 TEST(FleetTest, SilentWorkerIsDeclaredDeadAndItsTaskRequeued)
 {
     // A raw-socket "worker" that registers, attaches one slot,
@@ -520,7 +667,11 @@ TEST(FleetTest, SilentWorkerIsDeclaredDeadAndItsTaskRequeued)
         got_work.store(true);
     });
 
-    TestWorker real("silent-real", coord.endpoint());
+    // The real worker heartbeats well inside the 100 ms miss limit:
+    // were it declared dead too while holding the fake's requeued
+    // task, that task's second lost worker would fail the job.
+    TestWorker real("silent-real", coord.endpoint(), /*slots=*/1,
+                    /*heartbeat_ms=*/20);
     awaitWorkers(coord.coordinator(), 2);
 
     ServiceClient client(coord.endpoint());
@@ -668,6 +819,13 @@ TEST(FleetTest, StatusFrameReportsFleetAndWorkers)
               "coordinator");
     EXPECT_EQ(status.at("server").at("protocol").asU64(),
               service::kProtocolVersion);
+    ASSERT_EQ(status.at("jobs").size(), 1u);
+    const service::JobStatus job =
+        service::decodeJobStatus(status.at("jobs").items()[0]);
+    EXPECT_EQ(job.experiment, "fleet-status");
+    EXPECT_EQ(job.state, "ok");
+    EXPECT_EQ(job.total, set.size());
+    EXPECT_EQ(job.completed, set.size());
 
     const json::Value &fleet = status.at("fleet");
     EXPECT_EQ(fleet.at("queue_depth").asU64(), 0u);

@@ -13,7 +13,6 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
-#include <condition_variable>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -34,7 +33,8 @@ namespace
 
 using runner::ExperimentRunner;
 using runner::ExperimentSet;
-using runner::GridScheduler;
+using runner::GridHooks;
+using runner::scheduleGrid;
 using runner::ProgressReporter;
 using runner::ResultRow;
 using runner::ResultSink;
@@ -153,7 +153,6 @@ TEST(ExperimentSetTest, BaselineIsDeduplicated)
     EXPECT_EQ(set.baselineIndex(preset.name), first);
     EXPECT_EQ(set.baselineIndex("no-such-workload"),
               ExperimentSet::npos);
-    EXPECT_TRUE(set.experiments()[first].viaBaselineCache);
 }
 
 TEST(ExperimentSetDeathTest, MismatchedBaselineReAddIsFatal)
@@ -286,7 +285,7 @@ TEST(ResultSinkTest, SerializationDoesNotLeakStreamFormatting)
     EXPECT_EQ(text.substr(text.size() - 8), "0.333333");
 }
 
-// ------------------------------------------------------------ GridScheduler
+// -------------------------------------------------------------- scheduleGrid
 
 /** A grid of `n` placeholder points; simulate hooks fabricate the
  * results, so these tests pin scheduler behaviour, not simulation. */
@@ -310,385 +309,149 @@ fakeResult(std::size_t index)
     return result;
 }
 
-struct DoneCapture
+TEST(ScheduleGridTest, EmitsInGridOrderOnTheCallingThread)
 {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool fired = false;
-    GridScheduler::Outcome outcome;
-
-    std::function<void(const GridScheduler::Outcome &)> hook()
-    {
-        return [this](const GridScheduler::Outcome &o) {
-            std::lock_guard<std::mutex> lock(mutex);
-            outcome = o;
-            fired = true;
-            cv.notify_all();
-        };
-    }
-
-    GridScheduler::Outcome wait()
-    {
-        std::unique_lock<std::mutex> lock(mutex);
-        cv.wait(lock, [this]() { return fired; });
-        return outcome;
-    }
-};
-
-TEST(GridSchedulerTest, EmitsInGridOrderAndReportsOk)
-{
-    GridScheduler scheduler(GridScheduler::Options(4));
     const auto grid = fakeGrid(16, "order");
-
-    std::mutex mutex;
+    const std::thread::id caller = std::this_thread::get_id();
     std::vector<std::size_t> emitted;
-    DoneCapture done;
 
-    GridScheduler::JobHooks hooks;
+    GridHooks hooks;
     hooks.simulate = [](std::size_t index, const runner::Experiment &) {
         // Later points finish sooner: emission order must not care.
         std::this_thread::sleep_for(
             std::chrono::microseconds((16 - index) * 100));
         return fakeResult(index);
     };
-    hooks.onResult = [&](std::size_t index, const runner::Experiment &,
-                         const SimResult &result) {
-        std::lock_guard<std::mutex> lock(mutex);
+    hooks.onResult = [&](std::size_t index, SimResult &&result,
+                         const runner::PointObservation *observation) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
         EXPECT_EQ(result.instructions, index + 1);
+        EXPECT_EQ(observation, nullptr); // Untraced grid.
         emitted.push_back(index);
     };
-    hooks.onDone = done.hook();
-    scheduler.submit(grid, 0, std::move(hooks));
+    scheduleGrid(grid, 4, hooks);
 
-    const auto outcome = done.wait();
-    EXPECT_EQ(outcome.status, GridScheduler::Outcome::Status::Ok);
-    EXPECT_EQ(outcome.completed, grid.size());
     ASSERT_EQ(emitted.size(), grid.size());
     for (std::size_t i = 0; i < emitted.size(); ++i)
         EXPECT_EQ(emitted[i], i);
 }
 
-TEST(GridSchedulerTest, ConcurrentJobsBothMakeProgress)
+TEST(ScheduleGridTest, DispatchesInGridOrderOnWorkerCountThreads)
 {
-    // Pool of 2; job A is long, job B short and submitted second.
-    // Round-robin dispatch must start B's points while A still has
-    // undispatched work, so B finishes long before A's last point.
-    GridScheduler scheduler(GridScheduler::Options(2));
-
-    std::mutex mutex;
-    std::vector<std::string> sequence;
-    auto record = [&](const std::string &tag) {
-        std::lock_guard<std::mutex> lock(mutex);
-        sequence.push_back(tag);
-    };
-
-    DoneCapture done_a, done_b;
-    GridScheduler::JobHooks hooks_a;
-    hooks_a.simulate = [&](std::size_t index,
-                           const runner::Experiment &) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        record("a" + std::to_string(index));
-        return fakeResult(index);
-    };
-    hooks_a.onDone = done_a.hook();
-    scheduler.submit(fakeGrid(8, "a"), 0, std::move(hooks_a));
-
-    GridScheduler::JobHooks hooks_b;
-    hooks_b.simulate = [&](std::size_t index,
-                           const runner::Experiment &) {
-        record("b" + std::to_string(index));
-        return fakeResult(index);
-    };
-    hooks_b.onDone = done_b.hook();
-    scheduler.submit(fakeGrid(2, "b"), 0, std::move(hooks_b));
-
-    EXPECT_EQ(done_a.wait().status,
-              GridScheduler::Outcome::Status::Ok);
-    EXPECT_EQ(done_b.wait().status,
-              GridScheduler::Outcome::Status::Ok);
-
-    // B's first point must have run before A's last: the older job
-    // did not own the pool.
-    const auto first_b = std::find(sequence.begin(), sequence.end(),
-                                   std::string("b0"));
-    const auto last_a = std::find(sequence.begin(), sequence.end(),
-                                  std::string("a7"));
-    ASSERT_NE(first_b, sequence.end());
-    ASSERT_NE(last_a, sequence.end());
-    EXPECT_LT(first_b - sequence.begin(), last_a - sequence.begin());
-}
-
-TEST(GridSchedulerTest, CostOrderedDispatchRunsLongestFirstEmitsInOrder)
-{
-    // costOf makes dispatch longest-first (LPT) while emission must
-    // stay in grid order. One worker serializes dispatch, so the
-    // simulate call order is exactly the cost order.
-    GridScheduler scheduler(GridScheduler::Options(1));
-    const auto grid = fakeGrid(6, "lpt");
-
-    std::mutex mutex;
-    std::vector<std::size_t> dispatched, emitted;
-    DoneCapture done;
-
-    GridScheduler::JobHooks hooks;
-    hooks.costOf = [](std::size_t index, const runner::Experiment &) {
-        // Ascending cost by index: dispatch must reverse grid order.
-        return static_cast<std::uint64_t>(index);
-    };
-    hooks.simulate = [&](std::size_t index,
-                         const runner::Experiment &) {
-        std::lock_guard<std::mutex> lock(mutex);
+    // One worker: dispatch is exactly grid order. Three workers: at
+    // most three points simulate at once.
+    std::vector<std::size_t> dispatched;
+    GridHooks serial;
+    serial.simulate = [&](std::size_t index, const runner::Experiment &) {
         dispatched.push_back(index);
         return fakeResult(index);
     };
-    hooks.onResult = [&](std::size_t index, const runner::Experiment &,
-                         const SimResult &) {
-        std::lock_guard<std::mutex> lock(mutex);
-        emitted.push_back(index);
-    };
-    hooks.onDone = done.hook();
-    scheduler.submit(grid, 0, std::move(hooks));
-
-    EXPECT_EQ(done.wait().status, GridScheduler::Outcome::Status::Ok);
-    ASSERT_EQ(dispatched.size(), grid.size());
+    scheduleGrid(fakeGrid(8, "serial"), 1, serial);
+    ASSERT_EQ(dispatched.size(), 8u);
     for (std::size_t i = 0; i < dispatched.size(); ++i)
-        EXPECT_EQ(dispatched[i], grid.size() - 1 - i) << "slot " << i;
-    ASSERT_EQ(emitted.size(), grid.size());
-    for (std::size_t i = 0; i < emitted.size(); ++i)
-        EXPECT_EQ(emitted[i], i);
-}
+        EXPECT_EQ(dispatched[i], i);
 
-TEST(GridSchedulerTest, WeightedFairShareFavorsHeavierJob)
-{
-    // Jobs A (weight 1) and B (weight 3) queued behind a plug that
-    // wedges the single worker until both are admitted: the stride
-    // scheduler must then give B three dispatches for each of A's,
-    // so B's 6 points all run well before A's fourth.
-    GridScheduler scheduler(GridScheduler::Options(1));
-
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool release = false;
-    std::vector<std::string> sequence;
-
-    DoneCapture done_plug;
-    GridScheduler::JobHooks plug;
-    plug.simulate = [&](std::size_t index,
-                        const runner::Experiment &) {
-        std::unique_lock<std::mutex> lock(mutex);
-        cv.wait(lock, [&]() { return release; });
-        return fakeResult(index);
-    };
-    plug.onDone = done_plug.hook();
-    scheduler.submit(fakeGrid(1, "plug"), 0, std::move(plug));
-
-    auto record = [&](const std::string &tag) {
-        return [&sequence, &mutex, tag](std::size_t index,
-                                        const runner::Experiment &) {
-            std::lock_guard<std::mutex> lock(mutex);
-            sequence.push_back(tag + std::to_string(index));
-            return fakeResult(index);
-        };
-    };
-    DoneCapture done_a, done_b;
-    GridScheduler::JobHooks hooks_a;
-    hooks_a.simulate = record("a");
-    hooks_a.onDone = done_a.hook();
-    scheduler.submit(fakeGrid(6, "a"), 0, /*weight=*/1,
-                     std::move(hooks_a));
-    GridScheduler::JobHooks hooks_b;
-    hooks_b.simulate = record("b");
-    hooks_b.onDone = done_b.hook();
-    scheduler.submit(fakeGrid(6, "b"), 0, /*weight=*/3,
-                     std::move(hooks_b));
-
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        release = true;
-        cv.notify_all();
-    }
-    EXPECT_EQ(done_plug.wait().status,
-              GridScheduler::Outcome::Status::Ok);
-    EXPECT_EQ(done_a.wait().status,
-              GridScheduler::Outcome::Status::Ok);
-    EXPECT_EQ(done_b.wait().status,
-              GridScheduler::Outcome::Status::Ok);
-
-    // 3:1 share: b5 must run before a3 whatever the tie-breaks did.
-    const auto last_b = std::find(sequence.begin(), sequence.end(),
-                                  std::string("b5"));
-    const auto fourth_a = std::find(sequence.begin(), sequence.end(),
-                                    std::string("a3"));
-    ASSERT_NE(last_b, sequence.end());
-    ASSERT_NE(fourth_a, sequence.end());
-    EXPECT_LT(last_b - sequence.begin(), fourth_a - sequence.begin());
-}
-
-TEST(GridSchedulerTest, CancelStopsDispatchTruthfully)
-{
-    GridScheduler scheduler(GridScheduler::Options(1));
-
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool started = false, release = false;
-    std::atomic<int> simulated{0};
-
-    DoneCapture done;
-    GridScheduler::JobHooks hooks;
-    hooks.simulate = [&](std::size_t index,
-                         const runner::Experiment &) {
-        ++simulated;
-        std::unique_lock<std::mutex> lock(mutex);
-        started = true;
-        cv.notify_all();
-        cv.wait(lock, [&]() { return release; });
-        return fakeResult(index);
-    };
-    hooks.onDone = done.hook();
-    const std::uint64_t id =
-        scheduler.submit(fakeGrid(8, "cancel"), 0, std::move(hooks));
-
-    {
-        std::unique_lock<std::mutex> lock(mutex);
-        cv.wait(lock, [&]() { return started; });
-    }
-    scheduler.cancel(id);
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        release = true;
-        cv.notify_all();
-    }
-
-    const auto outcome = done.wait();
-    EXPECT_EQ(outcome.status,
-              GridScheduler::Outcome::Status::Cancelled);
-    // The in-flight point finished; nothing further was dispatched.
-    EXPECT_EQ(simulated.load(), 1);
-    EXPECT_EQ(outcome.completed, 1u);
-}
-
-TEST(GridSchedulerTest, CancelQueuedJobNeedsNoWorker)
-{
-    // One worker, wedged on job A; job B is cancelled while fully
-    // queued -- its outcome must arrive without any worker touching
-    // it (the canceller's thread finalizes it).
-    GridScheduler scheduler(GridScheduler::Options(1));
-
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool release = false;
-
-    DoneCapture done_a, done_b;
-    GridScheduler::JobHooks hooks_a;
-    hooks_a.simulate = [&](std::size_t index,
-                           const runner::Experiment &) {
-        std::unique_lock<std::mutex> lock(mutex);
-        cv.wait(lock, [&]() { return release; });
-        return fakeResult(index);
-    };
-    hooks_a.onDone = done_a.hook();
-    scheduler.submit(fakeGrid(1, "a"), 0, std::move(hooks_a));
-
-    std::atomic<int> b_simulated{0};
-    GridScheduler::JobHooks hooks_b;
-    hooks_b.simulate = [&](std::size_t index,
-                           const runner::Experiment &) {
-        ++b_simulated;
-        return fakeResult(index);
-    };
-    hooks_b.onDone = done_b.hook();
-    const std::uint64_t id_b =
-        scheduler.submit(fakeGrid(4, "b"), 0, std::move(hooks_b));
-
-    scheduler.cancel(id_b);
-    const auto outcome_b = done_b.wait(); // Worker still wedged.
-    EXPECT_EQ(outcome_b.status,
-              GridScheduler::Outcome::Status::Cancelled);
-    EXPECT_EQ(outcome_b.completed, 0u);
-    EXPECT_EQ(b_simulated.load(), 0);
-
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        release = true;
-        cv.notify_all();
-    }
-    EXPECT_EQ(done_a.wait().status,
-              GridScheduler::Outcome::Status::Ok);
-}
-
-TEST(GridSchedulerTest, SimulateExceptionStopsJobNotPool)
-{
-    GridScheduler scheduler(GridScheduler::Options(1));
-
-    DoneCapture done_bad, done_good;
-    GridScheduler::JobHooks hooks_bad;
-    hooks_bad.simulate =
-        [](std::size_t index, const runner::Experiment &) -> SimResult {
-        if (index == 1)
-            throw std::runtime_error("boom at 1");
-        return fakeResult(index);
-    };
-    hooks_bad.onDone = done_bad.hook();
-    scheduler.submit(fakeGrid(8, "bad"), 0, std::move(hooks_bad));
-
-    const auto outcome = done_bad.wait();
-    EXPECT_EQ(outcome.status, GridScheduler::Outcome::Status::Error);
-    EXPECT_EQ(outcome.completed, 1u); // Point 0 emitted, then stop.
-    ASSERT_NE(outcome.error, nullptr);
-    EXPECT_THROW(std::rethrow_exception(outcome.error),
-                 std::runtime_error);
-
-    // The pool survives a failed job and runs the next one.
-    GridScheduler::JobHooks hooks_good;
-    hooks_good.simulate = [](std::size_t index,
-                             const runner::Experiment &) {
-        return fakeResult(index);
-    };
-    hooks_good.onDone = done_good.hook();
-    scheduler.submit(fakeGrid(2, "good"), 0, std::move(hooks_good));
-    EXPECT_EQ(done_good.wait().status,
-              GridScheduler::Outcome::Status::Ok);
-}
-
-TEST(GridSchedulerTest, BudgetCapsAJobsConcurrency)
-{
-    GridScheduler scheduler(GridScheduler::Options(4));
-
-    std::atomic<int> inFlight{0}, peak{0};
-    DoneCapture done;
-    GridScheduler::JobHooks hooks;
-    hooks.simulate = [&](std::size_t index,
-                         const runner::Experiment &) {
-        const int now = ++inFlight;
+    std::atomic<int> in_flight{0}, peak{0};
+    GridHooks wide;
+    wide.simulate = [&](std::size_t index, const runner::Experiment &) {
+        const int now = ++in_flight;
         int expected = peak.load();
         while (now > expected &&
                !peak.compare_exchange_weak(expected, now)) {
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        --inFlight;
+        --in_flight;
         return fakeResult(index);
     };
-    hooks.onDone = done.hook();
-    scheduler.submit(fakeGrid(12, "budget"), 2, std::move(hooks));
-
-    EXPECT_EQ(done.wait().status, GridScheduler::Outcome::Status::Ok);
-    EXPECT_LE(peak.load(), 2);
+    scheduleGrid(fakeGrid(12, "wide"), 3, wide);
+    EXPECT_LE(peak.load(), 3);
     EXPECT_GE(peak.load(), 1);
 }
 
-TEST(GridSchedulerTest, EmptyGridCompletesImmediately)
+TEST(ScheduleGridTest, CohortFollowersWaitForTheirLeader)
 {
-    GridScheduler scheduler(GridScheduler::Options(2));
-    DoneCapture done;
-    GridScheduler::JobHooks hooks;
+    // Points 0, 2, 4 share a cohort (led by 0), 1 and 3 share
+    // another (led by 1), 5 has none. A follower may only start once
+    // its leader completed; everything else dispatches freely.
+    const auto grid = fakeGrid(6, "cohort");
+    std::mutex mutex;
+    std::vector<char> done(grid.size(), 0);
+    bool gate_held = true;
+    GridHooks hooks;
+    hooks.cohortOf = [](std::size_t index, const runner::Experiment &) {
+        return index == 5 ? std::string()
+                          : std::string(index % 2 == 0 ? "even" : "odd");
+    };
+    hooks.simulate = [&](std::size_t index, const runner::Experiment &) {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            if (index == 2 || index == 4)
+                gate_held = gate_held && done[0];
+            if (index == 3)
+                gate_held = gate_held && done[1];
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        std::lock_guard<std::mutex> lock(mutex);
+        done[index] = 1;
+        return fakeResult(index);
+    };
+    std::vector<std::size_t> emitted;
+    hooks.onResult = [&](std::size_t index, SimResult &&,
+                         const runner::PointObservation *) {
+        emitted.push_back(index);
+    };
+    scheduleGrid(grid, 4, hooks);
+    EXPECT_TRUE(gate_held);
+    ASSERT_EQ(emitted.size(), grid.size());
+    for (std::size_t i = 0; i < emitted.size(); ++i)
+        EXPECT_EQ(emitted[i], i);
+}
+
+TEST(ScheduleGridTest, FirstExceptionStopsDispatchAndIsRethrown)
+{
+    // One worker: point 1 throws, so point 0 is emitted, nothing
+    // after point 1 is dispatched, and the exception reaches the
+    // caller.
+    std::atomic<std::size_t> simulated{0};
+    std::vector<std::size_t> emitted;
+    GridHooks hooks;
+    hooks.simulate = [&](std::size_t index,
+                         const runner::Experiment &) -> SimResult {
+        ++simulated;
+        if (index == 1)
+            throw std::runtime_error("boom at 1");
+        return fakeResult(index);
+    };
+    hooks.onResult = [&](std::size_t index, SimResult &&,
+                         const runner::PointObservation *) {
+        emitted.push_back(index);
+    };
+    EXPECT_THROW(scheduleGrid(fakeGrid(8, "bad"), 1, hooks),
+                 std::runtime_error);
+    EXPECT_EQ(simulated.load(), 2u);
+    EXPECT_LE(emitted.size(), 1u);
+
+    // An onResult exception stops the grid the same way.
+    GridHooks throwing;
+    throwing.simulate = [](std::size_t index, const runner::Experiment &) {
+        return fakeResult(index);
+    };
+    throwing.onResult = [](std::size_t, SimResult &&,
+                           const runner::PointObservation *) {
+        throw std::logic_error("consumer failed");
+    };
+    EXPECT_THROW(scheduleGrid(fakeGrid(8, "consumer"), 2, throwing),
+                 std::logic_error);
+}
+
+TEST(ScheduleGridTest, EmptyGridReturnsImmediately)
+{
+    GridHooks hooks;
     hooks.simulate = [](std::size_t, const runner::Experiment &) {
+        ADD_FAILURE() << "simulated a point of an empty grid";
         return SimResult{};
     };
-    hooks.onDone = done.hook();
-    scheduler.submit({}, 0, std::move(hooks));
-    const auto outcome = done.wait();
-    EXPECT_EQ(outcome.status, GridScheduler::Outcome::Status::Ok);
-    EXPECT_EQ(outcome.completed, 0u);
+    scheduleGrid({}, 2, hooks);
 }
 
 // ----------------------------------------------- parallel == serial results
@@ -786,6 +549,18 @@ TEST(ExperimentRunnerTest, ParallelRunMatchesSerialBitwise)
             EXPECT_EQ(row.speedup, 1.0);
         }
     }
+}
+
+TEST(ExperimentRunnerTest, BaselineEntrySimulatesWhatBaselineForDoes)
+{
+    // A grid's baseline point is an ordinary simulation of its own
+    // config; that config must be the one baselineFor() simulates,
+    // so ad-hoc baselineFor() callers and grid rows agree bit for bit.
+    const WorkloadPreset preset = tinyPreset("runner-base", 0xba5e);
+    ExperimentSet set;
+    set.addBaseline(preset, 20000, 50000, 3);
+    const SimResult grid = ExperimentRunner().run(set).front();
+    EXPECT_TRUE(grid == baselineFor(preset, 20000, 50000, 3));
 }
 
 TEST(ExperimentRunnerTest, EffectiveJobsClampsToGridSize)

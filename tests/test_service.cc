@@ -1,32 +1,21 @@
 /**
  * @file
- * End-to-end tests for the simulation service: a real SimServer on a
- * Unix socket in this process, driven through ServiceClient. The
- * load-bearing assertions are the distributed-determinism ones: a
- * grid submitted to a server returns results bitwise-identical to the
- * same grid run in-process, and the serialized JSON/CSV artifacts
- * match byte for byte.
+ * End-to-end tests of the service layer around the fleet's
+ * scheduling: a worker's control endpoint (status, ping and shutdown
+ * only), strict frame handling on both daemons, and the client's
+ * transport contract (timeouts, unknown frames, endpoint parsing).
+ * Grid submission and its byte-identical results are
+ * tests/test_fleet.cc.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <cstdio>
-#include <fstream>
-#include <memory>
-#include <mutex>
-#include <sstream>
+#include <string>
 #include <thread>
-#include <vector>
 
+#include "fleet_harness.hh"
 #include "runner/experiment.hh"
-#include "runner/result_sink.hh"
 #include "service/client.hh"
-#include "service/server.hh"
-#include "trace/generator.hh"
-#include "trace/program.hh"
-#include "trace/trace_io.hh"
 
 namespace shotgun
 {
@@ -34,6 +23,9 @@ namespace service
 {
 namespace
 {
+
+using fleet::TestCoordinator;
+using fleet::TestWorker;
 
 /** Small but non-trivial synthetic workload: fast to simulate. */
 WorkloadPreset
@@ -50,386 +42,99 @@ tinyPreset(const std::string &name, std::uint64_t seed)
     return preset;
 }
 
-runner::ExperimentSet
-quickGrid(int workloads = 2)
+/** Send one line and decode the reply frame. */
+json::Value
+roundTrip(LineChannel &channel, const std::string &line)
 {
-    const std::uint64_t warmup = 20000, measure = 50000;
-    runner::ExperimentSet set;
-    for (int w = 0; w < workloads; ++w) {
-        const WorkloadPreset preset =
-            tinyPreset("svc-w" + std::to_string(w),
-                       0x5e40 + static_cast<std::uint64_t>(w));
-        set.addBaseline(preset, warmup, measure);
-        for (SchemeType type :
-             {SchemeType::Boomerang, SchemeType::Shotgun}) {
-            SimConfig config = SimConfig::make(preset, type);
-            config.warmupInstructions = warmup;
-            config.measureInstructions = measure;
-            set.add(preset, schemeTypeName(type), config);
-        }
-    }
-    return set;
+    std::string reply;
+    EXPECT_TRUE(channel.sendLine(line));
+    EXPECT_TRUE(channel.recvLine(reply));
+    return json::Value::parse(reply);
 }
 
-SubmitRequest
-requestFor(const runner::ExperimentSet &set, const std::string &name)
+TEST(WorkerControlTest, JobFramesGetAnErrorAndTheWorkerStillAnswers)
 {
+    // A worker's control endpoint is not a job frontend: submit,
+    // attach and cancel frames -- all well-formed -- are answered
+    // with an error pointing at the coordinator, on a connection
+    // that stays usable, and nothing is simulated.
+    TestCoordinator coord("control");
+    TestWorker worker("control-w", coord.endpoint());
+    LineChannel channel(connectTo(Endpoint::parse(worker.endpoint())));
+
+    const WorkloadPreset preset = tinyPreset("svc-control", 0xc0);
     SubmitRequest request;
-    request.experiment = name;
-    request.jobs = 2;
-    request.grid = set.experiments();
-    return request;
-}
+    request.experiment = "control";
+    runner::Experiment exp;
+    exp.workload = preset.name;
+    exp.label = "shotgun";
+    exp.config = SimConfig::make(preset, SchemeType::Shotgun);
+    request.grid.push_back(exp);
+    json::Value attach = makeFrame("attach");
+    attach.set("worker", json::Value::number(std::uint64_t{1}));
+    json::Value cancel = makeFrame("cancel");
+    cancel.set("job", json::Value::number(std::uint64_t{1}));
 
-/** A serve()ing SimServer on a fresh Unix socket, RAII-stopped. */
-class TestServer
-{
-  public:
-    explicit TestServer(const std::string &tag,
-                        ServerOptions options = {})
-        : server_("unix:/tmp/shotgun_svc_test_" + tag + ".sock",
-                  options),
-          thread_([this]() { server_.serve(); })
-    {
+    for (const json::Value &frame :
+         {encodeSubmit(request), attach, cancel}) {
+        const json::Value reply = roundTrip(channel, frame.dump());
+        ASSERT_EQ(frameType(reply), "error") << frame.dump();
+        EXPECT_NE(decodeError(reply).find(
+                      "submit grids to the coordinator at " +
+                      coord.endpoint()),
+                  std::string::npos)
+            << decodeError(reply);
     }
+    EXPECT_EQ(frameType(roundTrip(channel, "{\"type\":\"ping\"}")),
+              "pong");
+    EXPECT_EQ(worker.worker().cacheStats().misses, 0u);
 
-    ~TestServer()
-    {
-        server_.requestShutdown();
-        thread_.join();
-    }
-
-    std::string endpoint() const { return server_.endpoint(); }
-    SimServer &server() { return server_; }
-
-  private:
-    SimServer server_;
-    std::thread thread_;
-};
-
-TEST(ServiceTest, SubmitMatchesInProcessBitwise)
-{
-    const runner::ExperimentSet set = quickGrid();
-    const auto local = runner::ExperimentRunner().run(set);
-
-    TestServer server("submit");
-    ServiceClient client(server.endpoint());
-    EXPECT_TRUE(client.ping());
-
-    std::vector<ResultEvent> events;
-    const auto remote = client.submit(
-        requestFor(set, "unit"),
-        [&](const ResultEvent &event) { events.push_back(event); });
-
-    ASSERT_EQ(remote.size(), set.size());
-    for (std::size_t i = 0; i < set.size(); ++i)
-        EXPECT_TRUE(remote[i] == local[i]) << "index " << i;
-
-    // Streamed events arrive in grid order with matching labels.
-    ASSERT_EQ(events.size(), set.size());
-    for (std::size_t i = 0; i < events.size(); ++i) {
-        EXPECT_EQ(events[i].index, i);
-        EXPECT_EQ(events[i].label, set.experiments()[i].label);
-        EXPECT_FALSE(events[i].cached);
-    }
-
-    // The serialized artifacts are byte-identical too.
-    runner::ResultSink local_sink("unit");
-    runner::appendResultRows(set, local, local_sink);
-    runner::ResultSink remote_sink("unit");
-    runner::appendResultRows(set, remote, remote_sink);
-    std::ostringstream local_json, remote_json, local_csv, remote_csv;
-    local_sink.writeJson(local_json);
-    remote_sink.writeJson(remote_json);
-    local_sink.writeCsv(local_csv);
-    remote_sink.writeCsv(remote_csv);
-    EXPECT_EQ(local_json.str(), remote_json.str());
-    EXPECT_EQ(local_csv.str(), remote_csv.str());
-}
-
-TEST(ServiceTest, ResubmitIsServedFromTheCache)
-{
-    const runner::ExperimentSet set = quickGrid(1);
-
-    TestServer server("cache");
-    ServiceClient client(server.endpoint());
-
-    const auto first = client.submit(requestFor(set, "cache"));
-    EXPECT_EQ(server.server().cacheSize(), set.size());
-
-    std::size_t cached = 0;
-    const auto second = client.submit(
-        requestFor(set, "cache"),
-        [&](const ResultEvent &event) { cached += event.cached; });
-    EXPECT_EQ(cached, set.size());
-    EXPECT_EQ(server.server().cacheSize(), set.size());
-    for (std::size_t i = 0; i < set.size(); ++i)
-        EXPECT_TRUE(first[i] == second[i]);
-}
-
-TEST(ServiceTest, StatusReportsJobsAndCache)
-{
-    const runner::ExperimentSet set = quickGrid(1);
-
-    TestServer server("status");
-    ServiceClient client(server.endpoint());
-    client.submit(requestFor(set, "status-job"));
-
+    // Status keeps the members (and their shape) that operators and
+    // the benchmark's cold-run guard read; a worker has no job rows.
+    ServiceClient client(worker.endpoint());
     const json::Value status = client.status();
-    EXPECT_EQ(status.at("server").at("protocol").asU64(),
-              kProtocolVersion);
-    EXPECT_EQ(status.at("server").at("cache_entries").asU64(),
-              set.size());
-    ASSERT_EQ(status.at("jobs").size(), 1u);
-    const JobStatus job = decodeJobStatus(status.at("jobs").items()[0]);
-    EXPECT_EQ(job.experiment, "status-job");
-    EXPECT_EQ(job.state, "ok");
-    EXPECT_EQ(job.total, set.size());
-    EXPECT_EQ(job.completed, set.size());
+    EXPECT_EQ(status.find("jobs"), nullptr);
+    const json::Value &server = status.at("server");
+    EXPECT_EQ(server.at("role").asString(), "worker");
+    EXPECT_EQ(server.at("name").asString(), "control-w");
+    EXPECT_EQ(server.at("protocol").asU64(), kProtocolVersion);
+    EXPECT_EQ(server.at("cache").at("entries").asU64(), 0u);
+    EXPECT_EQ(server.at("cache").at("hits").asU64(), 0u);
+    EXPECT_NO_THROW(server.at("checkpoint").at("hits").asU64());
+    EXPECT_NO_THROW(server.at("checkpoint").at("misses").asU64());
+    EXPECT_NO_THROW(server.at("traces").at("bytes").asU64());
+
+    // And a shutdown frame still stops it.
+    client.shutdownServer();
+    worker.join();
 }
 
 TEST(ServiceTest, MalformedFramesAreRejectedNotFatal)
 {
-    TestServer server("malformed");
-    LineChannel channel(
-        connectTo(Endpoint::parse(server.endpoint())));
-
-    // Garbage, valid-JSON-wrong-shape, unknown type: all answered
-    // with an error frame on a connection that stays usable.
-    for (const char *line :
-         {"this is not json", "[1,2,3]", "{\"no_type\":1}",
-          "{\"type\":\"warp\"}",
-          "{\"type\":\"submit\",\"protocol\":1}"}) {
-        ASSERT_TRUE(channel.sendLine(line));
-        std::string reply;
-        ASSERT_TRUE(channel.recvLine(reply));
-        EXPECT_EQ(frameType(json::Value::parse(reply)), "error")
-            << line;
+    TestCoordinator coord("malformed");
+    TestWorker worker("malformed-w", coord.endpoint());
+    for (const std::string &endpoint :
+         {coord.endpoint(), worker.endpoint()}) {
+        LineChannel channel(connectTo(Endpoint::parse(endpoint)));
+        // The coordinator classifies a connection by its first frame
+        // (client, worker control or worker slot), so open as a
+        // client.
+        EXPECT_EQ(frameType(roundTrip(channel, "{\"type\":\"ping\"}")),
+                  "pong")
+            << endpoint;
+        // Garbage, valid-JSON-wrong-shape, unknown type, stale
+        // protocol: all answered with an error frame on a connection
+        // that stays usable.
+        for (const char *line :
+             {"this is not json", "[1,2,3]", "{\"no_type\":1}",
+              "{\"type\":\"warp\"}",
+              "{\"type\":\"submit\",\"protocol\":1}"})
+            EXPECT_EQ(frameType(roundTrip(channel, line)), "error")
+                << endpoint << ": " << line;
+        EXPECT_EQ(frameType(roundTrip(channel, "{\"type\":\"ping\"}")),
+                  "pong")
+            << endpoint;
     }
-
-    ASSERT_TRUE(channel.sendLine("{\"type\":\"ping\"}"));
-    std::string reply;
-    ASSERT_TRUE(channel.recvLine(reply));
-    EXPECT_EQ(frameType(json::Value::parse(reply)), "pong");
-}
-
-TEST(ServiceTest, SubmitWithBadTraceFileIsRejected)
-{
-    const WorkloadPreset preset = tinyPreset("svc-trace", 1);
-
-    SubmitRequest request;
-    request.experiment = "bad-trace";
-    runner::Experiment exp;
-    exp.workload = "svc-trace";
-    exp.label = "shotgun";
-    exp.config = SimConfig::make(preset, SchemeType::Shotgun);
-    exp.config.workload.tracePath =
-        "/tmp/shotgun_svc_no_such_file.trace";
-    request.grid.push_back(exp);
-
-    TestServer server("badtrace");
-    ServiceClient client(server.endpoint());
-
-    // Missing file.
-    EXPECT_THROW(client.submit(request), ServiceError);
-    EXPECT_TRUE(client.ping());
-
-    // Existing file that is not a trace: would fatal() the worker
-    // mid-job without the submit-time probe.
-    const std::string garbage = "/tmp/shotgun_svc_garbage.trace";
-    {
-        std::ofstream out(garbage, std::ios::binary);
-        out << "definitely not a shotgun trace, but quite long";
-    }
-    request.grid[0].config.workload.tracePath = garbage;
-    EXPECT_THROW(client.submit(request), ServiceError);
-    EXPECT_TRUE(client.ping());
-    std::remove(garbage.c_str());
-
-    // A real trace whose program differs from the submitted config
-    // (the distributed stale-copy case): rejected at submit time,
-    // because mid-job it would fatal() the whole daemon.
-    const std::string trace = "/tmp/shotgun_svc_stale.trace";
-    {
-        Program prog(preset.program);
-        TraceGenerator gen(prog, 1);
-        recordTrace(gen, preset, 1, trace, 5000);
-    }
-    request.grid[0].config.workload.tracePath = trace;
-    request.grid[0].config.workload.program.numFuncs += 1;
-    request.grid[0].config.warmupInstructions = 10;
-    request.grid[0].config.measureInstructions = 10;
-    try {
-        client.submit(request);
-        FAIL() << "stale trace accepted";
-    } catch (const ServiceError &e) {
-        EXPECT_NE(std::string(e.what())
-                      .find("different program parameters"),
-                  std::string::npos);
-    }
-    EXPECT_TRUE(client.ping());
-    std::remove(trace.c_str());
-}
-
-TEST(ServiceTest, ConcurrentJobsInterleaveAndMatchInProcess)
-{
-    // Two different grids submitted concurrently to one daemon with
-    // a 2-thread pool: the scheduler must run them side by side (a
-    // status frame observes both `running` at once) and each must
-    // still return results bitwise-identical to its in-process run.
-    runner::ExperimentSet set_a = quickGrid(3);
-    runner::ExperimentSet set_b;
-    {
-        const std::uint64_t warmup = 20000, measure = 50000;
-        for (int w = 0; w < 2; ++w) {
-            const WorkloadPreset preset =
-                tinyPreset("svc-conc" + std::to_string(w),
-                           0x77a0 + static_cast<std::uint64_t>(w));
-            set_b.addBaseline(preset, warmup, measure);
-            SimConfig config =
-                SimConfig::make(preset, SchemeType::Shotgun);
-            config.warmupInstructions = warmup;
-            config.measureInstructions = measure;
-            set_b.add(preset, "shotgun", config);
-        }
-    }
-    const auto local_a = runner::ExperimentRunner().run(set_a);
-    const auto local_b = runner::ExperimentRunner().run(set_b);
-
-    ServerOptions options;
-    options.jobs = 2;
-    TestServer server("concurrent", options);
-
-    std::atomic<bool> a_started{false};
-    std::vector<SimResult> remote_a, remote_b;
-
-    std::thread submit_a([&]() {
-        ServiceClient client(server.endpoint());
-        remote_a = client.submit(
-            requestFor(set_a, "job-a"),
-            [&](const ResultEvent &) { a_started.store(true); });
-    });
-    while (!a_started.load())
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-
-    std::atomic<bool> done_b{false};
-    std::thread submit_b([&]() {
-        ServiceClient client(server.endpoint());
-        remote_b = client.submit(requestFor(set_b, "job-b"));
-        done_b.store(true);
-    });
-
-    // Poll status from a third connection until one frame reports
-    // both jobs running -- the "two grids make progress at once"
-    // observable (polling stops once job B finished, which can beat
-    // a poll on a fast machine).
-    bool both_running = false;
-    {
-        ServiceClient status_client(server.endpoint());
-        while (!both_running && !done_b.load()) {
-            const json::Value status = status_client.status();
-            std::size_t running = 0;
-            for (const json::Value &row : status.at("jobs").items())
-                running += decodeJobStatus(row).state == "running";
-            both_running = running >= 2;
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(1));
-        }
-    }
-    submit_a.join();
-    submit_b.join();
-    EXPECT_TRUE(both_running)
-        << "no status frame observed both jobs running";
-
-    ASSERT_EQ(remote_a.size(), set_a.size());
-    for (std::size_t i = 0; i < set_a.size(); ++i)
-        EXPECT_TRUE(remote_a[i] == local_a[i]) << "A index " << i;
-    ASSERT_EQ(remote_b.size(), set_b.size());
-    for (std::size_t i = 0; i < set_b.size(); ++i)
-        EXPECT_TRUE(remote_b[i] == local_b[i]) << "B index " << i;
-}
-
-TEST(ServiceTest, CancelRunningJobStopsDispatch)
-{
-    // A 1-worker pool serializes the 9 points, leaving a wide window
-    // to cancel mid-job; the job must then stop dispatching, report
-    // `cancelled` truthfully, and leave the tail unsimulated.
-    const runner::ExperimentSet set = quickGrid(3);
-
-    ServerOptions options;
-    options.jobs = 1;
-    TestServer server("cancel-running", options);
-
-    std::atomic<bool> started{false};
-    std::atomic<std::uint64_t> job_id{0};
-    std::string failure;
-
-    std::thread submitter([&]() {
-        ServiceClient client(server.endpoint());
-        try {
-            SubmitRequest request = requestFor(set, "cancel-me");
-            client.submit(request, [&](const ResultEvent &event) {
-                job_id.store(event.job);
-                started.store(true);
-            });
-            failure = "submit returned ok despite cancel";
-        } catch (const ServiceError &e) {
-            if (std::string(e.what()).find("cancelled") ==
-                std::string::npos)
-                failure = std::string("unexpected error: ") +
-                          e.what();
-        }
-    });
-    while (!started.load())
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-
-    ServiceClient control(server.endpoint());
-    control.cancel(job_id.load());
-    submitter.join();
-    EXPECT_TRUE(failure.empty()) << failure;
-
-    // The job's terminal status is `cancelled` with an honest
-    // completed count, and the remaining points were never simulated.
-    const json::Value status = control.status();
-    ASSERT_EQ(status.at("jobs").size(), 1u);
-    const JobStatus job = decodeJobStatus(status.at("jobs").items()[0]);
-    EXPECT_EQ(job.state, "cancelled");
-    EXPECT_LT(job.completed, set.size());
-    EXPECT_LT(server.server().cacheSize(), set.size());
-}
-
-TEST(ServiceTest, CacheEvictionRespectsByteBudget)
-{
-    const runner::ExperimentSet set = quickGrid(2); // 6 points.
-
-    ServerOptions options;
-    options.jobs = 2;
-    // Room for roughly one result (fingerprint + struct + strings),
-    // so a 6-point grid must evict while it runs.
-    options.cacheBytes = 400;
-    TestServer server("evict", options);
-
-    ServiceClient client(server.endpoint());
-    const auto first = client.submit(requestFor(set, "evict"));
-
-    MemoCacheStats stats = server.server().cacheStats();
-    EXPECT_LE(stats.bytes, options.cacheBytes);
-    EXPECT_GT(stats.evictions, 0u);
-    EXPECT_LT(stats.entries, set.size());
-
-    // Resubmit: mostly recomputed (the cache was too small to hold
-    // the grid), and the recomputed results are identical to the
-    // first run and to in-process -- eviction can never serve a
-    // stale or corrupted entry.
-    const auto second = client.submit(requestFor(set, "evict"));
-    const auto local = runner::ExperimentRunner().run(set);
-    ASSERT_EQ(second.size(), set.size());
-    for (std::size_t i = 0; i < set.size(); ++i) {
-        EXPECT_TRUE(first[i] == second[i]) << "index " << i;
-        EXPECT_TRUE(second[i] == local[i]) << "index " << i;
-    }
-    stats = server.server().cacheStats();
-    EXPECT_LE(stats.bytes, options.cacheBytes);
 }
 
 TEST(ServiceTest, LegacyBaselineMemoFlagCannotAliasAConfig)
@@ -439,8 +144,8 @@ TEST(ServiceTest, LegacyBaselineMemoFlagCannotAliasAConfig)
     // the workload, lengths and seed only, so a server trusting the
     // flag answered a shotgun config with baseline numbers and cached
     // them under the shotgun fingerprint. A frame still carrying it
-    // is otherwise complete and current, and must be rejected with
-    // an error naming the retired member.
+    // is otherwise complete and current, and the coordinator must
+    // reject it with an error naming the retired member.
     // The member name is spelled in two pieces so a grep for it
     // finds only code that would read or write it.
     const std::string retired = std::string("via_baseline") + "_cache";
@@ -468,9 +173,8 @@ TEST(ServiceTest, LegacyBaselineMemoFlagCannotAliasAConfig)
     submit.set("priority", json::Value::number(std::uint64_t{1}));
     submit.set("grid", std::move(grid));
 
-    TestServer server("legacy");
-    LineChannel channel(
-        connectTo(Endpoint::parse(server.endpoint())));
+    fleet::TestCoordinator coord("legacy");
+    LineChannel channel(connectTo(Endpoint::parse(coord.endpoint())));
     ASSERT_TRUE(channel.sendLine(submit.dump()));
     std::string reply;
     ASSERT_TRUE(channel.recvLine(reply));
@@ -487,6 +191,28 @@ TEST(ServiceTest, LegacyBaselineMemoFlagCannotAliasAConfig)
     ASSERT_TRUE(channel.sendLine(fixed));
     ASSERT_TRUE(channel.recvLine(reply));
     EXPECT_EQ(frameType(json::Value::parse(reply)), "accepted") << reply;
+}
+
+TEST(WorkerControlTest, ShutdownInterruptsAcceptWithIdleClientConnected)
+{
+    // Regression: a connected-but-idle client must not wedge
+    // shutdown -- the wake pipe interrupts the blocked accept() and
+    // the idle connection is shut down and drained.
+    TestCoordinator coord("idle");
+    TestWorker worker("idle-w", coord.endpoint());
+
+    // An idle client: connects, then sends nothing at all.
+    LineChannel idle(connectTo(Endpoint::parse(worker.endpoint())));
+    ASSERT_TRUE(idle.valid());
+
+    // Shutdown arrives over a second connection.
+    ServiceClient control(worker.endpoint());
+    control.shutdownServer();
+    worker.join(); // Hangs here if accept/readers were not woken.
+
+    // The idle client's connection was shut down by the worker.
+    std::string line;
+    EXPECT_FALSE(idle.recvLine(line));
 }
 
 TEST(ServiceTest, ClientTimesOutOnWedgedServer)
@@ -551,52 +277,6 @@ TEST(ServiceTest, UnknownFrameTypeInAJobStreamFailsTheSubmit)
         }
     }
     server.join();
-}
-
-TEST(ServiceTest, ShutdownInterruptsAcceptWithIdleClientConnected)
-{
-    // Regression: a connected-but-idle client must not wedge
-    // shutdown -- the wake pipe interrupts the blocked accept() and
-    // the idle connection is shut down and drained.
-    auto server = std::make_unique<SimServer>(
-        "unix:/tmp/shotgun_svc_test_idle_shutdown.sock",
-        ServerOptions{});
-    std::thread thread([&]() { server->serve(); });
-
-    // An idle client: connects, then sends nothing at all.
-    LineChannel idle(connectTo(Endpoint::parse(server->endpoint())));
-    ASSERT_TRUE(idle.valid());
-
-    // Shutdown arrives over a second connection.
-    ServiceClient control(server->endpoint());
-    control.shutdownServer();
-    thread.join(); // Hangs here if accept/readers were not woken.
-
-    // The idle client's connection was shut down by the server.
-    std::string line;
-    EXPECT_FALSE(idle.recvLine(line));
-    server.reset();
-    SUCCEED();
-}
-
-TEST(ServiceTest, CancelUnknownJobIsAnError)
-{
-    TestServer server("cancel");
-    ServiceClient client(server.endpoint());
-    EXPECT_THROW(client.cancel(12345), ServiceError);
-}
-
-TEST(ServiceTest, ShutdownFrameStopsServe)
-{
-    auto server = std::make_unique<SimServer>(
-        "unix:/tmp/shotgun_svc_test_shutdown.sock", ServerOptions{});
-    std::thread thread([&]() { server->serve(); });
-
-    ServiceClient client(server->endpoint());
-    client.shutdownServer();
-    thread.join(); // Returns only if shutdown actually stopped serve.
-    server.reset();
-    SUCCEED();
 }
 
 TEST(ServiceEndpointTest, ParseAndFormat)

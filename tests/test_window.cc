@@ -5,8 +5,8 @@
  * full-coverage window plan -- contiguous windows, warm-up equal to
  * the preceding prefix -- stitches into a SimResult numerically
  * identical to the monolithic run, for synthetic presets and
- * recorded traces, in-process and through a service endpoint (the
- * fleet case with a worker dying mid-run lives in test_fleet.cc).
+ * recorded traces, in-process and through a coordinator (the case
+ * with a worker dying mid-run lives in test_fleet.cc).
  * Plus: merge permutation-invariance, strict window-order
  * emission, death tests for malformed plans, and the sampled
  * (approximate) mode's determinism.
@@ -17,14 +17,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "fleet_harness.hh"
 #include "obs/uarch.hh"
 #include "runner/experiment.hh"
-#include "runner/grid_scheduler.hh"
 #include "service/client.hh"
-#include "service/server.hh"
 #include "sim/simulator.hh"
 #include "sim/stats_delta.hh"
 #include "trace/generator.hh"
@@ -412,12 +410,10 @@ TEST(WindowedRunnerTest, EmitsWindowsStrictlyInOrder)
         experimentFor(preset, SchemeType::Baseline);
     const WindowPlan plan = contiguousPlan(exp.config, 6);
 
-    runner::GridScheduler scheduler(
-        runner::GridScheduler::Options{4});
     std::vector<std::size_t> emitted;
     std::uint64_t instructions = 0;
     const window::WindowedOutcome outcome = runWindowedExperiment(
-        exp, plan, scheduler, 0,
+        exp, plan, 4,
         [&](std::size_t index, const SimResult &result) {
             emitted.push_back(index);
             instructions += result.instructions;
@@ -461,35 +457,12 @@ TEST(SampledWindowTest, DeterministicAndCheaperThanFullPrefix)
 
 // ------------------------------------------------- service integration
 
-/** A serve()ing SimServer on a fresh Unix socket, RAII-stopped. */
-class TestServer
+TEST(WindowShardingTest, MatchesMonolithicThroughACoordinator)
 {
-  public:
-    explicit TestServer(const std::string &tag)
-        : server_("unix:/tmp/shotgun_window_test_" + tag + ".sock"),
-          thread_([this]() { server_.serve(); })
-    {
-    }
-
-    ~TestServer()
-    {
-        server_.requestShutdown();
-        thread_.join();
-    }
-
-    std::string endpoint() const { return server_.endpoint(); }
-
-  private:
-    service::SimServer server_;
-    std::thread thread_;
-};
-
-TEST(WindowShardingTest, MatchesMonolithicThroughOneServer)
-{
-    // Two experiments split into three windows each and sent to one
-    // server in one submit: the stitched results equal monolithic
-    // in-process runs exactly. (The coordinator path, with a worker dying mid-grid,
-    // is FleetTest.WindowShardsSurviveWorkerDeath.)
+    // Two experiments split into three windows each and sent to a
+    // coordinator with one worker in one submit: the stitched results
+    // equal monolithic in-process runs exactly. (With a worker dying
+    // mid-grid: FleetTest.WindowShardsSurviveWorkerDeath.)
     service::SubmitRequest request;
     request.experiment = "window-shard";
     request.jobs = 2;
@@ -502,8 +475,9 @@ TEST(WindowShardingTest, MatchesMonolithicThroughOneServer)
         request.grid.push_back(exp);
     }
 
-    TestServer server("one");
-    service::ServiceClient client(server.endpoint());
+    fleet::TestCoordinator coord("window-one");
+    fleet::TestWorker worker("window-one-w", coord.endpoint());
+    service::ServiceClient client(coord.endpoint());
     std::size_t events = 0;
     const std::vector<SimResult> stitched = service::submitWindowed(
         client, request, 3,
@@ -517,7 +491,7 @@ TEST(WindowShardingTest, MatchesMonolithicThroughOneServer)
     // frame without its delta).
     EXPECT_EQ(events, 6u);
 
-    // Resubmitting hits the server's fingerprint cache (windowed
+    // Resubmitting hits the coordinator's fingerprint cache (windowed
     // entries keep their deltas) and stitches identically again.
     const std::vector<SimResult> again =
         service::submitWindowed(client, request, 3);

@@ -5,8 +5,8 @@
  * started with `shotgun-serve --coordinator HOST:PORT` register
  * here and steal grid points from a global priority/cost-ordered
  * queue; clients submit with `shotgun-submit --coordinator
- * HOST:PORT` exactly as they would to a single server, and get
- * byte-identical results.
+ * HOST:PORT` -- the coordinator is the one place a grid is
+ * submitted -- and get results byte-identical to an in-process run.
  *
  *   shotgun-coord --listen 0.0.0.0:7400 --cache-dir /var/cache/shotgun
  *   shotgun-coord --listen unix:/run/shotgun-coord.sock --quiet

@@ -1,19 +1,19 @@
 /**
  * @file
- * shotgun-serve: the batch/async simulation service daemon. Wraps
- * the in-library SimServer (src/service/server.hh): listens on a TCP
- * or Unix-socket endpoint, queues submitted experiment grids,
- * executes them through the shared ExperimentRunner with a
- * fingerprint-keyed result cache, and streams results back as
- * newline-delimited JSON frames (protocol spec:
- * src/service/README.md).
+ * shotgun-serve: a simulation worker of a shotgun-coord fleet. Wraps
+ * the in-library FleetWorker (src/fleet/worker.hh): registers with
+ * the coordinator, steals grid points from its queue, simulates them
+ * through an in-memory fingerprint-keyed result cache, and answers
+ * status/ping/shutdown on a small control endpoint. Grids are
+ * submitted to the coordinator, never to a worker.
  *
- *   shotgun-serve --listen unix:/run/shotgun.sock
- *   shotgun-serve --listen 0.0.0.0:7401 --jobs 8 --quiet
+ *   shotgun-serve --listen unix:/run/w1.sock --coordinator unix:/run/coord.sock
+ *   shotgun-serve --listen 0.0.0.0:7401 --coordinator hostA:7400 --jobs 8
  *
- * The daemon prints `listening on <endpoint>` on stdout once ready
- * (scripts wait for that line), then serves until a client sends a
- * `shutdown` frame (e.g. `shotgun-submit --server ... --shutdown`).
+ * The daemon prints `listening on <endpoint>` on stdout once its
+ * control endpoint is bound (scripts wait for that line), then works
+ * until a `shutdown` frame arrives on that endpoint (e.g.
+ * `shotgun-submit --server ... --shutdown`).
  */
 
 #include <cstdio>
@@ -28,12 +28,10 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/parse.hh"
-#include "fleet/disk_cache.hh"
 #include "fleet/worker.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "runner/thread_pool.hh"
-#include "service/server.hh"
 
 using namespace shotgun;
 
@@ -41,54 +39,45 @@ namespace
 {
 
 const char *kUsage =
-    "usage: shotgun-serve --listen ENDPOINT [--jobs N]\n"
-    "                     [--cache-bytes N[K|M|G]] [--cache-dir DIR]\n"
-    "                     [--cache-max-bytes N[K|M|G]]\n"
-    "                     [--coordinator ENDPOINT] [--name NAME]\n"
-    "                     [--heartbeat-ms N] [--quiet]\n"
+    "usage: shotgun-serve --listen ENDPOINT --coordinator ENDPOINT\n"
+    "                     [--jobs N] [--cache-bytes N[K|M|G]]\n"
+    "                     [--name NAME] [--heartbeat-ms N] [--quiet]\n"
     "\n"
-    "Long-running simulation service: accepts experiment grids over\n"
-    "the newline-delimited JSON frame protocol (see\n"
-    "src/service/README.md), schedules concurrently submitted grids\n"
-    "fairly over one worker pool (weighted fair share per grid\n"
-    "point), and streams each job's results back in its grid order,\n"
-    "serving repeated configurations from a fingerprint-keyed\n"
-    "result cache.\n"
+    "Simulation worker of a shotgun-coord fleet: registers with the\n"
+    "coordinator, steals grid points from its queue (one slot per\n"
+    "--jobs worker) and simulates them, serving repeated\n"
+    "configurations from an in-memory fingerprint-keyed result\n"
+    "cache. Grids are submitted to the coordinator\n"
+    "(shotgun-submit --coordinator); the worker's own endpoint only\n"
+    "answers status, ping and shutdown (see src/service/README.md).\n"
+    "On a single machine run one shotgun-coord plus one\n"
+    "shotgun-serve, or shotgun-submit --local.\n"
     "\n"
-    "  --listen ENDPOINT   unix:<path> or <host>:<port> (TCP port 0\n"
-    "                      asks the kernel for a free port; the\n"
-    "                      resolved endpoint is printed on stdout)\n"
-    "  --jobs N            worker pool size, also the cap on any\n"
-    "                      single job's worker budget (default: one\n"
-    "                      per hardware thread)\n"
+    "  --listen ENDPOINT   control endpoint: unix:<path> or\n"
+    "                      <host>:<port> (TCP port 0 asks the kernel\n"
+    "                      for a free port; the resolved endpoint is\n"
+    "                      printed on stdout)\n"
+    "  --coordinator EP    the shotgun-coord endpoint to join\n"
+    "                      (required)\n"
+    "  --jobs N            concurrent simulation slots offered to the\n"
+    "                      coordinator (default: one per hardware\n"
+    "                      thread)\n"
     "  --cache-bytes N     byte budget for the result cache;\n"
     "                      least-recently-used results are evicted\n"
     "                      beyond it (suffix K/M/G; default:\n"
     "                      unbounded)\n"
-    "  --cache-dir DIR     persistent result cache directory: every\n"
-    "                      result is written through to disk and\n"
-    "                      served from there after a restart\n"
-    "  --cache-max-bytes N byte bound on the --cache-dir directory;\n"
-    "                      oldest entries are trimmed first when a\n"
-    "                      store pushes the total over the bound\n"
-    "                      (suffix K/M/G; default: unbounded)\n"
-    "  --coordinator EP    join the fleet at this shotgun-coord\n"
-    "                      endpoint: register, heartbeat, and steal\n"
-    "                      grid points (one slot per --jobs worker)\n"
-    "                      while still serving direct clients\n"
     "  --name NAME         worker name shown in --fleet-status\n"
     "                      (default: serve-<pid>)\n"
     "  --heartbeat-ms N    fleet heartbeat period (default 1000)\n"
     "  --trace-out FILE    write a Chrome trace-event JSON of every\n"
-    "                      span this daemon recorded (its own and\n"
-    "                      trace-carrying jobs') when it shuts down;\n"
-    "                      Perfetto-loadable\n"
+    "                      span this daemon recorded when it shuts\n"
+    "                      down; Perfetto-loadable\n"
     "  --uarch-report FILE write the process-lifetime stall\n"
     "                      attribution totals (the sim.uarch.*\n"
     "                      counters accumulated over every probed\n"
     "                      point this daemon simulated, with their\n"
     "                      conservation check) as JSON at shutdown\n"
-    "  --quiet             no connection/job log lines on stderr\n"
+    "  --quiet             no connection log lines on stderr\n"
     "\n"
     "Stop it with: shotgun-submit --server ENDPOINT --shutdown\n";
 
@@ -134,15 +123,12 @@ main(int argc, char **argv)
                                  exit_code))
         return exit_code;
 
-    std::string listen;
-    std::string cache_dir;
     std::string trace_out;
     std::string uarch_report;
-    std::uint64_t cache_max_bytes = 0;
-    service::ServerOptions options;
+    unsigned jobs = 0;
+    fleet::WorkerOptions options;
     options.log = &std::cerr;
-    fleet::WorkerOptions fleet_options;
-    fleet_options.name = "serve-" + std::to_string(::getpid());
+    options.name = "serve-" + std::to_string(::getpid());
 
     for (int i = 1; i < argc; ++i) {
         auto next = [&](const char *flag) -> const char * {
@@ -151,27 +137,22 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (std::strcmp(argv[i], "--listen") == 0) {
-            listen = next("--listen");
+            options.listen = next("--listen");
         } else if (std::strcmp(argv[i], "--jobs") == 0) {
-            std::uint64_t jobs = 0;
+            std::uint64_t value = 0;
             const char *text = next("--jobs");
-            if (!parseU64(text, jobs) || jobs == 0 || jobs > 1024)
+            if (!parseU64(text, value) || value == 0 || value > 1024)
                 usageError(std::string("--jobs: expected a worker "
                                        "count in [1, 1024], got '") +
                            text + "'");
-            options.jobs = static_cast<unsigned>(jobs);
+            jobs = static_cast<unsigned>(value);
         } else if (std::strcmp(argv[i], "--cache-bytes") == 0) {
             options.cacheBytes = static_cast<std::size_t>(
                 parseByteSize("--cache-bytes", next("--cache-bytes")));
-        } else if (std::strcmp(argv[i], "--cache-dir") == 0) {
-            cache_dir = next("--cache-dir");
-        } else if (std::strcmp(argv[i], "--cache-max-bytes") == 0) {
-            cache_max_bytes = parseByteSize(
-                "--cache-max-bytes", next("--cache-max-bytes"));
         } else if (std::strcmp(argv[i], "--coordinator") == 0) {
-            fleet_options.coordinator = next("--coordinator");
+            options.coordinator = next("--coordinator");
         } else if (std::strcmp(argv[i], "--name") == 0) {
-            fleet_options.name = next("--name");
+            options.name = next("--name");
         } else if (std::strcmp(argv[i], "--heartbeat-ms") == 0) {
             std::uint64_t ms = 0;
             const char *text = next("--heartbeat-ms");
@@ -180,7 +161,7 @@ main(int argc, char **argv)
                                        "interval in [1, 3600000], "
                                        "got '") +
                            text + "'");
-            fleet_options.heartbeatMs = static_cast<unsigned>(ms);
+            options.heartbeatMs = static_cast<unsigned>(ms);
         } else if (std::strcmp(argv[i], "--trace-out") == 0) {
             trace_out = next("--trace-out");
         } else if (std::strcmp(argv[i], "--uarch-report") == 0) {
@@ -192,56 +173,28 @@ main(int argc, char **argv)
                        "'");
         }
     }
-    if (listen.empty())
+    if (options.listen.empty())
         usageError("--listen ENDPOINT is required");
+    if (options.coordinator.empty())
+        usageError("--coordinator ENDPOINT is required: shotgun-serve "
+                   "is a fleet worker; run shotgun-coord and submit "
+                   "grids to it");
+    options.slots = jobs != 0 ? jobs : runner::ThreadPool::hardwareJobs();
 
     // The worker name doubles as the span lane group, so spans
     // shipped to a tracing coordinator say which worker ran them
     // even when this daemon itself writes no trace file.
-    obs::tracer().setProcessName(fleet_options.name);
+    obs::tracer().setProcessName(options.name);
     if (!trace_out.empty())
         obs::tracer().enable(obs::newTraceId());
 
     try {
-        service::SimServer server(listen, options);
-        // The disk cache must be attached before serve() admits any
-        // job (setBackend is not thread-safe against concurrent
-        // gets); it outlives the server, which uses it from worker
-        // threads until serve() returns.
-        std::unique_ptr<fleet::DiskResultCache> disk;
-        if (!cache_dir.empty()) {
-            disk.reset(new fleet::DiskResultCache(cache_dir,
-                                                  cache_max_bytes));
-            fleet::DiskResultCache *cache = disk.get();
-            server.setCacheBackend(
-                [cache](const std::string &key,
-                        service::CachedResult &out) {
-                    return cache->load(key, out);
-                },
-                [cache](const std::string &key,
-                        const service::CachedResult &value) {
-                    cache->store(key, value);
-                });
-        }
+        fleet::FleetWorker worker(options);
         // Ready marker for scripts; resolved so `--listen host:0`
         // callers learn the actual port.
-        std::printf("listening on %s\n", server.endpoint().c_str());
+        std::printf("listening on %s\n", worker.endpoint().c_str());
         std::fflush(stdout);
-        if (!fleet_options.coordinator.empty()) {
-            if (fleet_options.slots <= 1)
-                fleet_options.slots =
-                    options.jobs != 0
-                        ? options.jobs
-                        : runner::ThreadPool::hardwareJobs();
-            if (options.log != nullptr)
-                fleet_options.log = options.log;
-            fleet::FleetWorker worker(server, fleet_options);
-            worker.start();
-            server.serve();
-            worker.stop();
-        } else {
-            server.serve();
-        }
+        worker.serve();
         if (!trace_out.empty()) {
             if (!obs::writeChromeTrace(trace_out,
                                        obs::tracer().snapshot()))
@@ -268,7 +221,7 @@ main(int argc, char **argv)
                 count("stall_prefetch_in_flight");
             json::Value doc = json::Value::object();
             doc.set("worker",
-                    json::Value::string(fleet_options.name));
+                    json::Value::string(options.name));
             doc.set("cycles", json::Value::number(cycles));
             doc.set("conserves",
                     json::Value::boolean(active + stalls == cycles));

@@ -1,29 +1,27 @@
 /**
  * @file
- * shotgun-submit: client of the shotgun-serve simulation service.
- * Builds an experiment grid from the same declarative pieces the
- * benches use (workload presets / trace:<path>[:name] specs, scheme
- * names, run lengths), submits it to one server, streams progress,
- * and writes the same console table and JSON/CSV files an in-process
- * run produces. With `--local` the identical grid runs in-process,
- * which is how the smoke script asserts the service path is
- * byte-identical to the runner.
+ * shotgun-submit: client of the shotgun-coord fleet. Builds an
+ * experiment grid from the same declarative pieces the benches use
+ * (workload presets / trace:<path>[:name] specs, scheme names, run
+ * lengths), submits it to the coordinator, streams progress, and
+ * writes the same console table and JSON/CSV files an in-process run
+ * produces. With `--local` the identical grid runs in-process, which
+ * is how the smoke script asserts the fleet path is byte-identical
+ * to the runner.
  *
- *   shotgun-submit --server unix:/run/shotgun.sock --workload nutch
  *   shotgun-submit --coordinator hostA:7400 --workload all \
  *       --schemes baseline,fdip,boomerang,confluence,shotgun \
  *       --out results/speedup
+ *   shotgun-submit --coordinator hostA:7400 --fleet-status
  *   shotgun-submit --server hostA:7401 --status
  *   shotgun-submit --server hostA:7401 --shutdown
  *
- * With `--coordinator` the same grid goes to a shotgun-coord fleet
- * control plane instead of a single server: the coordinator spreads
- * the points over its registered workers, requeues those of a worker
- * that dies, and streams results back in grid order, so the output
- * stays byte-identical. `--window-shards N` splits every experiment
- * into N windows that travel the same way and are stitched back.
- * `--fleet-status` renders the coordinator's per-worker table
- * (throughput, queue depth, heartbeat age, cache hit rate).
+ * The coordinator spreads the points over its registered workers,
+ * requeues those of a worker that dies, and streams results back in
+ * grid order, so the output stays byte-identical. `--window-shards N`
+ * splits every experiment into N windows that travel the same way and
+ * are stitched back. `--server` reaches one worker's control
+ * endpoint, which answers only --status, --ping and --shutdown.
  */
 
 #include <algorithm>
@@ -42,7 +40,6 @@
 #include "obs/uarch.hh"
 #include "service/codec.hh"
 #include "runner/experiment.hh"
-#include "runner/grid_scheduler.hh"
 #include "runner/result_sink.hh"
 #include "service/client.hh"
 #include "window/window_plan.hh"
@@ -55,12 +52,13 @@ namespace
 
 const char *kUsage =
     "usage:\n"
-    "  shotgun-submit --server ENDPOINT | --coordinator ENDPOINT\n"
-    "                 [grid options] [output options]\n"
-    "  shotgun-submit --server ENDPOINT --status|--ping|--shutdown\n"
-    "  shotgun-submit --server ENDPOINT --cancel JOB\n"
-    "  shotgun-submit --coordinator ENDPOINT --fleet-status\n"
+    "  shotgun-submit --coordinator ENDPOINT [grid options]\n"
+    "                 [output options]\n"
     "  shotgun-submit --local [grid options] [output options]\n"
+    "  shotgun-submit --coordinator ENDPOINT --fleet-status\n"
+    "  shotgun-submit --coordinator ENDPOINT --cancel JOB\n"
+    "  shotgun-submit --server|--coordinator ENDPOINT\n"
+    "                 --status|--ping|--shutdown\n"
     "\n"
     "Grid options (mirror the bench command lines):\n"
     "  --experiment NAME    sweep name for tables/files (default\n"
@@ -74,21 +72,22 @@ const char *kUsage =
     "  --warmup N           warm-up instructions (default 2000000)\n"
     "  --quick              1M measured / 0.5M warm-up\n"
     "  --seed N             generator seed (default 1)\n"
-    "  --jobs N             per-job worker threads on the server\n"
-    "                       (or in-process with --local); 0 = server\n"
-    "                       default\n"
+    "  --jobs N             in-process worker threads with --local\n"
+    "                       (default: one per hardware thread)\n"
     "\n"
     "Fleet: --coordinator submits the grid to a shotgun-coord\n"
     "control plane, which spreads the points over its registered\n"
     "shotgun-serve workers (work stealing, longest-measured-first)\n"
     "and requeues the in-flight points of a worker that dies or\n"
-    "misses heartbeats. Results stream back in grid order, so the\n"
-    "output is byte-identical to --local.\n"
+    "misses heartbeats (a point that loses two workers fails its\n"
+    "job). Results stream back in grid order, so the output is\n"
+    "byte-identical to --local. On one machine run shotgun-coord\n"
+    "plus one shotgun-serve --coordinator, or use --local.\n"
+    "--server reaches one worker's control endpoint, which answers\n"
+    "only --status, --ping and --shutdown.\n"
     "\n"
-    "  --priority N         weighted fair share against concurrent\n"
-    "                       jobs: a priority-2 job is dispatched\n"
-    "                       twice as often as a priority-1 job\n"
-    "                       (default 1; also honoured by --server)\n"
+    "  --priority N         the coordinator dispatches queued points\n"
+    "                       of higher-priority jobs first (default 1)\n"
     "  --fleet-status       render the coordinator's fleet table:\n"
     "                       per-worker throughput, queue depth,\n"
     "                       heartbeat age and cache hit rate\n"
@@ -109,7 +108,7 @@ const char *kUsage =
     "                       (the windows run on the in-process pool).\n"
     "\n"
     "Transport options:\n"
-    "  --timeout SECONDS    fail when the server sends nothing for\n"
+    "  --timeout SECONDS    fail when the endpoint sends nothing for\n"
     "                       this long (default 600; 0 waits forever)\n"
     "\n"
     "Output options:\n"
@@ -118,8 +117,8 @@ const char *kUsage =
     "                       run (Perfetto-loadable): per-point\n"
     "                       queued/dispatched/decode/warmup/restore/\n"
     "                       measure spans, one cross-process timeline\n"
-    "                       when the server or fleet echoes the trace\n"
-    "                       id; rows gain a JSON-only \"timing\"\n"
+    "                       when the fleet echoes the trace id; rows\n"
+    "                       gain a JSON-only \"timing\"\n"
     "                       object (the CSV is unchanged)\n"
     "  --uarch-report FILE  enable the deterministic uarch probes\n"
     "                       (cycle-exact stall attribution, prefetch\n"
@@ -161,6 +160,7 @@ splitCommas(const std::string &text)
 struct Options
 {
     std::string endpoint; ///< --server / --coordinator.
+    bool server = false;  ///< The endpoint is a worker's (--server).
     bool local = false;
 
     enum class Action
@@ -214,10 +214,10 @@ parseOptions(int argc, char **argv)
         const char *arg = argv[i];
         if (std::strcmp(arg, "--server") == 0) {
             opts.endpoint = next("--server");
+            opts.server = true;
         } else if (std::strcmp(arg, "--coordinator") == 0) {
-            // The coordinator speaks the same client protocol as a
-            // single server; it fans the grid out to its fleet.
             opts.endpoint = next("--coordinator");
+            opts.server = false;
         } else if (std::strcmp(arg, "--local") == 0) {
             opts.local = true;
         } else if (std::strcmp(arg, "--status") == 0) {
@@ -262,7 +262,7 @@ parseOptions(int argc, char **argv)
         } else if (std::strcmp(arg, "--priority") == 0) {
             opts.priority = nextU64("--priority");
             if (opts.priority == 0 || opts.priority > 1000000)
-                usageError("--priority: expected a weight in "
+                usageError("--priority: expected a priority in "
                            "[1, 1000000]");
         } else if (std::strcmp(arg, "--window-shards") == 0) {
             opts.windowShards = nextU64("--window-shards");
@@ -295,6 +295,14 @@ parseOptions(int argc, char **argv)
     if (opts.action != Options::Action::Submit && opts.local)
         usageError("--status/--fleet-status/--ping/--shutdown/"
                    "--cancel need --server or --coordinator");
+    if (opts.server && (opts.action == Options::Action::Submit ||
+                        opts.action == Options::Action::Cancel ||
+                        opts.action == Options::Action::FleetStatus))
+        usageError("--server reaches a worker's control endpoint, "
+                   "which answers only --status, --ping and "
+                   "--shutdown; submit grids (and --cancel, "
+                   "--fleet-status) to --coordinator, or run them "
+                   "with --local");
     return opts;
 }
 
@@ -424,16 +432,13 @@ runSubmit(const Options &opts)
         results = runner::ExperimentRunner(ropts).run(set);
     } else if (opts.local) {
         // Windowed in-process: each experiment's windows run
-        // concurrently on one pool; experiments run in sequence.
-        runner::GridScheduler::Options sopts;
-        if (opts.jobs != 0)
-            sopts.workers = static_cast<unsigned>(opts.jobs);
-        runner::GridScheduler scheduler(sopts);
+        // concurrently; experiments run in sequence.
         for (const runner::Experiment &exp : set.experiments()) {
             const window::WindowPlan plan =
                 window::contiguousPlan(exp.config, window_shards);
             window::WindowedOutcome outcome =
-                window::runWindowedExperiment(exp, plan, scheduler);
+                window::runWindowedExperiment(
+                    exp, plan, static_cast<unsigned>(opts.jobs));
             if (opts.showProgress)
                 std::fprintf(stderr, "[%zu/%zu] %s/%s stitched from "
                              "%u windows\n",
@@ -443,9 +448,9 @@ runSubmit(const Options &opts)
             results.push_back(std::move(outcome.stitched));
         }
     } else {
-        // One endpoint: a server runs the grid on its own pool, a
-        // coordinator spreads it over its fleet. Windows are grid
-        // points like any other, so progress ticks per window.
+        // The coordinator spreads the grid over its fleet. Windows
+        // are grid points like any other, so progress ticks per
+        // window.
         const std::size_t total_points =
             request.grid.size() * (window_shards == 0 ? 1 : window_shards);
         std::size_t delivered = 0;
@@ -573,9 +578,9 @@ runFleetStatus(const Options &opts)
     const json::Value status = client.status();
     const json::Value *fleet = status.find("fleet");
     if (fleet == nullptr)
-        fatal("%s is a plain server, not a coordinator (its status "
-              "frame has no `fleet` member); point --coordinator at "
-              "a shotgun-coord endpoint",
+        fatal("%s is not a coordinator (its status frame has no "
+              "`fleet` member); point --coordinator at a shotgun-coord "
+              "endpoint",
               opts.endpoint.c_str());
 
     const json::Value &server = status.at("server");
