@@ -12,6 +12,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
+#include "common/cli.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "core/shotgun.hh"
@@ -51,10 +52,8 @@ returnOccupancyFraction(const WorkloadPreset &preset,
            static_cast<double>(occupancy);
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runTool(int argc, char **argv)
 {
     const auto opts = bench::parseOptions(argc, argv);
     bench::printBanner(
@@ -106,4 +105,12 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return cli::exitOnException([&]() { return runTool(argc, argv); });
 }

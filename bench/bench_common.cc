@@ -7,8 +7,10 @@
 #include <limits>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <iostream>
 
+#include "common/logging.hh"
 #include "common/parse.hh"
 #include "runner/thread_pool.hh"
 
@@ -257,7 +259,13 @@ runGrid(const runner::ExperimentSet &set, const BenchOptions &opts,
 
     runner::ExperimentRunner engine(runner_opts);
     runner::ResultSink sink(slug);
-    auto results = engine.run(set, &sink);
+    std::vector<SimResult> results;
+    try {
+        results = engine.run(set, &sink);
+    } catch (const std::exception &e) {
+        // A damaged trace: report it like any other fatal error.
+        fatal("%s", e.what());
+    }
 
     if (opts.writeFiles && !set.empty()) {
         const std::string base =

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bench_common.hh"
+#include "common/cli.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -67,10 +68,8 @@ distanceHistogram(const WorkloadPreset &preset,
     return dist;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runTool(int argc, char **argv)
 {
     const auto opts = bench::parseOptions(argc, argv);
     bench::printBanner(
@@ -122,4 +121,12 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return cli::exitOnException([&]() { return runTool(argc, argv); });
 }

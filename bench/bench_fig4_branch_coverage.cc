@@ -20,6 +20,7 @@
 #include <unordered_map>
 
 #include "bench_common.hh"
+#include "common/cli.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "runner/progress.hh"
@@ -95,10 +96,8 @@ branchCoverage(const WorkloadPreset &preset, std::uint64_t instructions,
                         coverageCurve(uncond_counts, cuts)};
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runTool(int argc, char **argv)
 {
     const auto opts = bench::parseOptions(argc, argv);
     bench::printBanner(
@@ -157,4 +156,12 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return cli::exitOnException([&]() { return runTool(argc, argv); });
 }

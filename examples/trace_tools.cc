@@ -13,13 +13,17 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/cli.hh"
 #include "sim/simulator.hh"
 #include "trace/trace_io.hh"
 
 using namespace shotgun;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+runTool(int argc, char **argv)
 {
     const std::string workload = argc > 1 ? argv[1] : "apache";
     const std::uint64_t num_bbs =
@@ -82,4 +86,12 @@ main(int argc, char **argv)
     }
     std::printf("MISMATCH: replay diverged from live generation\n");
     return 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return cli::exitOnException([&]() { return runTool(argc, argv); });
 }

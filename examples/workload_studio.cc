@@ -23,6 +23,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/cli.hh"
 #include "btb/conventional_btb.hh"
 #include "cache/cache.hh"
 #include "common/stats.hh"
@@ -55,10 +56,8 @@ parseJobsArg(const char *text)
     return static_cast<unsigned>(value);
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runTool(int argc, char **argv)
 {
     ProgramParams params;
     params.name = "studio";
@@ -266,4 +265,12 @@ main(int argc, char **argv)
                     u.conserves(r.cycles) ? "" : "  [not conserved!]");
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return cli::exitOnException([&]() { return runTool(argc, argv); });
 }

@@ -117,6 +117,14 @@ test "$rc" -eq 2 || {
     echo "shotgun-submit --server with a grid exited $rc, expected 2" >&2
     exit 1
 }
+# --jobs is the in-process thread count; the submit frame carries none.
+rc=0
+"$BUILD_DIR/shotgun-submit" --coordinator "unix:$BUILD_DIR/smoke/lone.sock" \
+    --workload nutch --jobs 2 > /dev/null 2>&1 || rc=$?
+test "$rc" -eq 2 || {
+    echo "shotgun-submit --coordinator --jobs exited $rc, expected 2" >&2
+    exit 1
+}
 
 echo "== fleet: coord + one worker -> submit -> verify bitwise vs in-process =="
 # Every spawned daemon registers its PID here; the EXIT trap kills
@@ -446,6 +454,42 @@ fi
     > /dev/null
 cmp "$BUILD_DIR/smoke/uarch_remote.csv" "$BUILD_DIR/smoke/svc_local.csv"
 cmp "$BUILD_DIR/smoke/uarch_remote_report.json" "$UARCH_REPORT"
+
+echo "== fleet: a corrupt trace record fails its job, not the worker =="
+# Set the branch-type byte (17) of record 30553 of a nutch trace to
+# 0xEE. The worker's header probe passes; decoding the payload throws
+# on that record, so the job fails naming it (exit 1), the worker
+# keeps serving, and the next job matches the in-process run.
+BAD_TRACE="$BUILD_DIR/smoke/corrupt.trace"
+"$BUILD_DIR/shotgun-trace" record nutch "$BAD_TRACE" --warmup 100000 \
+    --instructions 200000 > /dev/null
+python3 - "$BAD_TRACE" <<'PY'
+import os, struct, sys
+path = sys.argv[1]
+with open(path, "r+b") as f:
+    records = struct.unpack("<Q", f.read(16)[8:16])[0]
+    f.seek(os.path.getsize(path) - (records - 30553) * 19 + 17)
+    f.write(b"\xee")
+PY
+BAD_RC=0
+"$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_C" \
+    --workload "trace:$BAD_TRACE" --schemes shotgun --warmup 100000 \
+    --instructions 200000 --no-progress \
+    > /dev/null 2> "$BUILD_DIR/smoke/corrupt.err" || BAD_RC=$?
+test "$BAD_RC" -eq 1 || {
+    echo "submit over a corrupt trace exited $BAD_RC, expected 1" >&2
+    exit 1
+}
+grep -q "corrupt record 30553 (bad branch type 238)" \
+    "$BUILD_DIR/smoke/corrupt.err"
+"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_C" --ping > /dev/null
+"$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_C" \
+    "${GRID[@]}" --seed 2 --out "$BUILD_DIR/smoke/after_corrupt" \
+    > /dev/null
+"$BUILD_DIR/shotgun-submit" --local "${GRID[@]}" --seed 2 \
+    --out "$BUILD_DIR/smoke/after_corrupt_local" > /dev/null
+cmp "$BUILD_DIR/smoke/after_corrupt.csv" \
+    "$BUILD_DIR/smoke/after_corrupt_local.csv"
 
 stop_fleet "$COORD_C" "$SOCK_C"
 wait "${DAEMON_PIDS[@]}" 2>/dev/null || true

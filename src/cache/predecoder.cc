@@ -15,11 +15,8 @@ Predecoder::decodeBlock(Addr block_number)
     program_.blockBranches(block_number, scratch_);
     result_.clear();
     result_.reserve(scratch_.size());
-    for (const StaticBBInfo &info : scratch_) {
+    for (const StaticBBInfo &info : scratch_)
         result_.emplace_back(info);
-        if (isBranch(info.type))
-            ++extracted_;
-    }
     return result_;
 }
 

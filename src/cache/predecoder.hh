@@ -47,14 +47,8 @@ class Predecoder
 
     unsigned decodeCycles() const { return decodeCycles_; }
     std::uint64_t blocksDecoded() const { return decoded_.value(); }
-    std::uint64_t branchesExtracted() const { return extracted_.value(); }
 
-    void
-    resetStats()
-    {
-        decoded_.reset();
-        extracted_.reset();
-    }
+    void resetStats() { decoded_.reset(); }
 
   private:
     const Program &program_;
@@ -62,7 +56,6 @@ class Predecoder
     std::vector<StaticBBInfo> scratch_;
     std::vector<BTBEntry> result_;
     Counter decoded_;
-    Counter extracted_;
 };
 
 } // namespace shotgun

@@ -7,8 +7,9 @@
  *  - `--version` prints "<tool> <version>" and exits 0;
  *  - bad usage (unknown flag, missing operand, malformed value)
  *    prints usage to stderr and exits `kUsageExitCode` (2);
- *  - runtime failures (unreachable server, unreadable file) exit 1
- *    via fatal().
+ *  - runtime failures (unreachable server, unreadable file, a
+ *    damaged trace) exit 1 via fatal(); exitOnException() gives a
+ *    library exception the same face.
  *
  * The scan is testable without process control: checkStandardFlags()
  * just classifies argv, the caller performs the printing/exit.
@@ -19,6 +20,9 @@
 
 #include <cstdio>
 #include <cstring>
+#include <exception>
+
+#include "common/logging.hh"
 
 namespace shotgun
 {
@@ -79,6 +83,24 @@ handleStandardFlags(int argc, char **argv, const char *tool,
         break;
     }
     return false;
+}
+
+/**
+ * Run a program's body, reporting an exception that escapes it the way
+ * fatal() reports an error: its message on stderr and exit code 1.
+ * The library throws where a long-running daemon must survive (a
+ * damaged trace fails one point of a fleet worker); a one-shot tool
+ * just exits.
+ */
+template <typename Body>
+int
+exitOnException(Body &&body)
+{
+    try {
+        return body();
+    } catch (const std::exception &e) {
+        fatal("%s", e.what());
+    }
 }
 
 } // namespace cli

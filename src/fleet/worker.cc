@@ -312,9 +312,11 @@ FleetWorker::compute(const service::WorkItem &item, unsigned slot_index,
             computed = true;
             // A windowed point keeps its raw counters so the result
             // frame (and any later cache hit) carries the stitchable
-            // delta.
+            // delta. A worker outlives its jobs, so it parks every
+            // warmed state for the points it serves next (the
+            // checkpoint store's byte budget bounds what it keeps).
             const SimulationDelta delta =
-                runSimulationDelta(exp.config);
+                runSimulationDelta(exp.config, WarmState::Park);
             service::CachedResult result;
             result.result =
                 finalizeResult(delta.workload, delta.scheme,

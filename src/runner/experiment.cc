@@ -81,9 +81,9 @@ ExperimentSet::enableUarchProbes()
 }
 
 SimResult
-runExperiment(const Experiment &exp)
+runExperiment(const Experiment &exp, WarmState warm)
 {
-    return runSimulation(exp.config);
+    return runSimulation(exp.config, warm);
 }
 
 ExperimentRunner::ExperimentRunner(RunnerOptions options)
@@ -111,11 +111,12 @@ ExperimentRunner::run(const std::vector<Experiment> &grid) const
     ProgressReporter progress(grid.size(), options_.progress);
     GridHooks hooks;
     hooks.simulate = [this, &progress](std::size_t index,
-                                       const Experiment &exp) {
+                                       const Experiment &exp,
+                                       WarmState warm) {
         const auto start = std::chrono::steady_clock::now();
         SimResult result = options_.simulate
                                ? options_.simulate(index, exp)
-                               : runExperiment(exp);
+                               : runExperiment(exp, warm);
         const double seconds =
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - start)
@@ -136,10 +137,11 @@ ExperimentRunner::run(const std::vector<Experiment> &grid) const
     };
     if (!options_.simulate) {
         // Group grid points by warmed-state checkpoint key so the
-        // leader populates the checkpoint cache and every follower
-        // restores instead of re-simulating the warmup (see
-        // sim/checkpoint.hh). A custom simulate hook may not run
-        // runSimulation at all, so only real simulations opt in.
+        // leader parks its warmed state and every follower restores
+        // instead of re-simulating the warmup (see sim/checkpoint.hh);
+        // a leader without followers parks nothing. A custom simulate
+        // hook may not run runSimulation at all, so only real
+        // simulations opt in.
         hooks.cohortOf = [](std::size_t, const Experiment &exp) {
             return exp.config.warmupInstructions == 0
                        ? std::string()

@@ -99,8 +99,9 @@ struct RunnerOptions
     /**
      * Optional executor override. When set, the runner calls this
      * instead of runExperiment() for every grid point (and skips
-     * cohort gating, which only pays off for real simulations). Must
-     * be thread-safe; called from worker threads with the
+     * cohort gating, which only pays off for real simulations, so no
+     * point leads a cohort and none should park its warmed state).
+     * Must be thread-safe; called from worker threads with the
      * experiment's grid index.
      */
     std::function<SimResult(std::size_t index, const Experiment &)>
@@ -129,8 +130,12 @@ struct RunnerOptions
         onObservation;
 };
 
-/** Execute one experiment the way the runner would. */
-SimResult runExperiment(const Experiment &exp);
+/**
+ * Execute one experiment the way the runner would. The runner passes
+ * WarmState::Park only to a cohort leader that has followers.
+ */
+SimResult runExperiment(const Experiment &exp,
+                        WarmState warm = WarmState::Discard);
 
 class ExperimentRunner
 {

@@ -51,6 +51,8 @@ struct GridState
 
     /** Per index: its cohort leader's index, or kNone (no gate). */
     std::vector<std::size_t> leader;
+    /** Per index: Park for a leader with followers; immutable. */
+    std::vector<WarmState> warm;
     std::vector<char> dispatched;
     std::vector<char> ready;
     std::size_t nextDispatch = 0; ///< First undispatched index.
@@ -78,7 +80,7 @@ struct GridState
 
 SimResult
 simulateTraced(const GridHooks &hooks, const Experiment &exp,
-               std::size_t index, const GridTrace &trace,
+               std::size_t index, WarmState warm, const GridTrace &trace,
                const std::string &lane, PointObservation &observation)
 {
     // Re-install the grid's tracing context on this pool thread: the
@@ -111,7 +113,7 @@ simulateTraced(const GridHooks &hooks, const Experiment &exp,
     SimResult result;
     {
         obs::Span dispatched("dispatched", "sched");
-        result = hooks.simulate(index, exp);
+        result = hooks.simulate(index, exp, warm);
     }
     observation.spans = collector.take();
     return result;
@@ -143,10 +145,11 @@ workerLoop(const std::vector<Experiment> &grid, const GridHooks &hooks,
         PointObservation observation;
         std::exception_ptr error;
         try {
+            const WarmState warm = state.warm[index];
             result = trace.traced
                          ? simulateTraced(hooks, grid[index], index,
-                                          trace, lane, observation)
-                         : hooks.simulate(index, grid[index]);
+                                          warm, trace, lane, observation)
+                         : hooks.simulate(index, grid[index], warm);
         } catch (...) {
             error = std::current_exception();
         }
@@ -183,6 +186,7 @@ scheduleGrid(const std::vector<Experiment> &grid, unsigned workers,
 
     GridState state;
     state.leader.assign(n, kNone);
+    state.warm.assign(n, WarmState::Discard);
     state.dispatched.assign(n, 0);
     state.ready.assign(n, 0);
     state.results.resize(n);
@@ -193,8 +197,10 @@ scheduleGrid(const std::vector<Experiment> &grid, unsigned workers,
             if (key.empty())
                 continue;
             auto inserted = leaders.emplace(std::move(key), i);
-            if (!inserted.second)
+            if (!inserted.second) {
                 state.leader[i] = inserted.first->second;
+                state.warm[inserted.first->second] = WarmState::Park;
+            }
         }
     }
 

@@ -49,8 +49,14 @@ struct PointObservation
 
 struct GridHooks
 {
-    /** Required; runs on worker threads, concurrently. */
-    std::function<SimResult(std::size_t index, const Experiment &)>
+    /**
+     * Required; runs on worker threads, concurrently. `warm` is
+     * WarmState::Park for the leader of a cohort that has at least
+     * one follower (see cohortOf) and Discard for every other point,
+     * so only a warmed state that a later point restores is parked.
+     */
+    std::function<SimResult(std::size_t index, const Experiment &,
+                            WarmState warm)>
         simulate;
 
     /**
@@ -66,9 +72,9 @@ struct GridHooks
      * checkpoint key, see sim/checkpoint.hh). Points sharing a
      * non-empty key form a cohort: the first of them in grid order is
      * the cohort's leader, and the rest only become dispatchable
-     * after the leader *completed* -- so the leader populates the
-     * checkpoint cache and every follower restores instead of
-     * re-simulating the shared warmup. An empty key opts the point
+     * after the leader *completed* -- so the leader parks its warmed
+     * state and every follower restores instead of re-simulating the
+     * shared warmup. An empty key opts the point
      * out. Points of different cohorts (and cohort-free points) still
      * dispatch freely in parallel, and emission stays in grid order,
      * so cohorts change wall-clock shape but never results. Called

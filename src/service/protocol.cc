@@ -222,7 +222,6 @@ encodeSubmit(const SubmitRequest &request)
     v.set("type", Value::string("submit"));
     v.set("protocol", Value::number(kProtocolVersion));
     v.set("experiment", Value::string(request.experiment));
-    v.set("jobs", Value::number(request.jobs));
     v.set("priority", Value::number(request.priority));
     v.set("grid", std::move(grid));
     setTraceRef(v, request.traceId, request.parentSpan);
@@ -236,7 +235,6 @@ decodeSubmit(const json::Value &frame)
     checkProtocol(r);
     SubmitRequest request;
     request.experiment = r.str("experiment");
-    request.jobs = r.u64("jobs");
     request.priority = r.u64("priority");
     const Value &grid = r.get("grid");
     if (!grid.isArray())
@@ -339,7 +337,6 @@ encodeJobStatus(const JobStatus &status)
     v.set("total", Value::number(status.total));
     v.set("completed", Value::number(status.completed));
     v.set("cached", Value::number(status.cached));
-    v.set("budget", Value::number(status.budget));
     return v;
 }
 
@@ -354,7 +351,6 @@ decodeJobStatus(const json::Value &v)
     status.total = r.u64("total");
     status.completed = r.u64("completed");
     status.cached = r.u64("cached");
-    status.budget = r.u64("budget");
     r.finish();
     return status;
 }

@@ -1,15 +1,15 @@
 /**
  * @file
- * The service wire protocol, version 4: newline-delimited JSON frames
+ * The service wire protocol, version 5: newline-delimited JSON frames
  * over a stream socket (TCP or Unix). Every frame is one line, one
  * JSON object, with a "type" member. See src/service/README.md for
  * the grammar and an example session, src/fleet/README.md for the
  * coordinator<->worker frames.
  *
  * Client -> coordinator (shotgun-coord):
- *   {"type":"submit","protocol":4,"experiment":...,"jobs":N,
- *    "priority":N,"grid":[{"workload":...,"label":...,
- *    "config":{...}},...][,"trace":{"id":N,"parent":N}]}
+ *   {"type":"submit","protocol":5,"experiment":...,"priority":N,
+ *    "grid":[{"workload":...,"label":...,"config":{...}},...]
+ *    [,"trace":{"id":N,"parent":N}]}
  *   {"type":"status"}          {"type":"cancel","job":N}
  *   {"type":"ping"}            {"type":"shutdown"}
  * A worker's control endpoint (shotgun-serve --listen) answers only
@@ -26,7 +26,7 @@
  *   {"type":"pong"}  {"type":"bye"}  {"type":"error","message":...}
  *
  * Worker -> coordinator (control connection):
- *   {"type":"register","protocol":4,"name":...,"slots":N}
+ *   {"type":"register","protocol":5,"name":...,"slots":N}
  *     -> {"type":"ack","worker":N}
  *   {"type":"heartbeat","worker":N,"completed":N,"cache":{...},
  *    "checkpoint":{...},"phase":{...},"percentiles":{...}}
@@ -75,16 +75,12 @@ namespace service
  * other (submit, register) are rejected; bumped on any change to a
  * frame's members.
  */
-constexpr std::uint64_t kProtocolVersion = 4;
+constexpr std::uint64_t kProtocolVersion = 5;
 
 /** A grid submission: the wire form of a runner::ExperimentSet. */
 struct SubmitRequest
 {
     std::string experiment; ///< Sweep name (result-sink header).
-
-    /** The client's --jobs; carried on the wire, unused by the
-     * coordinator. */
-    std::uint64_t jobs = 0;
 
     /**
      * Queue priority: the coordinator dispatches queued points of
@@ -182,7 +178,6 @@ struct JobStatus
     std::uint64_t total = 0;
     std::uint64_t completed = 0;
     std::uint64_t cached = 0;
-    std::uint64_t budget = 0; ///< Always 0 from a coordinator.
 };
 
 json::Value encodeJobStatus(const JobStatus &status);

@@ -1,7 +1,17 @@
 /**
  * @file
  * Warmed-state checkpoints: the post-warmup state of a simulation,
- * captured once and reused by every later run that shares it.
+ * parked where a later run will restore it.
+ *
+ * Who parks: a run parks its warmed state only when its caller passes
+ * WarmState::Park (sim/simulator.hh), because only the caller knows
+ * whether a restore will follow. The grid runners pass it to the
+ * leader of a cohort that has followers (runner/grid_scheduler.hh),
+ * and a fleet worker passes it for every point, since it serves later
+ * jobs. A direct runSimulation() -- a lone point, a custom runner
+ * hook, a cohort-free grid point -- discards its warmed state, so a
+ * process keeps no clone that nothing reads back. Every run still
+ * looks its key up, and restores whatever an earlier Park run left.
  *
  * A CoreCheckpoint is a deep clone of a warmed Core (caches, U-BTB/
  * C-BTB/RIB and every other scheme structure, TAGE, RAS, FTQ/backend
@@ -88,11 +98,11 @@ std::string checkpointKey(const SimConfig &config,
 
 /**
  * The LRU byte-budgeted checkpoint store. Producers simulate the
- * warmup themselves and put(); consumers tryGet() -- the same
- * asynchronous-producer shape the fleet result cache uses. Cohort
- * scheduling (runner/grid_scheduler.hh) serializes the first point of
- * each key, so grid followers find the checkpoint populated instead
- * of racing to warm up in parallel.
+ * warmup themselves and put() (Park runs only); consumers tryGet()
+ * -- the same asynchronous-producer shape the fleet result cache
+ * uses. Cohort scheduling (runner/grid_scheduler.hh) serializes the
+ * first point of each key, so grid followers find the checkpoint
+ * populated instead of racing to warm up in parallel.
  */
 class CheckpointCache
 {
@@ -121,7 +131,10 @@ class CheckpointCache
         cache_.put(key, std::move(checkpoint));
     }
 
-    /** hits = restored runs, misses = warmups simulated. */
+    /**
+     * hits = restored runs, misses = warmups simulated (parked or
+     * not), entries = states parked and still held.
+     */
     MemoCacheStats stats() const { return cache_.stats(); }
 
   private:

@@ -137,7 +137,7 @@ programFor(const WorkloadPreset &preset)
 }
 
 SimulationDelta
-runSimulationDelta(const SimConfig &config)
+runSimulationDelta(const SimConfig &config, WarmState warm)
 {
     const SimWindow &window = config.window;
     fatal_if(window.enabled() &&
@@ -257,7 +257,9 @@ runSimulationDelta(const SimConfig &config)
     // the original's stood and resume from the clone -- skipping the
     // skip+warmup simulation entirely. Streaming TraceFileSource
     // replay is not checkpointable (no cheap exact reposition), and a
-    // zero-warmup run has nothing worth caching.
+    // zero-warmup run has nothing worth caching. Every checkpointable
+    // run looks the key up, so the hit and miss counts stay "runs
+    // restored" and "warmups simulated"; only a Park run adds one.
     const bool checkpointable =
         config.warmupInstructions > 0 &&
         (generator != nullptr || cursor != nullptr);
@@ -297,7 +299,7 @@ runSimulationDelta(const SimConfig &config)
         core = std::make_unique<Core>(program, *source, core_params,
                                       hierarchy_params, config.scheme);
         core->run(config.warmupInstructions);
-        if (checkpointable) {
+        if (checkpointable && warm == WarmState::Park) {
             // Park a clone; the run continues on the original, so
             // taking the checkpoint cannot perturb its trajectory.
             CoreCheckpoint cp;
@@ -332,16 +334,15 @@ runSimulationDelta(const SimConfig &config)
     core->clearUarchSites();
     const Core::StatsSnapshot begin = core->snapshotStats();
     core->runUntilRetired(measure_end);
-    fatal_if(core->sourceExhausted() &&
-                 core->instructionsRetired() < measure_end,
-             "%s '%s' ran dry after %llu of %llu measured "
-             "instructions",
-             trace_path.empty() ? "workload" : "trace",
-             trace_path.empty() ? config.workload.name.c_str()
-                                : trace_path.c_str(),
-             static_cast<unsigned long long>(
-                 core->instructionsRetired()),
-             static_cast<unsigned long long>(measure_end));
+    // Only a trace can run dry (the length check above passed, so its
+    // header overstates what its records hold): a damaged file, which
+    // fails this point like any other damaged payload.
+    if (core->sourceExhausted() &&
+        core->instructionsRetired() < measure_end)
+        throw TraceError("trace '" + trace_path + "' ran dry after " +
+                         std::to_string(core->instructionsRetired()) +
+                         " of " + std::to_string(measure_end) +
+                         " measured instructions");
     const Core::StatsSnapshot end = core->snapshotStats();
     const std::uint64_t measure_us = measure_timer.stop();
     measure_span.end();
@@ -382,9 +383,9 @@ runSimulationDelta(const SimConfig &config)
 }
 
 SimResult
-runSimulation(const SimConfig &config)
+runSimulation(const SimConfig &config, WarmState warm)
 {
-    const SimulationDelta delta = runSimulationDelta(config);
+    const SimulationDelta delta = runSimulationDelta(config, warm);
     return finalizeResult(delta.workload, delta.scheme,
                           delta.schemeStorageBits, delta.stats);
 }

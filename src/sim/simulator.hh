@@ -170,8 +170,23 @@ std::uint64_t programFingerprint(const ProgramParams &params);
  */
 std::uint64_t presetFingerprint(const WorkloadPreset &preset);
 
+/**
+ * What a run does with its warmed state once the warmup is simulated
+ * (see sim/checkpoint.hh). Only the caller knows whether a later run
+ * will restore it, so parking is the caller's decision: a grid
+ * cohort's leader parks for its followers and a fleet worker parks
+ * for the jobs it serves next, while a direct run discards. A run
+ * restores a parked state whenever one exists, whichever it passes.
+ */
+enum class WarmState
+{
+    Discard, ///< Nothing will restore it; keep no clone.
+    Park,    ///< Park a clone in checkpointCache() for later runs.
+};
+
 /** Run one (workload, scheme) simulation. */
-SimResult runSimulation(const SimConfig &config);
+SimResult runSimulation(const SimConfig &config,
+                        WarmState warm = WarmState::Discard);
 
 /**
  * A simulation's raw-counter outcome: what runSimulation() derives
@@ -193,7 +208,8 @@ struct SimulationDelta
  * full-coverage window plan, merging the per-window deltas and
  * finalizing reproduces the monolithic SimResult bit for bit.
  */
-SimulationDelta runSimulationDelta(const SimConfig &config);
+SimulationDelta runSimulationDelta(const SimConfig &config,
+                                   WarmState warm = WarmState::Discard);
 
 /**
  * Convenience: run the no-prefetch baseline for a workload with the

@@ -15,6 +15,13 @@ DecodedTrace::DecodedTrace(const std::string &path)
     info_.records = source.totalRecords();
     info_.instructions = source.totalInstructions();
 
+    // Checked before anything is sized by the header's count, so an
+    // inflated count cannot ask for an absurd allocation.
+    if (source.payloadRecords() < info_.records)
+        throw TraceError("'" + path + "': header claims " +
+                         std::to_string(info_.records) +
+                         " records but the file holds " +
+                         std::to_string(source.payloadRecords()));
     records_.reserve(static_cast<std::size_t>(info_.records));
     prefix_.reserve(static_cast<std::size_t>(info_.records) + 1);
     prefix_.push_back(0);
@@ -25,17 +32,11 @@ DecodedTrace::DecodedTrace(const std::string &path)
         instrs += record.numInstrs;
         prefix_.push_back(instrs);
     }
-    fatal_if(records_.size() != info_.records,
-             "'%s': header claims %llu records but the file holds %zu",
-             path.c_str(),
-             static_cast<unsigned long long>(info_.records),
-             records_.size());
-    fatal_if(instrs != info_.instructions,
-             "'%s': header claims %llu instructions but the records "
-             "hold %llu (corrupt trace?)",
-             path.c_str(),
-             static_cast<unsigned long long>(info_.instructions),
-             static_cast<unsigned long long>(instrs));
+    if (instrs != info_.instructions)
+        throw TraceError("'" + path + "': header claims " +
+                         std::to_string(info_.instructions) +
+                         " instructions but the records hold " +
+                         std::to_string(instrs) + " (corrupt trace?)");
 }
 
 std::uint64_t

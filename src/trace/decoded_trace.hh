@@ -43,7 +43,10 @@ namespace shotgun
 class DecodedTrace
 {
   public:
-    /** Decode every record of `path`; fatal() on a bad file. */
+    /**
+     * Decode every record of `path`. fatal() on an unreadable file or
+     * a bad header; throws TraceError on a damaged payload.
+     */
     explicit DecodedTrace(const std::string &path);
 
     const TraceInfo &info() const { return info_; }

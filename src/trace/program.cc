@@ -309,21 +309,18 @@ Program::finalizeAddresses(Rng &rng)
     }
 
     // Address-sorted indices for the predecoder oracle.
-    funcByEntry_.resize(funcs_.size());
-    std::iota(funcByEntry_.begin(), funcByEntry_.end(), 0u);
-    std::sort(funcByEntry_.begin(), funcByEntry_.end(),
+    std::vector<std::uint32_t> func_by_entry(funcs_.size());
+    std::iota(func_by_entry.begin(), func_by_entry.end(), 0u);
+    std::sort(func_by_entry.begin(), func_by_entry.end(),
               [this](std::uint32_t a, std::uint32_t b) {
                   return funcs_[a].entry < funcs_[b].entry;
               });
-    funcEntries_.reserve(funcs_.size());
-    for (const std::uint32_t f : funcByEntry_)
-        funcEntries_.push_back(funcs_[f].entry);
 
     // Functions do not overlap and a function's basic blocks ascend
     // from its entry, so concatenating them in entry order sorts every
     // basic block by address (and walks bbs_ in contiguous runs).
     bbsByAddr_.reserve(bbs_.size());
-    for (const std::uint32_t f : funcByEntry_) {
+    for (const std::uint32_t f : func_by_entry) {
         for (std::uint32_t i = 0; i < funcs_[f].numBBs; ++i)
             bbsByAddr_.push_back(funcs_[f].firstBB + i);
     }
@@ -404,21 +401,6 @@ Program::bbIndexAt(Addr addr) const
             return idx;
     }
     return UINT32_MAX;
-}
-
-std::uint32_t
-Program::functionIndexAt(Addr addr) const
-{
-    auto it = std::upper_bound(funcEntries_.begin(), funcEntries_.end(),
-                               addr);
-    if (it == funcEntries_.begin())
-        return UINT32_MAX;
-    const std::size_t pos = (it - funcEntries_.begin()) - 1;
-    const std::uint32_t f = funcByEntry_[pos];
-    const Function &fn = funcs_[f];
-    if (addr >= fn.entry + fn.sizeBytes)
-        return UINT32_MAX;
-    return f;
 }
 
 } // namespace shotgun

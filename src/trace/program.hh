@@ -226,9 +226,6 @@ class Program
      */
     std::uint32_t bbIndexAt(Addr addr) const;
 
-    /** Function containing `addr`, or UINT32_MAX. */
-    std::uint32_t functionIndexAt(Addr addr) const;
-
   private:
     struct CallTargetTables;
 
@@ -242,10 +239,6 @@ class Program
     std::vector<StaticBB> bbs_;
     std::vector<std::uint32_t> trapHandlers_;
     std::vector<std::uint32_t> topLevel_;
-
-    /** Function entry addresses, sorted, for address->function. */
-    std::vector<Addr> funcEntries_;
-    std::vector<std::uint32_t> funcByEntry_;
 
     /** Global BB indices sorted by start address. */
     std::vector<std::uint32_t> bbsByAddr_;

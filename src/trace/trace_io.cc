@@ -1,5 +1,6 @@
 #include "trace/trace_io.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 
@@ -92,8 +93,62 @@ struct HeaderError
     std::string message;
 };
 
-/** On-disk size of one trace record (see TraceFileSource::next). */
-constexpr std::uint64_t kTraceRecordBytes = 19;
+/**
+ * Records per buffered read or write (~76 KB). Chunks hold whole
+ * records, so a record never straddles two of them.
+ */
+constexpr std::size_t kChunkRecords = 4096;
+constexpr std::size_t kChunkBytes = kChunkRecords * kTraceRecordBytes;
+
+/** Encode one record: u64 startAddr, u64 target, u8 numInstrs,
+ * u8 type, u8 taken, all little-endian. */
+void
+encodeRecord(unsigned char *p, const BBRecord &record)
+{
+    for (unsigned i = 0; i < 8; ++i) {
+        p[i] = static_cast<unsigned char>(record.startAddr >> (8 * i));
+        p[8 + i] = static_cast<unsigned char>(record.target >> (8 * i));
+    }
+    p[16] = static_cast<unsigned char>(record.numInstrs);
+    p[17] = static_cast<unsigned char>(record.type);
+    p[18] = record.taken ? 1 : 0;
+}
+
+/** Decode record number `index` of `path`; throws on a corrupt one. */
+BBRecord
+decodeRecord(const unsigned char *p, const std::string &path,
+             std::uint64_t index)
+{
+    auto le64 = [p](unsigned at) {
+        std::uint64_t v = 0;
+        for (unsigned i = 0; i < 8; ++i)
+            v |= static_cast<std::uint64_t>(p[at + i]) << (8 * i);
+        return v;
+    };
+    BBRecord out;
+    out.startAddr = le64(0);
+    out.target = le64(8);
+    out.numInstrs = p[16];
+    if (out.numInstrs == 0)
+        throw TraceError("'" + path + "': corrupt record " +
+                         std::to_string(index) + " (zero instructions)");
+    if (p[17] >= static_cast<unsigned>(BranchType::NumTypes))
+        throw TraceError("'" + path + "': corrupt record " +
+                         std::to_string(index) + " (bad branch type " +
+                         std::to_string(p[17]) + ")");
+    out.type = static_cast<BranchType>(p[17]);
+    out.taken = p[18] != 0;
+    return out;
+}
+
+TraceError
+truncatedError(const std::string &path, std::uint64_t read,
+               std::uint64_t total)
+{
+    return TraceError("'" + path + "': truncated trace file after " +
+                      std::to_string(read) + " of " +
+                      std::to_string(total) + " records");
+}
 
 /** Reading side; any short read throws with the file name. */
 struct ReadArchive
@@ -264,7 +319,8 @@ parseHeader(std::ifstream &in, const std::string &path)
 TraceWriter::TraceWriter(const std::string &path,
                          const WorkloadPreset &preset,
                          std::uint64_t trace_seed)
-    : out_(path, std::ios::binary | std::ios::trunc), path_(path)
+    : out_(path, std::ios::binary | std::ios::trunc), path_(path),
+      chunk_(kChunkBytes)
 {
     fatal_if(!out_.is_open(), "cannot open trace file '%s' for writing",
              path.c_str());
@@ -289,13 +345,20 @@ void
 TraceWriter::append(const BBRecord &record)
 {
     panic_if(closed_, "append to closed TraceWriter");
-    putLE(out_, record.startAddr, 8);
-    putLE(out_, record.target, 8);
-    putLE(out_, record.numInstrs, 1);
-    putLE(out_, static_cast<std::uint8_t>(record.type), 1);
-    putLE(out_, record.taken ? 1 : 0, 1);
+    if (chunkUsed_ == chunk_.size())
+        flushChunk();
+    encodeRecord(chunk_.data() + chunkUsed_, record);
+    chunkUsed_ += kTraceRecordBytes;
     ++count_;
     instrs_ += record.numInstrs;
+}
+
+void
+TraceWriter::flushChunk()
+{
+    out_.write(reinterpret_cast<const char *>(chunk_.data()),
+               static_cast<std::streamsize>(chunkUsed_));
+    chunkUsed_ = 0;
 }
 
 void
@@ -304,6 +367,7 @@ TraceWriter::close()
     if (closed_)
         return;
     closed_ = true;
+    flushChunk();
     out_.seekp(kRecordCountOffset);
     putLE(out_, count_, 8);
     putLE(out_, instrs_, 8);
@@ -318,7 +382,7 @@ TraceWriter::close()
 }
 
 TraceFileSource::TraceFileSource(const std::string &path)
-    : in_(path, std::ios::binary), path_(path)
+    : in_(path, std::ios::binary), path_(path), chunk_(kChunkBytes)
 {
     fatal_if(!in_.is_open(), "cannot open trace file '%s'", path.c_str());
     TraceInfo info = parseHeader(in_, path_);
@@ -327,6 +391,27 @@ TraceFileSource::TraceFileSource(const std::string &path)
     total_ = info.records;
     totalInstrs_ = info.instructions;
     payloadStart_ = static_cast<std::uint64_t>(in_.tellg());
+    in_.seekg(0, std::ios::end);
+    const std::uint64_t end = static_cast<std::uint64_t>(in_.tellg());
+    payloadRecords_ =
+        end > payloadStart_ ? (end - payloadStart_) / kTraceRecordBytes
+                            : 0;
+    in_.seekg(static_cast<std::streamoff>(payloadStart_));
+}
+
+void
+TraceFileSource::refill()
+{
+    // Whole records, never past the header's count: a read that comes
+    // back short of one record is the end of the file.
+    const std::uint64_t want =
+        std::min<std::uint64_t>(kChunkRecords, total_ - read_);
+    in_.read(reinterpret_cast<char *>(chunk_.data()),
+             static_cast<std::streamsize>(want * kTraceRecordBytes));
+    chunkPos_ = 0;
+    chunkEnd_ = static_cast<std::size_t>(in_.gcount());
+    if (chunkEnd_ < kTraceRecordBytes)
+        throw truncatedError(path_, read_, total_);
 }
 
 bool
@@ -334,30 +419,10 @@ TraceFileSource::next(BBRecord &out)
 {
     if (read_ >= total_)
         return false;
-    unsigned char buf[kTraceRecordBytes];
-    in_.read(reinterpret_cast<char *>(buf), sizeof(buf));
-    fatal_if(static_cast<std::size_t>(in_.gcount()) != sizeof(buf),
-             "'%s': truncated trace file after %llu of %llu records",
-             path_.c_str(), static_cast<unsigned long long>(read_),
-             static_cast<unsigned long long>(total_));
-    auto le64 = [&buf](unsigned at) {
-        std::uint64_t v = 0;
-        for (unsigned i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(buf[at + i]) << (8 * i);
-        return v;
-    };
-    out.startAddr = le64(0);
-    out.target = le64(8);
-    out.numInstrs = buf[16];
-    fatal_if(out.numInstrs == 0,
-             "'%s': corrupt record %llu (zero instructions)",
-             path_.c_str(), static_cast<unsigned long long>(read_));
-    fatal_if(buf[17] >= static_cast<unsigned>(BranchType::NumTypes),
-             "'%s': corrupt record %llu (bad branch type %u)",
-             path_.c_str(), static_cast<unsigned long long>(read_),
-             buf[17]);
-    out.type = static_cast<BranchType>(buf[17]);
-    out.taken = buf[18] != 0;
+    if (chunkEnd_ - chunkPos_ < kTraceRecordBytes)
+        refill();
+    out = decodeRecord(chunk_.data() + chunkPos_, path_, read_);
+    chunkPos_ += kTraceRecordBytes;
     ++read_;
     instrsRead_ += out.numInstrs;
     return true;
@@ -413,9 +478,12 @@ TraceFileSource::skipInstructions(std::uint64_t instructions)
     if (best != nullptr) {
         in_.clear();
         in_.seekg(static_cast<std::streamoff>(best->byteOffset));
-        fatal_if(!in_, "'%s': seek to window-index offset %llu failed",
-                 path_.c_str(),
-                 static_cast<unsigned long long>(best->byteOffset));
+        if (!in_)
+            throw TraceError("'" + path_ +
+                             "': seek to window-index offset " +
+                             std::to_string(best->byteOffset) +
+                             " failed");
+        chunkPos_ = chunkEnd_ = 0; // The read-ahead is behind the seek.
         read_ = best->record;
         instrsRead_ = best->instructions;
     }
@@ -518,6 +586,8 @@ buildTraceIndex(const std::string &trace_path,
     fatal_if(!in.is_open(), "cannot open trace file '%s'",
              trace_path.c_str());
     const TraceInfo info = parseHeader(in, trace_path);
+    const std::uint64_t payload_start =
+        static_cast<std::uint64_t>(in.tellg());
 
     TraceIndex index;
     index.records = info.records;
@@ -525,34 +595,42 @@ buildTraceIndex(const std::string &trace_path,
     index.traceSeed = info.traceSeed;
     index.interval = every_records;
 
+    // Records are fixed-size, so a checkpoint's byte offset follows
+    // from its record number; each record is still decoded, so a
+    // corrupt one fails the index as it would fail a replay.
+    std::vector<unsigned char> chunk(kChunkBytes);
     std::uint64_t instructions = 0;
-    for (std::uint64_t record = 0; record < info.records; ++record) {
-        if (record % every_records == 0) {
-            TraceIndexEntry entry;
-            entry.record = record;
-            entry.instructions = instructions;
-            entry.byteOffset =
-                static_cast<std::uint64_t>(in.tellg());
-            index.entries.push_back(entry);
+    std::uint64_t record = 0;
+    while (record < info.records) {
+        const std::uint64_t want =
+            std::min<std::uint64_t>(kChunkRecords, info.records - record);
+        in.read(reinterpret_cast<char *>(chunk.data()),
+                static_cast<std::streamsize>(want * kTraceRecordBytes));
+        const std::uint64_t got =
+            static_cast<std::uint64_t>(in.gcount()) / kTraceRecordBytes;
+        for (std::uint64_t i = 0; i < got; ++i, ++record) {
+            if (record % every_records == 0) {
+                TraceIndexEntry entry;
+                entry.record = record;
+                entry.instructions = instructions;
+                entry.byteOffset =
+                    payload_start + record * kTraceRecordBytes;
+                index.entries.push_back(entry);
+            }
+            instructions +=
+                decodeRecord(chunk.data() + i * kTraceRecordBytes,
+                             trace_path, record)
+                    .numInstrs;
         }
-        // Only the instruction count matters for the index; skip the
-        // rest of the record.
-        unsigned char buf[kTraceRecordBytes];
-        in.read(reinterpret_cast<char *>(buf), sizeof(buf));
-        fatal_if(static_cast<std::size_t>(in.gcount()) != sizeof(buf),
-                 "'%s': truncated trace file after %llu of %llu "
-                 "records",
-                 trace_path.c_str(),
-                 static_cast<unsigned long long>(record),
-                 static_cast<unsigned long long>(info.records));
-        instructions += buf[16];
+        if (got < want)
+            throw truncatedError(trace_path, record, info.records);
     }
-    fatal_if(instructions != info.instructions,
-             "'%s': header claims %llu instructions but the records "
-             "hold %llu (corrupt trace?)",
-             trace_path.c_str(),
-             static_cast<unsigned long long>(info.instructions),
-             static_cast<unsigned long long>(instructions));
+    if (instructions != info.instructions)
+        throw TraceError("'" + trace_path + "': header claims " +
+                         std::to_string(info.instructions) +
+                         " instructions but the records hold " +
+                         std::to_string(instructions) +
+                         " (corrupt trace?)");
     return index;
 }
 
@@ -623,8 +701,10 @@ tryReadTraceIndex(const std::string &idx_path, const TraceInfo &info,
         error = "'" + idx_path + "': corrupt trace index header";
         return false;
     }
-    index.entries.reserve(static_cast<std::size_t>(count));
+    // No reserve(count): the count is bounded only by a header count
+    // the trace file itself may overstate; entries grow as they read.
     std::uint64_t prev_record = 0;
+    std::uint64_t prev_instructions = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
         TraceIndexEntry entry;
         if (!get(entry.record, 8) || !get(entry.instructions, 8) ||
@@ -632,15 +712,21 @@ tryReadTraceIndex(const std::string &idx_path, const TraceInfo &info,
             error = "'" + idx_path + "': truncated trace index";
             return false;
         }
-        // Monotone and in range, or a seek could jump anywhere.
+        // Monotone and in range, or a seek could jump anywhere. A
+        // record holds at least one instruction, so the instruction
+        // counts grow at least as fast as the record numbers.
         if (entry.record >= info.records ||
             entry.instructions >= std::max<std::uint64_t>(
                                       info.instructions, 1) ||
-            (i > 0 && entry.record <= prev_record)) {
+            entry.instructions < entry.record ||
+            (i > 0 && (entry.record <= prev_record ||
+                       entry.instructions - prev_instructions <
+                           entry.record - prev_record))) {
             error = "'" + idx_path + "': corrupt trace index entry";
             return false;
         }
         prev_record = entry.record;
+        prev_instructions = entry.instructions;
         index.entries.push_back(entry);
     }
     out = std::move(index);

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -44,7 +45,27 @@ constexpr std::uint32_t kTraceMagic = 0x47544853; // "SHTG"
 /** Current trace format version. */
 constexpr std::uint32_t kTraceVersion = 2;
 
-/** Streams BBRecords into a binary trace file. */
+/** On-disk size of one trace record. */
+constexpr std::uint64_t kTraceRecordBytes = 19;
+
+/**
+ * A damaged trace payload: a truncated file, a corrupt record, or
+ * header counts its records contradict. The message names the file
+ * and the record. Thrown rather than fatal() so a long-running
+ * process fails only the point that read the file (a fleet worker
+ * turns it into an error result); the command-line tools print the
+ * message and exit 1.
+ */
+class TraceError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
+/**
+ * Streams BBRecords into a binary trace file. Records are encoded
+ * into a chunk of whole records and written a chunk at a time.
+ */
 class TraceWriter
 {
   public:
@@ -72,8 +93,13 @@ class TraceWriter
     std::uint64_t instructionsWritten() const { return instrs_; }
 
   private:
+    /** Write the encoded records held in chunk_. */
+    void flushChunk();
+
     std::ofstream out_;
     std::string path_;
+    std::vector<unsigned char> chunk_;
+    std::size_t chunkUsed_ = 0; ///< Encoded bytes not yet written.
     std::uint64_t count_ = 0;
     std::uint64_t instrs_ = 0;
     bool closed_ = false;
@@ -136,8 +162,10 @@ std::string traceIndexPath(const std::string &trace_path);
 
 /**
  * Scan `trace_path` and build an index with a checkpoint every
- * `every_records` records (the first is always record 0); fatal() on
- * a bad trace or every_records == 0.
+ * `every_records` records (the first is always record 0). fatal() on
+ * an unreadable file, a bad header or every_records == 0; throws
+ * TraceError on a truncated or corrupt record or an instruction
+ * count the records contradict.
  */
 TraceIndex buildTraceIndex(const std::string &trace_path,
                            std::uint64_t every_records);
@@ -156,13 +184,17 @@ bool tryReadTraceIndex(const std::string &idx_path,
                        const TraceInfo &info, TraceIndex &out,
                        std::string &error);
 
-/** Replays a binary trace file as a TraceSource. */
+/**
+ * Replays a binary trace file as a TraceSource, reading a chunk of
+ * whole records at a time.
+ */
 class TraceFileSource : public TraceSource
 {
   public:
     /** Open `path` for reading; fatal() on failure or bad header. */
     explicit TraceFileSource(const std::string &path);
 
+    /** Throws TraceError on a truncated file or a corrupt record. */
     bool next(BBRecord &out) override;
 
     /**
@@ -178,6 +210,12 @@ class TraceFileSource : public TraceSource
     std::uint64_t totalInstructions() const { return totalInstrs_; }
     std::uint64_t recordsRead() const { return read_; }
 
+    /**
+     * Whole records the file's payload holds at open; fewer than
+     * totalRecords() in a truncated file.
+     */
+    std::uint64_t payloadRecords() const { return payloadRecords_; }
+
     /** Instructions contained in the records read so far. */
     std::uint64_t instructionsRead() const { return instrsRead_; }
 
@@ -191,6 +229,9 @@ class TraceFileSource : public TraceSource
     std::uint64_t traceSeed() const { return traceSeed_; }
 
   private:
+    /** Read the next chunk; throws TraceError at a truncated end. */
+    void refill();
+
     std::ifstream in_;
     std::string path_;
     WorkloadPreset preset_;
@@ -200,6 +241,12 @@ class TraceFileSource : public TraceSource
     std::uint64_t read_ = 0;
     std::uint64_t instrsRead_ = 0;
     std::uint64_t payloadStart_ = 0; ///< First record's byte offset.
+    std::uint64_t payloadRecords_ = 0;
+
+    /** Records read ahead of read_: chunk_[chunkPos_, chunkEnd_). */
+    std::vector<unsigned char> chunk_;
+    std::size_t chunkPos_ = 0;
+    std::size_t chunkEnd_ = 0;
 
     /** Lazily loaded window index; empty entries = none usable. */
     bool indexProbed_ = false;

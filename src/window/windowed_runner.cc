@@ -67,8 +67,9 @@ runWindowedExperiment(
 
     runner::GridHooks hooks;
     hooks.simulate = [&outcome](std::size_t index,
-                                const runner::Experiment &sub) {
-        SimulationDelta delta = runSimulationDelta(sub.config);
+                                const runner::Experiment &sub,
+                                WarmState warm) {
+        SimulationDelta delta = runSimulationDelta(sub.config, warm);
         SimResult result =
             finalizeResult(delta.workload, delta.scheme,
                            delta.schemeStorageBits, delta.stats);
@@ -83,9 +84,10 @@ runWindowedExperiment(
         };
     }
     // Contiguous windows share warmup and skip, hence a checkpoint
-    // key: the first window warms the core once and every later
-    // window restores it (sampled plans differ in skipInstructions,
-    // so their keys split and no gating applies).
+    // key: the first window warms the core once and parks it, and
+    // every later window restores it (sampled plans differ in
+    // skipInstructions, so their keys split, no gating applies and
+    // nothing is parked).
     hooks.cohortOf = [](std::size_t, const runner::Experiment &sub) {
         return sub.config.warmupInstructions == 0
                    ? std::string()

@@ -285,8 +285,8 @@ TEST(CoreCheckpointTest, RestoredRunMatchesUninterrupted)
     const SimConfig config = quickConfig(preset, SchemeType::Shotgun);
 
     const MemoCacheStats before = checkpointCache().stats();
-    const SimResult cold = runSimulation(config);
-    const SimResult warm = runSimulation(config);
+    const SimResult cold = runSimulation(config, WarmState::Park);
+    const SimResult warm = runSimulation(config, WarmState::Park);
     const MemoCacheStats after = checkpointCache().stats();
 
     expectIdentical(cold, warm);
@@ -305,7 +305,7 @@ TEST(CoreCheckpointTest, WindowedRunSharesTheMonolithicCheckpoint)
         experimentFor(preset, SchemeType::Shotgun);
 
     const MemoCacheStats before = checkpointCache().stats();
-    const SimResult mono = runSimulation(exp.config);
+    const SimResult mono = runSimulation(exp.config, WarmState::Park);
 
     const window::WindowedOutcome outcome =
         window::runWindowedExperiment(
@@ -331,7 +331,7 @@ TEST(CohortGridTest, BatchedGridMatchesPointAtATime)
         grid.push_back(experimentFor(preset, type));
     const MemoCacheStats before = checkpointCache().stats();
     for (const runner::Experiment &exp : grid)
-        sequential.push_back(runSimulation(exp.config));
+        sequential.push_back(runSimulation(exp.config, WarmState::Park));
 
     runner::RunnerOptions options;
     options.jobs = 3;
@@ -373,7 +373,7 @@ TEST(CohortGridTest, TraceGridDecodesOnceAndMatches)
     const std::size_t decodes_before = decodedTraces().stats().decodes;
     std::vector<SimResult> sequential;
     for (const runner::Experiment &exp : grid)
-        sequential.push_back(runSimulation(exp.config));
+        sequential.push_back(runSimulation(exp.config, WarmState::Park));
 
     runner::RunnerOptions options;
     options.jobs = 3;
@@ -387,6 +387,61 @@ TEST(CohortGridTest, TraceGridDecodesOnceAndMatches)
 
     std::remove(traceIndexPath(path).c_str());
     std::remove(path.c_str());
+}
+
+// ------------------------------------------------- who parks
+
+TEST(CheckpointParkingTest, DirectRunsParkNothing)
+{
+    // A direct run has no follower to restore its warmed state, so
+    // two runs of one key both warm up and neither parks a clone.
+    const WorkloadPreset preset = tinyPreset("park-direct", 53);
+    const SimConfig config = quickConfig(preset, SchemeType::Shotgun);
+
+    const MemoCacheStats before = checkpointCache().stats();
+    const SimResult first = runSimulation(config);
+    const SimResult second = runSimulation(config);
+    const MemoCacheStats after = checkpointCache().stats();
+
+    expectIdentical(first, second);
+    EXPECT_EQ(after.entries, before.entries);
+    EXPECT_EQ(after.misses, before.misses + 2);
+    EXPECT_EQ(after.hits, before.hits);
+}
+
+TEST(CheckpointParkingTest, GridParksOnlyForACohortWithFollowers)
+{
+    // Five singleton schemes plus a three-point Shotgun cohort (one
+    // key, three measure lengths): only the cohort's leader parks,
+    // and its two followers restore it.
+    const WorkloadPreset preset = tinyPreset("park-grid", 59);
+    std::vector<runner::Experiment> grid;
+    for (SchemeType type : kGridSchemes) {
+        if (type != SchemeType::Shotgun)
+            grid.push_back(experimentFor(preset, type));
+    }
+    const std::size_t singletons = grid.size();
+    for (std::uint64_t measure : {kMeasure, kMeasure / 2, kMeasure / 5}) {
+        runner::Experiment exp =
+            experimentFor(preset, SchemeType::Shotgun);
+        exp.config.measureInstructions = measure;
+        grid.push_back(exp);
+    }
+
+    runner::RunnerOptions options;
+    options.jobs = 3;
+    const MemoCacheStats before = checkpointCache().stats();
+    const std::vector<SimResult> batched =
+        runner::ExperimentRunner(options).run(grid);
+    const MemoCacheStats after = checkpointCache().stats();
+
+    EXPECT_EQ(after.entries, before.entries + 1);
+    EXPECT_EQ(after.misses, before.misses + singletons + 1);
+    EXPECT_EQ(after.hits, before.hits + 2);
+
+    ASSERT_EQ(batched.size(), grid.size());
+    for (std::size_t i = 0; i < grid.size(); ++i)
+        expectIdentical(batched[i], runSimulation(grid[i].config));
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -31,6 +32,7 @@
 #include "runner/experiment.hh"
 #include "runner/result_sink.hh"
 #include "service/client.hh"
+#include "sim/checkpoint.hh"
 #include "trace/generator.hh"
 #include "trace/program.hh"
 #include "trace/trace_io.hh"
@@ -89,7 +91,6 @@ requestFor(const runner::ExperimentSet &set, const std::string &name)
 {
     SubmitRequest request;
     request.experiment = name;
-    request.jobs = 1;
     request.grid = set.experiments();
     return request;
 }
@@ -385,6 +386,99 @@ TEST(FleetTest, DeterministicJobFailureFailsTheJobNotTheFleet)
         EXPECT_TRUE(good[i] == local[i]) << "index " << i;
     EXPECT_EQ(coord.coordinator().liveWorkers(), 2u);
     EXPECT_EQ(coord.coordinator().queueDepth(), 0u);
+}
+
+TEST(FleetTest, CorruptTraceRecordFailsItsPointNotTheWorker)
+{
+    // A damaged record deep inside a trace passes the worker's
+    // header probe and is only met while the point decodes the file.
+    // It must fail that point's job with the record named, not kill
+    // the worker.
+    const WorkloadPreset nutch = presetByName("nutch");
+    const std::string path = "/tmp/shotgun_fleet_corrupt.trace";
+    std::uint64_t records = 0;
+    {
+        TraceGenerator gen(programFor(nutch), 1);
+        records = recordTraceInstructions(gen, nutch, 1, path, 300000);
+    }
+    ASSERT_GT(records, 30553u);
+    {
+        // Byte 17 of a record is its branch type; records are the
+        // file's 19-byte tail.
+        std::fstream f(path, std::ios::in | std::ios::out |
+                                 std::ios::binary);
+        f.seekp(static_cast<std::streamoff>(
+            std::filesystem::file_size(path) -
+            (records - 30553) * kTraceRecordBytes + 17));
+        f.put(static_cast<char>(0xEE));
+    }
+
+    TestCoordinator coord("corrupt");
+    TestWorker worker("corrupt-w", coord.endpoint());
+    awaitWorkers(coord.coordinator(), 1);
+    ServiceClient client(coord.endpoint());
+
+    SubmitRequest bad;
+    bad.experiment = "fleet-corrupt";
+    runner::Experiment exp;
+    exp.workload = "nutch-corrupt";
+    exp.label = "shotgun";
+    exp.config = SimConfig::make(presetByName("trace:" + path),
+                                 SchemeType::Shotgun);
+    exp.config.warmupInstructions = 20000;
+    exp.config.measureInstructions = 50000;
+    bad.grid.push_back(exp);
+    try {
+        client.submit(bad);
+        ADD_FAILURE() << "a job over a corrupt trace completed";
+    } catch (const service::ServiceError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "corrupt record 30553 (bad branch type 238)"),
+                  std::string::npos)
+            << e.what();
+    }
+    std::remove(path.c_str());
+    EXPECT_EQ(coord.coordinator().liveWorkers(), 1u);
+
+    const runner::ExperimentSet set = quickGrid(1);
+    const auto local = runner::ExperimentRunner().run(set);
+    const auto good = client.submit(requestFor(set, "fleet-after-corrupt"));
+    ASSERT_EQ(good.size(), set.size());
+    for (std::size_t i = 0; i < set.size(); ++i)
+        EXPECT_TRUE(good[i] == local[i]) << "index " << i;
+    EXPECT_EQ(coord.coordinator().liveWorkers(), 1u);
+}
+
+TEST(FleetTest, WorkerParksEveryWarmedState)
+{
+    // A worker outlives the job, so unlike a direct run it parks each
+    // warmed state it simulates, for the points it serves next.
+    const WorkloadPreset preset = tinyPreset("fleet-park", 0x9a7c);
+    runner::ExperimentSet set;
+    for (SchemeType type : {SchemeType::Baseline, SchemeType::Boomerang,
+                            SchemeType::Shotgun}) {
+        SimConfig config = SimConfig::make(preset, type);
+        config.warmupInstructions = 20000;
+        config.measureInstructions = 50000;
+        set.add(preset, schemeTypeName(type), config);
+    }
+
+    TestCoordinator coord("park");
+    TestWorker worker("park-w", coord.endpoint());
+    awaitWorkers(coord.coordinator(), 1);
+    ServiceClient client(coord.endpoint());
+
+    const MemoCacheStats before = checkpointCache().stats();
+    const auto remote = client.submit(requestFor(set, "fleet-park"));
+    const MemoCacheStats after = checkpointCache().stats();
+
+    EXPECT_EQ(after.entries, before.entries + set.size());
+    EXPECT_EQ(after.misses, before.misses + set.size());
+    EXPECT_EQ(after.hits, before.hits);
+    const auto local = runner::ExperimentRunner().run(set);
+    ASSERT_EQ(remote.size(), set.size());
+    for (std::size_t i = 0; i < set.size(); ++i)
+        EXPECT_TRUE(remote[i] == local[i]) << "index " << i;
 }
 
 TEST(FleetTest, WindowShardsSurviveWorkerDeath)

@@ -316,7 +316,8 @@ TEST(ScheduleGridTest, EmitsInGridOrderOnTheCallingThread)
     std::vector<std::size_t> emitted;
 
     GridHooks hooks;
-    hooks.simulate = [](std::size_t index, const runner::Experiment &) {
+    hooks.simulate = [](std::size_t index, const runner::Experiment &,
+                        WarmState) {
         // Later points finish sooner: emission order must not care.
         std::this_thread::sleep_for(
             std::chrono::microseconds((16 - index) * 100));
@@ -342,7 +343,8 @@ TEST(ScheduleGridTest, DispatchesInGridOrderOnWorkerCountThreads)
     // most three points simulate at once.
     std::vector<std::size_t> dispatched;
     GridHooks serial;
-    serial.simulate = [&](std::size_t index, const runner::Experiment &) {
+    serial.simulate = [&](std::size_t index, const runner::Experiment &,
+                          WarmState) {
         dispatched.push_back(index);
         return fakeResult(index);
     };
@@ -353,7 +355,8 @@ TEST(ScheduleGridTest, DispatchesInGridOrderOnWorkerCountThreads)
 
     std::atomic<int> in_flight{0}, peak{0};
     GridHooks wide;
-    wide.simulate = [&](std::size_t index, const runner::Experiment &) {
+    wide.simulate = [&](std::size_t index, const runner::Experiment &,
+                        WarmState) {
         const int now = ++in_flight;
         int expected = peak.load();
         while (now > expected &&
@@ -382,7 +385,8 @@ TEST(ScheduleGridTest, CohortFollowersWaitForTheirLeader)
         return index == 5 ? std::string()
                           : std::string(index % 2 == 0 ? "even" : "odd");
     };
-    hooks.simulate = [&](std::size_t index, const runner::Experiment &) {
+    hooks.simulate = [&](std::size_t index, const runner::Experiment &,
+                         WarmState) {
         {
             std::lock_guard<std::mutex> lock(mutex);
             if (index == 2 || index == 4)
@@ -407,6 +411,31 @@ TEST(ScheduleGridTest, CohortFollowersWaitForTheirLeader)
         EXPECT_EQ(emitted[i], i);
 }
 
+TEST(ScheduleGridTest, OnlyALeaderWithFollowersIsToldToPark)
+{
+    // Points 0, 2, 3 form a cohort led by 0; 1 is alone in its
+    // cohort and 4 has none. Only 0's warmed state is read back, so
+    // only 0 parks.
+    const auto grid = fakeGrid(5, "park");
+    std::mutex mutex;
+    std::vector<WarmState> told(grid.size(), WarmState::Park);
+    GridHooks hooks;
+    hooks.cohortOf = [](std::size_t index, const runner::Experiment &) {
+        const char *keys[] = {"a", "b", "a", "a", ""};
+        return std::string(keys[index]);
+    };
+    hooks.simulate = [&](std::size_t index, const runner::Experiment &,
+                         WarmState warm) {
+        std::lock_guard<std::mutex> lock(mutex);
+        told[index] = warm;
+        return fakeResult(index);
+    };
+    scheduleGrid(grid, 2, hooks);
+    EXPECT_EQ(told[0], WarmState::Park);
+    for (std::size_t i = 1; i < told.size(); ++i)
+        EXPECT_EQ(told[i], WarmState::Discard) << "point " << i;
+}
+
 TEST(ScheduleGridTest, FirstExceptionStopsDispatchAndIsRethrown)
 {
     // One worker: point 1 throws, so point 0 is emitted, nothing
@@ -415,8 +444,8 @@ TEST(ScheduleGridTest, FirstExceptionStopsDispatchAndIsRethrown)
     std::atomic<std::size_t> simulated{0};
     std::vector<std::size_t> emitted;
     GridHooks hooks;
-    hooks.simulate = [&](std::size_t index,
-                         const runner::Experiment &) -> SimResult {
+    hooks.simulate = [&](std::size_t index, const runner::Experiment &,
+                         WarmState) -> SimResult {
         ++simulated;
         if (index == 1)
             throw std::runtime_error("boom at 1");
@@ -433,7 +462,8 @@ TEST(ScheduleGridTest, FirstExceptionStopsDispatchAndIsRethrown)
 
     // An onResult exception stops the grid the same way.
     GridHooks throwing;
-    throwing.simulate = [](std::size_t index, const runner::Experiment &) {
+    throwing.simulate = [](std::size_t index, const runner::Experiment &,
+                           WarmState) {
         return fakeResult(index);
     };
     throwing.onResult = [](std::size_t, SimResult &&,
@@ -447,7 +477,8 @@ TEST(ScheduleGridTest, FirstExceptionStopsDispatchAndIsRethrown)
 TEST(ScheduleGridTest, EmptyGridReturnsImmediately)
 {
     GridHooks hooks;
-    hooks.simulate = [](std::size_t, const runner::Experiment &) {
+    hooks.simulate = [](std::size_t, const runner::Experiment &,
+                        WarmState) {
         ADD_FAILURE() << "simulated a point of an empty grid";
         return SimResult{};
     };

@@ -169,7 +169,6 @@ TEST(ServiceTest, LegacyBaselineMemoFlagCannotAliasAConfig)
     json::Value submit = makeFrame("submit");
     submit.set("protocol", json::Value::number(kProtocolVersion));
     submit.set("experiment", json::Value::string("legacy-flag"));
-    submit.set("jobs", json::Value::number(std::uint64_t{1}));
     submit.set("priority", json::Value::number(std::uint64_t{1}));
     submit.set("grid", std::move(grid));
 

@@ -321,7 +321,6 @@ TEST(ServiceProtocolTest, SubmitFrameRoundTrips)
 {
     SubmitRequest request;
     request.experiment = "unit";
-    request.jobs = 3;
     for (SchemeType type : {SchemeType::Baseline, SchemeType::Shotgun}) {
         runner::Experiment exp;
         exp.workload = "nutch";
@@ -336,7 +335,6 @@ TEST(ServiceProtocolTest, SubmitFrameRoundTrips)
     const SubmitRequest decoded =
         decodeSubmit(Value::parse(frame.dump()));
     EXPECT_EQ(decoded.experiment, "unit");
-    EXPECT_EQ(decoded.jobs, 3u);
     ASSERT_EQ(decoded.grid.size(), 2u);
     EXPECT_EQ(decoded.grid[0].label, "baseline");
     EXPECT_EQ(frame.dump().find("via_baseline"), std::string::npos);
@@ -351,7 +349,6 @@ TEST(ServiceProtocolTest, SubmitRejectsBadFrames)
         Value v = makeFrame("submit");
         v.set("protocol", Value::number(version));
         v.set("experiment", Value::string("x"));
-        v.set("jobs", Value::number(std::uint64_t{0}));
         v.set("priority", Value::number(std::uint64_t{1}));
         v.set("grid", Value::array());
         return v;
@@ -378,6 +375,22 @@ TEST(ServiceProtocolTest, SubmitRejectsBadFrames)
     // Empty grid: a current frame, so the grid check is what fires.
     EXPECT_EQ(error_of(submit_at(kProtocolVersion)),
               "submit: empty grid");
+
+    // Version 4's "jobs" member is gone: the coordinator never read
+    // it, and a current frame carrying it is refused.
+    SubmitRequest request;
+    request.experiment = "x";
+    runner::Experiment exp;
+    exp.workload = "nutch";
+    exp.label = "baseline";
+    exp.config = SimConfig::make(makePreset(WorkloadId::Nutch),
+                                 SchemeType::Baseline);
+    request.grid.push_back(exp);
+    Value with_jobs = encodeSubmit(request);
+    EXPECT_EQ(error_of(with_jobs), "");
+    with_jobs.set("jobs", Value::number(std::uint64_t{2}));
+    EXPECT_NE(error_of(with_jobs).find("jobs"), std::string::npos)
+        << error_of(with_jobs);
 
     // Frame type helpers.
     EXPECT_THROW(frameType(Value::parse("[]")), CodecError);
@@ -648,7 +661,6 @@ frameCases()
 
         SubmitRequest submit;
         submit.experiment = "table";
-        submit.jobs = 3;
         submit.priority = 2;
         submit.grid = {sampleExperiment()};
         if (set) {
@@ -745,7 +757,6 @@ frameCases()
     job.total = 10;
     job.completed = 4;
     job.cached = 1;
-    job.budget = 2;
     cases.push_back({"job-row", encodeJobStatus(job),
                      [](const Value &f) {
                          return encodeJobStatus(decodeJobStatus(f));

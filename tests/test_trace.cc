@@ -14,10 +14,12 @@
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <random>
 #include <set>
 #include <vector>
 
 #include "sim/simulator.hh"
+#include "trace/decoded_trace.hh"
 #include "trace/generator.hh"
 #include "trace/presets.hh"
 #include "trace/program.hh"
@@ -142,12 +144,9 @@ TEST(ProgramTest, AddressLookupsRoundTrip)
     Program prog(smallParams());
     for (std::uint32_t f = 0; f < prog.numFunctions(); f += 7) {
         const Function &fn = prog.function(f);
-        EXPECT_EQ(prog.functionIndexAt(fn.entry), f);
-        EXPECT_EQ(prog.functionIndexAt(fn.entry + fn.sizeBytes - 1), f);
         const StaticBB &bb0 = prog.bb(fn.firstBB);
         EXPECT_EQ(prog.bbIndexAt(bb0.startAddr), fn.firstBB);
     }
-    EXPECT_EQ(prog.functionIndexAt(0x1000), UINT32_MAX);
     EXPECT_EQ(prog.bbIndexAt(0x1000), UINT32_MAX);
 }
 
@@ -406,11 +405,12 @@ TEST(GeneratorTest, VisitsManyFunctions)
     Program prog(smallParams());
     TraceGenerator gen(prog, 29);
     BBRecord rec;
-    std::set<std::uint32_t> funcs;
+    // A call's target is its callee's entry: one address per function.
+    std::set<Addr> funcs;
     for (int i = 0; i < 200000; ++i) {
         gen.next(rec);
         if (isCallType(rec.type))
-            funcs.insert(prog.functionIndexAt(rec.target));
+            funcs.insert(rec.target);
     }
     EXPECT_GT(funcs.size(), prog.numFunctions() / 4);
 }
@@ -750,6 +750,128 @@ TEST(TraceIndexTest, StaleOrCorruptIndexIsRejectedNotTrusted)
     std::remove(path.c_str());
 }
 
+/** Every byte of `path`. */
+std::vector<unsigned char>
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::vector<unsigned char>(std::istreambuf_iterator<char>(in),
+                                      std::istreambuf_iterator<char>());
+}
+
+/** Store `value` little-endian at `bytes[at, at + 8)`, if it fits. */
+void
+pokeLE64(std::vector<unsigned char> &bytes, std::size_t at,
+         std::uint64_t value)
+{
+    for (std::size_t i = 0; i < 8 && at + i < bytes.size(); ++i)
+        bytes[at + i] = static_cast<unsigned char>(value >> (8 * i));
+}
+
+/**
+ * Open, replay, decode and index a damaged trace the way a fleet
+ * worker would meet it. `probe` gates the rest on the worker's
+ * up-front header check. Each step must complete or throw
+ * TraceError: any other exception fails the test, and a crash or a
+ * fatal() ends it.
+ */
+void
+exerciseDamagedTrace(const std::string &path, bool probe)
+{
+    TraceInfo info;
+    std::string error;
+    if (probe && !tryReadTraceInfo(path, info, error))
+        return; // Rejected before a record is read.
+    info = readTraceInfo(path);
+
+    TraceIndex index;
+    tryReadTraceIndex(traceIndexPath(path), info, index, error);
+    try {
+        // Seeks through the sidecar index when it is still usable.
+        TraceFileSource source(path);
+        source.skipInstructions(info.instructions / 2);
+        BBRecord rec;
+        while (source.next(rec)) {
+        }
+    } catch (const TraceError &) {
+    }
+    try {
+        DecodedTrace decoded(path);
+        EXPECT_EQ(decoded.records(), info.records);
+    } catch (const TraceError &) {
+    }
+    try {
+        buildTraceIndex(path, 128);
+    } catch (const TraceError &) {
+    }
+}
+
+TEST(TraceMutationTest, DamagedTracesAndIndexesCompleteOrThrow)
+{
+    // Seeded damage to a recorded trace and its sidecar index: byte
+    // flips anywhere, truncation at any length, and header counts
+    // (the trace's records/instructions, the index's bindings and
+    // entry count) overwritten with oversized values.
+    const WorkloadPreset preset = tinyPreset();
+    Program prog(preset.program);
+    const std::string path = "/tmp/shotgun_test_mutation.bin";
+    {
+        TraceGenerator gen(prog, 11);
+        recordTrace(gen, preset, 11, path, 3000);
+    }
+    writeTraceIndex(traceIndexPath(path), buildTraceIndex(path, 256));
+    const std::vector<unsigned char> trace = readBytes(path);
+    const std::vector<unsigned char> idx = readBytes(traceIndexPath(path));
+
+    std::mt19937_64 rng(0x5eed);
+    auto below = [&rng](std::uint64_t n) {
+        return std::uniform_int_distribution<std::uint64_t>(0, n - 1)(rng);
+    };
+    const std::uint64_t oversized[] = {
+        3001, 1ull << 32, 1ull << 40, 1ull << 62, ~0ull, ~0ull / 19};
+    for (int trial = 0; trial < 400; ++trial) {
+        std::vector<unsigned char> t = trace, x = idx;
+        const bool on_index = below(2) == 1;
+        std::vector<unsigned char> &victim = on_index ? x : t;
+        bool probe = true;
+        switch (below(4)) {
+          case 0: // Flip 1-4 bytes.
+            for (std::uint64_t n = 1 + below(4); n > 0; --n)
+                victim[below(victim.size())] ^=
+                    static_cast<unsigned char>(1 + below(255));
+            break;
+          case 1: // Truncate.
+            victim.resize(below(victim.size()));
+            break;
+          case 2: { // An oversized count; the header still parses.
+            const std::uint64_t value = oversized[below(6)];
+            if (on_index) {
+                // records, instructions, seed, interval, entry count.
+                pokeLE64(x, 8 + 8 * below(5), value);
+            } else {
+                pokeLE64(t, 8 + 8 * below(2), value);
+                probe = false; // Past the probe, as a direct open is.
+            }
+            break;
+          }
+          case 3: { // A trace and an index that agree on a huge count.
+            const std::uint64_t value = oversized[below(6)];
+            pokeLE64(t, 8, value);
+            pokeLE64(x, 8, value);  // The index's record binding.
+            pokeLE64(x, 40, value); // Its entry count.
+            probe = false;
+            break;
+          }
+        }
+        writeRawFile(path, t);
+        writeRawFile(traceIndexPath(path), x);
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        exerciseDamagedTrace(path, probe);
+    }
+    std::remove(traceIndexPath(path).c_str());
+    std::remove(path.c_str());
+}
+
 TEST(TraceIndexDeathTest, BuildRejectsZeroInterval)
 {
     const WorkloadPreset preset = tinyPreset();
@@ -819,7 +941,50 @@ TEST(TraceIODeathTest, RejectsUnknownFutureVersion)
     std::remove(path.c_str());
 }
 
-TEST(TraceIODeathTest, RejectsTruncatedRecords)
+/** Read every record of `path` through a TraceFileSource. */
+void
+drainTrace(const std::string &path)
+{
+    TraceFileSource source(path);
+    BBRecord rec;
+    while (source.next(rec)) {
+    }
+}
+
+/** The message of the TraceError `body` throws, or "" if none. */
+template <typename Body>
+std::string
+traceErrorOf(Body &&body)
+{
+    try {
+        body();
+    } catch (const TraceError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** Overwrite byte `offset` of `path`. */
+void
+pokeByte(const std::string &path, std::uint64_t offset,
+         unsigned char value)
+{
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(static_cast<std::streamoff>(offset));
+    f.put(static_cast<char>(value));
+}
+
+/** Byte offset of byte `field` of record `record` (records are the
+ * file's 19-byte tail). */
+std::uint64_t
+recordByte(const std::string &path, std::uint64_t records,
+           std::uint64_t record, unsigned field)
+{
+    return std::filesystem::file_size(path) -
+           (records - record) * kTraceRecordBytes + field;
+}
+
+TEST(TraceIOTest, RejectsTruncatedRecords)
 {
     const WorkloadPreset preset = tinyPreset();
     Program prog(preset.program);
@@ -832,18 +997,23 @@ TEST(TraceIODeathTest, RejectsTruncatedRecords)
     const auto size = std::filesystem::file_size(path);
     std::filesystem::resize_file(path, size - 30);
 
-    EXPECT_EXIT(
-        {
-            TraceFileSource source(path);
-            BBRecord rec;
-            while (source.next(rec)) {
-            }
-        },
-        ::testing::ExitedWithCode(1), "truncated trace file");
+    EXPECT_THROW(drainTrace(path), TraceError);
+    EXPECT_NE(traceErrorOf([&]() { drainTrace(path); })
+                  .find("truncated trace file after 998 of 1000 records"),
+              std::string::npos);
+    EXPECT_NE(traceErrorOf([&]() { buildTraceIndex(path, 64); })
+                  .find("truncated trace file after 998 of 1000 records"),
+              std::string::npos);
+    // The decoded store sizes itself by the header's count, so it
+    // checks that count against the file before reading a record.
+    EXPECT_NE(traceErrorOf([&]() { DecodedTrace decoded(path); })
+                  .find("header claims 1000 records but the file "
+                        "holds 998"),
+              std::string::npos);
     std::remove(path.c_str());
 }
 
-TEST(TraceIODeathTest, RejectsZeroInstructionRecord)
+TEST(TraceIOTest, RejectsZeroInstructionRecord)
 {
     // A basic block holds at least one instruction; the core's
     // backend queue is sized on that bound.
@@ -853,23 +1023,78 @@ TEST(TraceIODeathTest, RejectsZeroInstructionRecord)
     const std::string path = "/tmp/shotgun_test_zero_instrs.bin";
     recordTrace(gen, preset, 1, path, 100);
 
-    // Records are the file's tail, 19 bytes each; byte 16 of a record
-    // is its instruction count. Zero the last record's.
+    // Byte 16 of a record is its instruction count. Zero the last
+    // record's.
+    pokeByte(path, recordByte(path, 100, 99, 16), 0);
+    EXPECT_THROW(drainTrace(path), TraceError);
+    EXPECT_NE(traceErrorOf([&]() { drainTrace(path); })
+                  .find("record 99 (zero instructions)"),
+              std::string::npos);
+    std::remove(path.c_str());
+}
+
+TEST(TraceIOTest, BadBranchTypeNamesTheRecordOnEveryReadPath)
+{
+    // Byte 17 is the branch type. Replay, the decoded store and
+    // buildTraceIndex all decode records, and all report the record.
+    const WorkloadPreset preset = tinyPreset();
+    Program prog(preset.program);
+    TraceGenerator gen(prog, 1);
+    const std::string path = "/tmp/shotgun_test_bad_type.bin";
+    recordTrace(gen, preset, 1, path, 9000);
+    pokeByte(path, recordByte(path, 9000, 5001, 17), 0xEE);
+
+    const std::string expected = "corrupt record 5001 (bad branch type 238)";
+    EXPECT_NE(traceErrorOf([&]() { drainTrace(path); }).find(expected),
+              std::string::npos);
+    EXPECT_NE(traceErrorOf([&]() { DecodedTrace decoded(path); })
+                  .find(expected),
+              std::string::npos);
+    EXPECT_NE(traceErrorOf([&]() { buildTraceIndex(path, 1000); })
+                  .find(expected),
+              std::string::npos);
+    std::remove(path.c_str());
+}
+
+TEST(TraceIOTest, ChunkedCodecRoundTripsAcrossChunkBoundaries)
+{
+    // Enough records for several read and write chunks, replayed
+    // against the source that produced them, with an index seek in
+    // the middle that must discard the read-ahead.
+    const WorkloadPreset preset = tinyPreset();
+    Program prog(preset.program);
+    const std::string path = "/tmp/shotgun_test_chunks.bin";
+    constexpr std::uint64_t kRecords = 10000;
     {
-        std::fstream f(path, std::ios::in | std::ios::out |
-                                 std::ios::binary);
-        f.seekp(static_cast<std::streamoff>(
-            std::filesystem::file_size(path) - 19 + 16));
-        f.put('\0');
+        TraceGenerator gen(prog, 5);
+        EXPECT_EQ(recordTrace(gen, preset, 5, path, kRecords), kRecords);
     }
-    EXPECT_EXIT(
-        {
-            TraceFileSource source(path);
-            BBRecord rec;
-            while (source.next(rec)) {
-            }
-        },
-        ::testing::ExitedWithCode(1), "record 99 \\(zero instructions\\)");
+    EXPECT_EQ(TraceFileSource(path).payloadRecords(), kRecords);
+
+    TraceGenerator expect(prog, 5);
+    TraceFileSource replay(path);
+    BBRecord want, got;
+    for (std::uint64_t i = 0; i < kRecords; ++i) {
+        ASSERT_TRUE(expect.next(want));
+        ASSERT_TRUE(replay.next(got)) << i;
+        ASSERT_TRUE(got == want) << i;
+    }
+    EXPECT_FALSE(replay.next(got));
+
+    TraceFileSource linear(path); // No index on disk: a linear skip.
+    const std::uint64_t target = linear.totalInstructions() / 2;
+    linear.skipInstructions(target);
+    writeTraceIndex(traceIndexPath(path), buildTraceIndex(path, 1000));
+    TraceFileSource seeking(path);
+    ASSERT_TRUE(seeking.next(got)); // Fill the read-ahead first.
+    seeking.skipInstructions(target - got.numInstrs);
+    EXPECT_EQ(seeking.recordsRead(), linear.recordsRead());
+    while (linear.next(want)) {
+        ASSERT_TRUE(seeking.next(got));
+        ASSERT_TRUE(got == want);
+    }
+    EXPECT_FALSE(seeking.next(got));
+    std::remove(traceIndexPath(path).c_str());
     std::remove(path.c_str());
 }
 

@@ -465,7 +465,6 @@ TEST(WindowShardingTest, MatchesMonolithicThroughACoordinator)
     // mid-grid: FleetTest.WindowShardsSurviveWorkerDeath.)
     service::SubmitRequest request;
     request.experiment = "window-shard";
-    request.jobs = 2;
     std::vector<SimResult> mono;
     for (const SchemeType type :
          {SchemeType::Baseline, SchemeType::Shotgun}) {

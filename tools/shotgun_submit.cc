@@ -72,7 +72,7 @@ const char *kUsage =
     "  --warmup N           warm-up instructions (default 2000000)\n"
     "  --quick              1M measured / 0.5M warm-up\n"
     "  --seed N             generator seed (default 1)\n"
-    "  --jobs N             in-process worker threads with --local\n"
+    "  --jobs N             in-process worker threads; --local only\n"
     "                       (default: one per hardware thread)\n"
     "\n"
     "Fleet: --coordinator submits the grid to a shotgun-coord\n"
@@ -182,6 +182,7 @@ struct Options
     std::uint64_t warmup = 2000000;
     std::uint64_t seed = 1;
     std::uint64_t jobs = 0;
+    bool jobsGiven = false; ///< --jobs appeared (it needs --local).
     std::uint64_t priority = 1;
     std::uint64_t windowShards = 0; ///< 0 = monolithic experiments.
     std::uint64_t timeoutSeconds = service::kDefaultTimeoutSeconds;
@@ -259,6 +260,7 @@ parseOptions(int argc, char **argv)
             opts.seed = nextU64("--seed");
         } else if (std::strcmp(arg, "--jobs") == 0) {
             opts.jobs = nextU64("--jobs");
+            opts.jobsGiven = true;
         } else if (std::strcmp(arg, "--priority") == 0) {
             opts.priority = nextU64("--priority");
             if (opts.priority == 0 || opts.priority > 1000000)
@@ -289,6 +291,10 @@ parseOptions(int argc, char **argv)
 
     if (opts.local && !opts.endpoint.empty())
         usageError("--local excludes --server/--coordinator");
+    if (opts.jobsGiven && !opts.local)
+        usageError("--jobs sets in-process worker threads and needs "
+                   "--local; a coordinator runs a grid on its workers' "
+                   "slots");
     if (!opts.local && opts.endpoint.empty())
         usageError("one of --server, --coordinator or --local is "
                    "required");
@@ -404,7 +410,6 @@ runSubmit(const Options &opts)
 
     service::SubmitRequest request;
     request.experiment = opts.experiment;
-    request.jobs = opts.jobs;
     request.priority = opts.priority;
     request.grid = set.experiments();
     if (tracing) {

@@ -295,10 +295,8 @@ cmdIndex(int argc, char **argv)
     return 0;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runTool(int argc, char **argv)
 {
     int exit_code = 0;
     if (cli::handleStandardFlags(argc, argv, "shotgun-trace", kUsage,
@@ -317,4 +315,12 @@ main(int argc, char **argv)
         return cmdIndex(argc - 2, argv + 2);
     usageError((std::string("unknown subcommand '") + command + "'")
                    .c_str());
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return cli::exitOnException([&]() { return runTool(argc, argv); });
 }
