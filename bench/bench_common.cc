@@ -1,6 +1,7 @@
 #include "bench_common.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -9,10 +10,10 @@
 #include <cstring>
 #include <exception>
 #include <iostream>
+#include <thread>
 
 #include "common/logging.hh"
 #include "common/parse.hh"
-#include "runner/thread_pool.hh"
 
 namespace shotgun
 {
@@ -102,7 +103,7 @@ printBanner(const BenchOptions &opts, const char *experiment,
                 static_cast<unsigned long long>(opts.warmupInstructions),
                 static_cast<unsigned long long>(
                     opts.measureInstructions),
-                opts.jobs == 0 ? runner::ThreadPool::hardwareJobs()
+                opts.jobs == 0 ? runner::hardwareJobs()
                                : opts.jobs);
 }
 
@@ -233,8 +234,9 @@ configFor(const WorkloadPreset &preset, SchemeType type,
     return config;
 }
 
-unsigned
-analysisJobs(const BenchOptions &opts, std::size_t tasks)
+void
+forEachTask(const BenchOptions &opts, std::size_t tasks,
+            const std::function<void(std::size_t)> &task)
 {
     if (!opts.outBase.empty()) {
         std::fprintf(stderr,
@@ -242,11 +244,29 @@ analysisJobs(const BenchOptions &opts, std::size_t tasks)
                      "no JSON/CSV result files; --out ignored\n");
     }
     const unsigned requested =
-        opts.jobs == 0 ? runner::ThreadPool::hardwareJobs() : opts.jobs;
-    if (tasks == 0)
-        return 1;
-    return static_cast<unsigned>(
-        std::min<std::size_t>(requested, tasks));
+        opts.jobs == 0 ? runner::hardwareJobs() : opts.jobs;
+    const std::size_t workers =
+        std::max<std::size_t>(1, std::min<std::size_t>(requested, tasks));
+    std::vector<std::exception_ptr> errors(tasks);
+    std::atomic<std::size_t> next{0};
+    std::vector<std::thread> threads;
+    for (std::size_t w = 0; w < workers; ++w) {
+        threads.emplace_back([&]() {
+            for (std::size_t i = next++; i < tasks; i = next++) {
+                try {
+                    task(i);
+                } catch (...) {
+                    errors[i] = std::current_exception();
+                }
+            }
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    for (const std::exception_ptr &error : errors) {
+        if (error)
+            std::rethrow_exception(error);
+    }
 }
 
 std::vector<SimResult>

@@ -11,6 +11,7 @@
 #define SHOTGUN_BENCH_COMMON_HH
 
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
 #include <string>
 #include <vector>
@@ -94,12 +95,15 @@ SimConfig configFor(const WorkloadPreset &preset, SchemeType type,
                     const BenchOptions &opts);
 
 /**
- * Worker count for a trace-analysis bench that fans `tasks` jobs out
- * over a raw ThreadPool: the --jobs request (or hardware default)
- * clamped to the task count. Also warns once on stderr when --out was
- * requested, since analysis benches emit tables only, no JSON/CSV.
+ * Run a trace-analysis bench's per-workload tasks: task(i) for every
+ * i < tasks, on the --jobs request (or hardware default) of threads
+ * clamped to the task count. Rethrows the lowest-index task's
+ * exception once every task finished. Also warns once on stderr when
+ * --out was requested, since analysis benches emit tables only, no
+ * JSON/CSV.
  */
-unsigned analysisJobs(const BenchOptions &opts, std::size_t tasks);
+void forEachTask(const BenchOptions &opts, std::size_t tasks,
+                 const std::function<void(std::size_t)> &task);
 
 /**
  * Execute the grid through the shared ExperimentRunner with the

@@ -13,7 +13,6 @@
  */
 
 #include <chrono>
-#include <future>
 #include <iostream>
 #include <vector>
 
@@ -23,7 +22,6 @@
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "runner/progress.hh"
-#include "runner/thread_pool.hh"
 #include "sim/simulator.hh"
 #include "trace/trace_io.hh"
 
@@ -81,26 +79,18 @@ runTool(int argc, char **argv)
     const std::vector<WorkloadPreset> presets =
         bench::selectedPresets(opts);
 
-    // Declared before the pool: its draining destructor may still run
-    // tasks that report progress.
     runner::ProgressReporter progress(
         presets.size(), opts.showProgress ? &std::cerr : nullptr);
-    runner::ThreadPool pool(bench::analysisJobs(opts, presets.size()));
-    std::vector<std::future<Histogram>> futures;
-    futures.reserve(presets.size());
-    for (const auto &preset : presets) {
-        futures.push_back(pool.submit([&preset, &opts, &progress]() {
-            const auto start = std::chrono::steady_clock::now();
-            Histogram dist =
-                distanceHistogram(preset, opts.measureInstructions);
-            progress.completed(
-                preset.name + "/fig3",
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count());
-            return dist;
-        }));
-    }
+    std::vector<Histogram> dists(presets.size());
+    bench::forEachTask(opts, presets.size(), [&](std::size_t i) {
+        const auto start = std::chrono::steady_clock::now();
+        dists[i] = distanceHistogram(presets[i], opts.measureInstructions);
+        progress.completed(
+            presets[i].name + "/fig3",
+            std::chrono::duration<double>(
+                std::chrono::steady_clock::now() - start)
+                .count());
+    });
 
     TextTable table(
         "Figure 3 (cumulative access probability by distance)");
@@ -108,7 +98,7 @@ runTool(int argc, char **argv)
         .cell("<=4").cell("<=6").cell("<=10").cell("<=16").cell(">16");
 
     for (std::size_t i = 0; i < presets.size(); ++i) {
-        const Histogram dist = futures[i].get();
+        const Histogram &dist = dists[i];
         table.row().cell(presets[i].name)
             .percentCell(dist.cumulativeFraction(0))
             .percentCell(dist.cumulativeFraction(1))

@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <future>
 #include <iostream>
 #include <unordered_map>
 
@@ -24,7 +23,6 @@
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "runner/progress.hh"
-#include "runner/thread_pool.hh"
 #include "sim/simulator.hh"
 #include "trace/trace_io.hh"
 
@@ -114,27 +112,19 @@ runTool(int argc, char **argv)
     const std::vector<WorkloadPreset> presets = bench::selectedPresets(
         opts, {WorkloadId::Oracle, WorkloadId::DB2});
 
-    // Declared before the pool: its draining destructor may still run
-    // tasks that report progress.
     runner::ProgressReporter progress(
         presets.size(), opts.showProgress ? &std::cerr : nullptr);
-    runner::ThreadPool pool(bench::analysisJobs(opts, presets.size()));
-    std::vector<std::future<CoverageRows>> futures;
-    futures.reserve(presets.size());
-    for (const auto &preset : presets) {
-        futures.push_back(
-            pool.submit([&preset, &opts, &cuts, &progress]() {
-                const auto start = std::chrono::steady_clock::now();
-                CoverageRows rows = branchCoverage(
-                    preset, opts.measureInstructions * 2, cuts);
-                progress.completed(
-                    preset.name + "/fig4",
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - start)
-                        .count());
-                return rows;
-            }));
-    }
+    std::vector<CoverageRows> coverage(presets.size());
+    bench::forEachTask(opts, presets.size(), [&](std::size_t i) {
+        const auto start = std::chrono::steady_clock::now();
+        coverage[i] = branchCoverage(
+            presets[i], opts.measureInstructions * 2, cuts);
+        progress.completed(
+            presets[i].name + "/fig4",
+            std::chrono::duration<double>(
+                std::chrono::steady_clock::now() - start)
+                .count());
+    });
 
     TextTable table("Figure 4 (cumulative dynamic branch coverage)");
     {
@@ -144,7 +134,7 @@ runTool(int argc, char **argv)
     }
 
     for (std::size_t i = 0; i < presets.size(); ++i) {
-        const CoverageRows rows = futures[i].get();
+        const CoverageRows &rows = coverage[i];
         auto &row_all =
             table.row().cell(presets[i].name + " (all branches)");
         for (double v : rows.all)

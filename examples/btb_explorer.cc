@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "sim/simulator.hh"
 
@@ -21,8 +22,11 @@
 
 using namespace shotgun;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+runTool(int argc, char **argv)
 {
     const std::string workload = argc > 1 ? argv[1] : "oracle";
     const std::uint64_t instructions =
@@ -70,4 +74,12 @@ main(int argc, char **argv)
                 "footprints) wins once the branch working set is "
                 "large.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return cli::exitOnException([&]() { return runTool(argc, argv); });
 }

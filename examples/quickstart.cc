@@ -15,12 +15,16 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/cli.hh"
 #include "sim/simulator.hh"
 
 using namespace shotgun;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+runTool(int argc, char **argv)
 {
     const std::string workload = argc > 1 ? argv[1] : "db2";
     const std::uint64_t instructions =
@@ -55,4 +59,12 @@ main(int argc, char **argv)
     std::printf("front-end stalls covered:     %.1f%%\n",
                 100.0 * stallCoverage(shot, base));
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return cli::exitOnException([&]() { return runTool(argc, argv); });
 }

@@ -18,6 +18,7 @@
 #include <iostream>
 #include <limits>
 
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "runner/experiment.hh"
 #include "sim/simulator.hh"
@@ -45,10 +46,8 @@ parseJobsArg(const char *text)
     return static_cast<unsigned>(value);
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runTool(int argc, char **argv)
 {
     std::string workload = "oracle";
     std::uint64_t instructions = 3000000;
@@ -123,4 +122,12 @@ main(int argc, char **argv)
                  "LLC-virtualized in the paper but still displaces "
                  "LLC capacity.\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return cli::exitOnException([&]() { return runTool(argc, argv); });
 }

@@ -27,7 +27,6 @@
 #include "btb/conventional_btb.hh"
 #include "cache/cache.hh"
 #include "common/stats.hh"
-#include "obs/uarch.hh"
 #include "runner/experiment.hh"
 #include "sim/simulator.hh"
 #include "trace/program.hh"
@@ -215,10 +214,6 @@ runTool(int argc, char **argv)
         SimConfig config = SimConfig::make(preset, type);
         config.warmupInstructions = instructions / 2;
         config.measureInstructions = instructions;
-        // Observer-only probes: the comparison numbers are bitwise
-        // identical with or without them, and they feed the stall
-        // attribution table below.
-        config.core.uarchProbes = true;
         points.emplace_back(
             schemeTypeName(type),
             set.add(preset, schemeTypeName(type), std::move(config)));
@@ -240,16 +235,15 @@ runTool(int argc, char **argv)
                     100.0 * stallCoverage(r, base), r.l1iMPKI);
     }
 
-    // Cycle-exact attribution from the probes: every measured cycle
-    // is active or charged to exactly one stall cause, so each row
-    // sums to 100% (the conservation invariant).
+    // Every measured cycle is active or charged to exactly one stall
+    // cause, so each row sums to 100% (the conservation invariant).
     std::printf("\nstall attribution (%% of measured cycles):\n");
     std::printf("  %-10s %7s %7s %7s %7s %7s %7s %7s\n", "scheme",
                 "active", "icache", "btb", "redir", "ftq", "backend",
                 "pf-wait");
     for (const auto &[name, index] : points) {
         const SimResult &r = results[index];
-        const obs::UarchBreakdown &u = r.uarch;
+        const Core::CycleBreakdown &s = r.stalls;
         auto pct = [&r](std::uint64_t cycles) {
             return r.cycles == 0 ? 0.0
                                  : 100.0 * static_cast<double>(cycles) /
@@ -257,12 +251,10 @@ runTool(int argc, char **argv)
         };
         std::printf("  %-10s %6.1f%% %6.1f%% %6.1f%% %6.1f%% %6.1f%% "
                     "%6.1f%% %6.1f%%%s\n",
-                    name.c_str(), pct(u.activeCycles),
-                    pct(u.stallICacheMiss), pct(u.stallBTBMiss),
-                    pct(u.stallRedirect), pct(u.stallFTQEmpty),
-                    pct(u.stallBackendPressure),
-                    pct(u.stallPrefetchInFlight),
-                    u.conserves(r.cycles) ? "" : "  [not conserved!]");
+                    name.c_str(), pct(s.active), pct(s.icache),
+                    pct(s.btb), pct(s.redirect), pct(s.ftqEmpty),
+                    pct(s.backend), pct(s.pfWait),
+                    s.total() == r.cycles ? "" : "  [not conserved!]");
     }
     return 0;
 }

@@ -9,9 +9,9 @@ hand-edited. The generator runs the two calibration sweeps
   bench_table1_btb_mpki   (Table 1: BTB/L1-I MPKI, no prefetch)
   bench_fig7_speedup      (Fig 7: scheme speedups over baseline)
 
-plus a probed six-scheme grid through `shotgun-submit
---uarch-report` for the stall-attribution table, and formats their
-JSON into markdown tables. Determinism makes this reproducible: the
+plus a six-scheme nutch grid through `shotgun-submit --local` for the
+stall-attribution table, and formats their JSON into markdown
+tables. Determinism makes this reproducible: the
 same build regenerates the same file byte for byte.
 
 Usage:
@@ -44,8 +44,9 @@ PAPER_TABLE1 = {
 KNOWN_ROW_FIELDS = {
     "workload", "label", "instructions", "cycles", "ipc",
     "btb_mpki", "l1i_mpki", "mispredicts_per_ki", "fe_stall_cycles",
-    "stall_icache", "stall_btb_resolve", "stall_misfetch",
-    "stall_mispredict", "prefetch_accuracy", "avg_l1d_fill_cycles",
+    "active_cycles", "stall_icache", "stall_pf_wait", "stall_btb",
+    "stall_redirect", "stall_ftq_empty", "stall_backend",
+    "prefetch_accuracy", "avg_l1d_fill_cycles",
     "prefetches_issued", "storage_bits", "speedup", "stall_coverage",
     "windows",
 }
@@ -89,42 +90,47 @@ def run_bench(build_dir, name, out_base, args, jobs):
     return doc
 
 
-UARCH_SCHEMES = ["baseline", "fdip", "boomerang", "confluence",
+STALL_SCHEMES = ["baseline", "fdip", "boomerang", "confluence",
                  "shotgun", "rdip"]
-UARCH_STALLS = [
-    # (report field, column header)
+STALL_CAUSES = [
+    # (row field, column header)
     ("active_cycles", "active"),
-    ("stall_icache_miss", "icache"),
-    ("stall_btb_miss", "btb"),
+    ("stall_icache", "icache"),
+    ("stall_btb", "btb"),
     ("stall_redirect", "redirect"),
     ("stall_ftq_empty", "ftq-empty"),
-    ("stall_backend_pressure", "backend"),
-    ("stall_prefetch_in_flight", "pf-wait"),
+    ("stall_backend", "backend"),
+    ("stall_pf_wait", "pf-wait"),
 ]
 
 
-def run_uarch_report(build_dir, work, warmup, measure, jobs):
-    """Probed six-scheme grid; returns the --uarch-report document."""
+def run_stall_grid(build_dir, work, warmup, measure, jobs):
+    """Six-scheme nutch grid; returns its result rows by label."""
     binary = build_dir / "shotgun-submit"
     if not binary.exists():
         sys.exit(f"{binary} not built (cmake --build {build_dir} first)")
-    report = work / "uarch_report.json"
+    out_base = work / "stall_grid"
     cmd = [str(binary), "--local", "--workload", "nutch",
-           "--schemes", ",".join(UARCH_SCHEMES),
+           "--schemes", ",".join(STALL_SCHEMES),
            "--warmup", str(warmup), "--instructions", str(measure),
-           "--no-progress", "--out", str(work / "uarch_grid"),
-           "--uarch-report", str(report)]
+           "--no-progress", "--out", str(out_base)]
     if jobs:
         cmd += ["--jobs", str(jobs)]
     print("+", " ".join(cmd), file=sys.stderr)
     subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL)
-    with open(report) as f:
+    with open(f"{out_base}.json") as f:
         doc = json.load(f)
-    if not doc.get("conserves", False):
-        sys.exit(f"{report}: conservation invariant violated -- "
-                 f"some measured cycle is unattributed or "
-                 f"double-charged (simulator bug)")
-    return doc
+    validate_rows(doc, f"{out_base}.json")
+    rows = {row["label"]: row for row in doc["rows"]}
+    for scheme in STALL_SCHEMES:
+        row = rows.get(scheme)
+        if row is None:
+            sys.exit(f"{out_base}.json: no row for scheme {scheme}")
+        if sum(row[field] for field, _ in STALL_CAUSES) != row["cycles"]:
+            sys.exit(f"{out_base}.json: {scheme}'s stall causes do not "
+                     f"sum to its cycles -- some measured cycle is "
+                     f"unattributed or double-charged (simulator bug)")
+    return rows
 
 
 def rows_by_workload(doc):
@@ -170,8 +176,8 @@ def main():
     fig7 = rows_by_workload(run_bench(
         build_dir, "bench_fig7_speedup", work / "fig7_speedup",
         lengths, args.jobs))
-    uarch = run_uarch_report(build_dir, work, warmup, measure,
-                             args.jobs)
+    stall_rows = run_stall_grid(build_dir, work, warmup, measure,
+                                args.jobs)
 
     out = []
     out.append("# EXPERIMENTS — measured calibration values")
@@ -228,24 +234,22 @@ def main():
     out.append("")
     out.append("## Stall attribution — % of measured cycles, nutch")
     out.append("")
-    out.append("Cycle-exact attribution from the uarch probes")
-    out.append("(`src/obs/README.md`, \"uarch probes\"): every")
-    out.append("measured cycle is active or charged to exactly one")
-    out.append("stall cause, so each row sums to 100% -- the")
-    out.append("conservation invariant, asserted by the generator.")
+    out.append("Every measured cycle is active or charged to exactly")
+    out.append("one stall cause (`src/sim/README.md`), so each row")
+    out.append("sums to 100% -- the conservation invariant, asserted")
+    out.append("by the generator. `btb` holds the cycles lost to BTB")
+    out.append("misses: the BPU resolving a miss, and misfetch")
+    out.append("bubbles; `redirect` holds mispredicts only.")
     out.append("")
     out.append("| Scheme | " +
-               " | ".join(header for _, header in UARCH_STALLS) +
+               " | ".join(header for _, header in STALL_CAUSES) +
                " |")
-    out.append("|---|" + "---|" * len(UARCH_STALLS))
-    uarch_rows = {row["label"]: row for row in uarch["rows"]}
-    for scheme in UARCH_SCHEMES:
-        if scheme not in uarch_rows:
-            sys.exit(f"uarch report: no row for scheme {scheme}")
-        row = uarch_rows[scheme]
+    out.append("|---|" + "---|" * len(STALL_CAUSES))
+    for scheme in STALL_SCHEMES:
+        row = stall_rows[scheme]
         cycles = row["cycles"]
-        cells = [f"{100.0 * row['uarch'][field] / cycles:.1f}"
-                 for field, _ in UARCH_STALLS]
+        cells = [f"{100.0 * row[field] / cycles:.1f}"
+                 for field, _ in STALL_CAUSES]
         out.append(f"| {scheme} | " + " | ".join(cells) + " |")
     out.append("")
     out.append("## Reproducing")
@@ -256,11 +260,11 @@ def main():
                (" --quick" if args.quick else ""))
     out.append("```")
     out.append("")
-    out.append("The same grids can be run through the simulation")
-    out.append("service (`shotgun-serve`/`shotgun-submit`, see")
-    out.append("`src/service/README.md`); service results are")
-    out.append("byte-identical to the in-process runs this file is")
-    out.append("generated from.")
+    out.append("The same grids can be run on a fleet: submit them with")
+    out.append("`shotgun-submit --coordinator` to a `shotgun-coord`")
+    out.append("with `shotgun-serve` workers (`src/fleet/README.md`);")
+    out.append("fleet results are byte-identical to the in-process")
+    out.append("runs this file is generated from.")
 
     out_path = root / args.out
     out_path.write_text("\n".join(out) + "\n")

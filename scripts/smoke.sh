@@ -419,10 +419,20 @@ start_serve "$SOCK_C" "$COORD_C" --name smoke-c --cache-bytes 600
 "$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_C" --status \
     | grep -q '"evictions":[1-9]'
 
-echo "== uarch probes: report conserves, outputs trajectory-invisible =="
+echo "== stall split: every cycle charged once, probes observer-only =="
+# A probe-free row charges every measured cycle to exactly one of the
+# seven causes, so they sum to its cycles.
+python3 - "$BUILD_DIR/smoke/svc_local.json" <<'PY'
+import json, sys
+rows = json.load(open(sys.argv[1]))["rows"]
+causes = ["active_cycles", "stall_icache", "stall_pf_wait", "stall_btb",
+          "stall_redirect", "stall_ftq_empty", "stall_backend"]
+for row in rows:
+    if sum(row[c] for c in causes) != row["cycles"]:
+        sys.exit(f"{row['label']}: stall causes do not sum to cycles")
+PY
 # Probed local run: --uarch-report must be valid JSON whose
-# conservation flag holds (every measured cycle is active or charged
-# to exactly one stall cause), the CSV must be byte-identical to the
+# conservation flag holds, the CSV must be byte-identical to the
 # probe-free run of the same grid (probes are observer-only,
 # src/obs/README.md "uarch probes"), and the row JSON gains its
 # optional "uarch" member only when probed.

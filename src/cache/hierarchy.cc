@@ -32,6 +32,7 @@ InstrHierarchy::demandFetch(Addr block_number, Cycle now)
     if (MSHRFile::Entry *entry = mshrs_.find(block_number)) {
         entry->demandWaiting = true;
         result.readyAt = entry->readyAt;
+        result.onPrefetch = entry->isPrefetch;
         return result;
     }
     const Cycle ready = now + fillLatency(block_number, now);

@@ -46,6 +46,7 @@ class InstrHierarchy
     {
         bool hit = false;
         Cycle readyAt = 0; ///< Valid when !hit: when the fill lands.
+        bool onPrefetch = false; ///< The miss joined a prefetch's fill.
     };
 
     /**

@@ -56,8 +56,9 @@ Core::Core(const Core &other, TraceSource *source)
       retiredSinceReset_(other.retiredSinceReset_),
       stalls_(other.stalls_), btbMisses_(other.btbMisses_),
       mispredicts_(other.mispredicts_),
-      misfetches_(other.misfetches_), l1dFill_(other.l1dFill_),
-      uarch_(other.uarch_), btbMissSketch_(other.btbMissSketch_),
+      misfetches_(other.misfetches_),
+      frontEndStalls_(other.frontEndStalls_), l1dFill_(other.l1dFill_),
+      btbMissSketch_(other.btbMissSketch_),
       l1iMissSketch_(other.l1iMissSketch_)
 {
     SchemeContext ctx;
@@ -104,6 +105,7 @@ Core::snapshotStats() const
     snap.instructions = retiredSinceReset_;
     snap.cycles = cyclesSinceReset_;
     snap.stalls = stalls_;
+    snap.frontEndStallCycles = frontEndStalls_;
     snap.btbMisses = btbMisses_;
     snap.mispredicts = mispredicts_;
     snap.misfetches = misfetches_;
@@ -114,7 +116,6 @@ Core::snapshotStats() const
     snap.l1dFillSum = l1dFill_.sum();
     snap.l1dFillCount = l1dFill_.count();
     if (params_.uarchProbes) {
-        snap.uarch = uarch_;
         snap.uarch.enabled = true;
         obs::PrefetchLifecycle &l1i =
             snap.uarch.at(obs::UarchStructure::L1I);
@@ -142,13 +143,13 @@ Core::resetStats()
 {
     cyclesSinceReset_ = 0;
     retiredSinceReset_ = 0;
-    stalls_ = StallBreakdown{};
+    stalls_ = CycleBreakdown{};
+    frontEndStalls_ = 0;
     btbMisses_ = 0;
     mispredicts_ = 0;
     misfetches_ = 0;
     l1dFill_.reset();
     mem_.resetStats();
-    uarch_ = obs::UarchBreakdown{};
     clearUarchSites();
 }
 
@@ -167,10 +168,7 @@ Core::step()
     bpuStep();
     fetchStep();
     backendStep();
-    if (std::uint64_t *counter = starvationCounter())
-        ++*counter;
-    if (std::uint64_t *counter = attributionCounter())
-        ++*counter;
+    chargeCycles(1);
 
     ++now_;
     ++cyclesSinceReset_;
@@ -219,10 +217,7 @@ Core::skipIdleCycles()
                 steps = done + (steps - done) % done;
         }
     }
-    if (std::uint64_t *counter = starvationCounter())
-        *counter += skipped;
-    if (std::uint64_t *counter = attributionCounter())
-        *counter += skipped;
+    chargeCycles(skipped);
     now_ = until;
     cyclesSinceReset_ += skipped;
 }
@@ -301,16 +296,9 @@ Core::fetchStep()
                     scheme_->onDemandMiss(block, now_);
                     fetchStallUntil_ = result.readyAt;
                     fetchStallKind_ = BpuStallKind::ICache;
-                    if (params_.uarchProbes) {
-                        // Probe-only reads: was this miss waiting on
-                        // an in-flight prefetch, and which fetch PC
-                        // missed? Neither perturbs the hierarchy.
-                        const MSHRFile::Entry *mshr =
-                            mem_.mshrs().find(block);
-                        fetchStallOnPrefetch_ =
-                            mshr != nullptr && mshr->isPrefetch;
+                    fetchStallOnPrefetch_ = result.onPrefetch;
+                    if (params_.uarchProbes)
                         l1iMissSketch_.record(cur_addr);
-                    }
                     return;
                 }
             }
@@ -403,83 +391,43 @@ Core::backendStep()
     }
 }
 
-std::uint64_t *
-Core::starvationCounter()
+void
+Core::chargeCycles(Cycle n)
 {
-    if (deliveredThisCycle_ > 0 || backendInstrs_ > 0)
-        return nullptr; // The backend had work; no starvation.
-    if (dataStallUntil_ > now_)
-        return nullptr; // Backend-side stall, not instruction supply.
-
-    if (fetchStallUntil_ > now_) {
+    // Active when fetch delivered; otherwise what blocked fetchStep.
+    // A stalled BPU always carries a Resolve, Misfetch or Mispredict
+    // kind, and a BPU waiting on a redirect still has its branch in
+    // the FTQ, so an empty FTQ behind neither is ftq-empty.
+    std::uint64_t *cause = &stalls_.ftqEmpty;
+    if (deliveredThisCycle_ > 0) {
+        cause = &stalls_.active;
+    } else if (backendInstrs_ >= params_.backendEntries) {
+        cause = &stalls_.backend;
+    } else if (fetchStallUntil_ > now_) {
         switch (fetchStallKind_) {
           case BpuStallKind::Misfetch:
-            return &stalls_.misfetch;
+            cause = &stalls_.btb;
+            break;
           case BpuStallKind::Mispredict:
-            return &stalls_.mispredict;
+            cause = &stalls_.redirect;
+            break;
           default:
-            return &stalls_.icache;
-        }
-    }
-    if (ftq_.empty() && bpuStallUntil_ > now_) {
-        switch (bpuStallKind_) {
-          case BpuStallKind::Resolve:
-            return &stalls_.btbResolve;
-          case BpuStallKind::Misfetch:
-            return &stalls_.misfetch;
-          case BpuStallKind::Mispredict:
-            return &stalls_.mispredict;
-          default:
+            cause = fetchStallOnPrefetch_ ? &stalls_.pfWait
+                                          : &stalls_.icache;
             break;
         }
+    } else if (ftq_.empty() && bpuStallUntil_ > now_) {
+        cause = bpuStallKind_ == BpuStallKind::Mispredict
+                    ? &stalls_.redirect
+                    : &stalls_.btb;
     }
-    return &stalls_.other;
-}
-
-std::uint64_t *
-Core::attributionCounter()
-{
-    // Cycle-exact taxonomy (probes only): every cycle is either
-    // active (fetch delivered instructions) or charged to exactly one
-    // cause, mirroring the predicates that blocked this cycle's
-    // fetchStep. The conservation invariant
-    // stallTotal() + activeCycles == cycles holds by construction.
-    if (!params_.uarchProbes)
-        return nullptr;
-    if (deliveredThisCycle_ > 0)
-        return &uarch_.activeCycles;
-    if (backendInstrs_ >= params_.backendEntries)
-        return &uarch_.stallBackendPressure;
-    if (fetchStallUntil_ > now_) {
-        switch (fetchStallKind_) {
-          case BpuStallKind::Misfetch:
-          case BpuStallKind::Mispredict:
-            return &uarch_.stallRedirect;
-          default:
-            return fetchStallOnPrefetch_ ? &uarch_.stallPrefetchInFlight
-                                         : &uarch_.stallICacheMiss;
-        }
-    }
-    if (ftq_.empty()) {
-        if (bpuWaitingRedirect_)
-            return &uarch_.stallRedirect;
-        if (bpuStallUntil_ > now_) {
-            switch (bpuStallKind_) {
-              case BpuStallKind::Resolve:
-                return &uarch_.stallBTBMiss;
-              case BpuStallKind::Misfetch:
-              case BpuStallKind::Mispredict:
-                return &uarch_.stallRedirect;
-              default:
-                return &uarch_.stallICacheMiss;
-            }
-        }
-        return &uarch_.stallFTQEmpty;
-    }
-    // FTQ non-empty, fetch unblocked, backend has room, yet nothing
-    // was delivered: the BPU failed to keep the head entry fetchable
-    // this cycle -- an instruction-supply gap like an empty FTQ.
-    return &uarch_.stallFTQEmpty;
+    *cause += n;
+    // Starved: the backend has nothing to retire and is not held up
+    // by data, so the front end alone costs these cycles.
+    if ((cause == &stalls_.icache || cause == &stalls_.pfWait ||
+         cause == &stalls_.btb) &&
+        backendInstrs_ == 0 && dataStallUntil_ <= now_)
+        frontEndStalls_ += n;
 }
 
 double
@@ -489,6 +437,28 @@ Core::l1iMPKI() const
                ? 0.0
                : 1000.0 * static_cast<double>(mem_.demandMisses()) /
                      static_cast<double>(retiredSinceReset_);
+}
+
+bool
+operator==(const Core::CycleBreakdown &a, const Core::CycleBreakdown &b)
+{
+    return a.active == b.active && a.icache == b.icache &&
+           a.pfWait == b.pfWait && a.btb == b.btb &&
+           a.redirect == b.redirect && a.ftqEmpty == b.ftqEmpty &&
+           a.backend == b.backend;
+}
+
+Core::CycleBreakdown &
+operator+=(Core::CycleBreakdown &into, const Core::CycleBreakdown &d)
+{
+    into.active += d.active;
+    into.icache += d.icache;
+    into.pfWait += d.pfWait;
+    into.btb += d.btb;
+    into.redirect += d.redirect;
+    into.ftqEmpty += d.ftqEmpty;
+    into.backend += d.backend;
+    return into;
 }
 
 } // namespace shotgun

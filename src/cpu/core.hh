@@ -6,12 +6,14 @@
  * model with an L1-D miss component. Redirect penalties model
  * misfetches (decode) and mispredicts (execute) as BPU bubbles.
  *
- * The front-end stall accounting implements the paper's metric
- * (Sec 6.1): cycles on the correct execution path where the backend
- * is starved of instructions, attributed to their cause (L1-I miss
- * wait, BTB-miss resolution stall, misfetch bubble, mispredict
- * bubble). The first three are "front-end stall cycles"; coverage of
- * a prefetcher is measured against the no-prefetch baseline's count.
+ * Every measured cycle is charged to exactly one cause (active,
+ * icache, pf-wait, btb, redirect, ftq-empty, backend). A BTB miss
+ * costs cycles either as a reactive-fill resolve stall or as a
+ * misfetch bubble; both are `btb`, and `redirect` holds mispredicts
+ * only. The paper's front-end stall cycles (Sec 6.1) are the icache,
+ * pf-wait and btb cycles in which the backend is starved of
+ * instructions; a prefetcher's coverage is measured against the
+ * no-prefetch baseline's count.
  */
 
 #ifndef SHOTGUN_CPU_CORE_HH
@@ -101,24 +103,33 @@ class Core
                          static_cast<double>(cyclesSinceReset_);
     }
 
-    /** Starvation-cycle attribution. */
-    struct StallBreakdown
+    /** Measured cycles by cause; total() equals cycles(). */
+    struct CycleBreakdown
     {
-        std::uint64_t icache = 0;     ///< Waiting on an L1-I fill.
-        std::uint64_t btbResolve = 0; ///< BPU stalled on reactive fill.
-        std::uint64_t misfetch = 0;   ///< Decode-redirect bubbles.
-        std::uint64_t mispredict = 0; ///< Execute-redirect bubbles.
-        std::uint64_t other = 0;
+        std::uint64_t active = 0;   ///< Fetch delivered instructions.
+        std::uint64_t icache = 0;   ///< Fetch waits on a demand L1-I fill.
+        std::uint64_t pfWait = 0;   ///< Fetch waits on a prefetch's fill.
+        std::uint64_t btb = 0;      ///< BTB-miss resolve or misfetch bubble.
+        std::uint64_t redirect = 0; ///< Mispredict bubble.
+        std::uint64_t ftqEmpty = 0; ///< BPU did not keep fetch supplied.
+        std::uint64_t backend = 0;  ///< Backend window full.
 
-        /** The paper's front-end stall cycles. */
         std::uint64_t
-        frontEnd() const
+        total() const
         {
-            return icache + btbResolve + misfetch;
+            return active + icache + pfWait + btb + redirect + ftqEmpty +
+                   backend;
         }
     };
 
-    const StallBreakdown &stalls() const { return stalls_; }
+    const CycleBreakdown &stalls() const { return stalls_; }
+
+    /**
+     * The paper's front-end stall cycles: icache, pf-wait and btb
+     * cycles in which the backend had nothing to retire and was not
+     * waiting on data.
+     */
+    std::uint64_t frontEndStallCycles() const { return frontEndStalls_; }
 
     /**
      * Every raw measurement counter at one instant, as accumulated
@@ -132,7 +143,8 @@ class Core
     {
         std::uint64_t instructions = 0;
         std::uint64_t cycles = 0;
-        StallBreakdown stalls{};
+        CycleBreakdown stalls{};
+        std::uint64_t frontEndStallCycles = 0;
         std::uint64_t btbMisses = 0;
         std::uint64_t mispredicts = 0;
         std::uint64_t misfetches = 0;
@@ -145,8 +157,8 @@ class Core
 
         /**
          * Microarchitectural probe readout; all-zero (enabled false)
-         * unless CoreParams::uarchProbes is set. Stall/lifecycle
-         * fields are monotonic counters and subtract like the rest;
+         * unless CoreParams::uarchProbes is set. Lifecycle fields
+         * are monotonic counters and subtract like the rest;
          * the miss-site tables cover the span since the last
          * clearUarchSites() (see uarchDelta()).
          */
@@ -235,12 +247,11 @@ class Core
     unsigned accrueRetireCredit();
 
     /**
-     * The StallBreakdown / probe-attribution counter this cycle is
-     * charged to, or nullptr when it is not charged (the backend had
-     * work, or the probes are off). Read after the stages ran.
+     * Charge `n` cycles, all in the current state, to their cause in
+     * stalls_ (and to frontEndStalls_ when the backend is starved).
+     * Read after the stages ran.
      */
-    std::uint64_t *starvationCounter();
-    std::uint64_t *attributionCounter();
+    void chargeCycles(Cycle n);
 
     const Program &program_;
     TraceSource *source_; ///< Null only for a parked checkpoint clone.
@@ -308,9 +319,8 @@ class Core
 
     /**
      * Whether the current ICache fetch stall piggybacked on an
-     * in-flight *prefetch* MSHR (the prefetch-in-flight taxonomy
-     * cause) rather than a fresh demand miss. Probe bookkeeping
-     * only; never read by simulation logic.
+     * in-flight *prefetch* MSHR (pf-wait) rather than a fresh demand
+     * miss. Read only by chargeCycles(), never by simulation logic.
      */
     bool fetchStallOnPrefetch_ = false;
 
@@ -319,20 +329,25 @@ class Core
     // Measurement state.
     Cycle cyclesSinceReset_ = 0;
     std::uint64_t retiredSinceReset_ = 0;
-    StallBreakdown stalls_;
+    CycleBreakdown stalls_;
     std::uint64_t btbMisses_ = 0;
     std::uint64_t mispredicts_ = 0;
     std::uint64_t misfetches_ = 0;
+    std::uint64_t frontEndStalls_ = 0;
     Average l1dFill_;
 
-    // Microarchitectural probe state (params_.uarchProbes): the
-    // cycle-attribution counters (stalls + activeCycles; lifecycle
-    // and site tables are assembled by snapshotStats) and the two
-    // deterministic miss-site sketches.
-    obs::UarchBreakdown uarch_;
+    // Microarchitectural probe state (params_.uarchProbes): the two
+    // deterministic miss-site sketches (the lifecycle counts are
+    // assembled by snapshotStats).
     obs::SpaceSavingSketch btbMissSketch_;
     obs::SpaceSavingSketch l1iMissSketch_;
 };
+
+/** Exact equality, and cause-wise accumulation (window stitching). */
+bool operator==(const Core::CycleBreakdown &a,
+                const Core::CycleBreakdown &b);
+Core::CycleBreakdown &operator+=(Core::CycleBreakdown &into,
+                                 const Core::CycleBreakdown &d);
 
 } // namespace shotgun
 

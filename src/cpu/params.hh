@@ -69,11 +69,12 @@ struct CoreParams
 
     /**
      * Enable the microarchitectural probe layer (src/obs/uarch.hh):
-     * cycle-exact stall attribution, prefetch lifecycle tracking and
-     * miss-site sketches. Trajectory-invisible -- every simulation
-     * counter is bitwise-identical probes on or off -- but part of
-     * the configuration's canonical identity (distinct fingerprints
-     * and checkpoint keys), since results carry extra payload.
+     * prefetch lifecycle tracking and miss-site sketches (stall
+     * attribution is always on, see Core::CycleBreakdown).
+     * Trajectory-invisible -- every simulation counter is
+     * bitwise-identical probes on or off -- but part of the
+     * configuration's canonical identity (distinct fingerprints and
+     * checkpoint keys), since results carry extra payload.
      */
     bool uarchProbes = false;
 };

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "common/logging.hh"
-
 namespace shotgun
 {
 namespace obs
@@ -47,15 +45,7 @@ operator==(const SiteCount &a, const SiteCount &b)
 bool
 operator==(const UarchBreakdown &a, const UarchBreakdown &b)
 {
-    return a.enabled == b.enabled &&
-           a.activeCycles == b.activeCycles &&
-           a.stallICacheMiss == b.stallICacheMiss &&
-           a.stallBTBMiss == b.stallBTBMiss &&
-           a.stallRedirect == b.stallRedirect &&
-           a.stallFTQEmpty == b.stallFTQEmpty &&
-           a.stallBackendPressure == b.stallBackendPressure &&
-           a.stallPrefetchInFlight == b.stallPrefetchInFlight &&
-           a.lifecycle == b.lifecycle &&
+    return a.enabled == b.enabled && a.lifecycle == b.lifecycle &&
            a.btbMissSites == b.btbMissSites &&
            a.l1iMissSites == b.l1iMissSites;
 }
@@ -63,20 +53,8 @@ operator==(const UarchBreakdown &a, const UarchBreakdown &b)
 UarchBreakdown
 uarchDelta(const UarchBreakdown &begin, const UarchBreakdown &end)
 {
-    panic_if(end.activeCycles < begin.activeCycles ||
-                 end.stallTotal() < begin.stallTotal(),
-             "uarch delta with end snapshot before begin snapshot");
     UarchBreakdown d;
     d.enabled = end.enabled;
-    d.activeCycles = end.activeCycles - begin.activeCycles;
-    d.stallICacheMiss = end.stallICacheMiss - begin.stallICacheMiss;
-    d.stallBTBMiss = end.stallBTBMiss - begin.stallBTBMiss;
-    d.stallRedirect = end.stallRedirect - begin.stallRedirect;
-    d.stallFTQEmpty = end.stallFTQEmpty - begin.stallFTQEmpty;
-    d.stallBackendPressure =
-        end.stallBackendPressure - begin.stallBackendPressure;
-    d.stallPrefetchInFlight =
-        end.stallPrefetchInFlight - begin.stallPrefetchInFlight;
     for (std::size_t i = 0; i < kNumUarchStructures; ++i) {
         d.lifecycle[i].issued =
             end.lifecycle[i].issued - begin.lifecycle[i].issued;
@@ -131,13 +109,6 @@ void
 mergeUarch(UarchBreakdown &into, const UarchBreakdown &d)
 {
     into.enabled = into.enabled || d.enabled;
-    into.activeCycles += d.activeCycles;
-    into.stallICacheMiss += d.stallICacheMiss;
-    into.stallBTBMiss += d.stallBTBMiss;
-    into.stallRedirect += d.stallRedirect;
-    into.stallFTQEmpty += d.stallFTQEmpty;
-    into.stallBackendPressure += d.stallBackendPressure;
-    into.stallPrefetchInFlight += d.stallPrefetchInFlight;
     for (std::size_t i = 0; i < kNumUarchStructures; ++i) {
         into.lifecycle[i].issued += d.lifecycle[i].issued;
         into.lifecycle[i].timely += d.lifecycle[i].timely;

@@ -1,9 +1,10 @@
 /**
  * @file
  * Deterministic microarchitectural probes: the data model for
- * cycle-exact stall attribution, prefetch lifecycle classification
- * and miss-site hotspot profiling (src/obs/README.md, "uarch
- * probes"). Everything here is plain counters and fixed-capacity
+ * prefetch lifecycle classification and miss-site hotspot profiling
+ * (src/obs/README.md, "uarch probes"). Stall attribution is not a
+ * probe: the core charges every cycle to a cause on every run
+ * (Core::CycleBreakdown). Everything here is plain counters and fixed-capacity
  * tables -- no clocks, no unordered iteration -- so a probed run is
  * bitwise deterministic and the probes themselves are
  * trajectory-invisible: they observe the simulated core without
@@ -12,11 +13,7 @@
  * A UarchBreakdown is mergeable exactly like a StatsDelta: every
  * field is a monotonic 64-bit counter (or a site table of such
  * counters), so window deltas subtract and stitch back into the
- * monolithic totals bit for bit, and the conservation invariant
- *
- *     stallTotal() + activeCycles == measured cycles
- *
- * survives subtraction and merging unchanged.
+ * monolithic totals bit for bit.
  */
 
 #ifndef SHOTGUN_OBS_UARCH_HH
@@ -101,21 +98,6 @@ struct UarchBreakdown
 {
     bool enabled = false;
 
-    /**
-     * Cycle-exact stall attribution: every simulated cycle is either
-     * `activeCycles` (the fetch engine delivered at least one
-     * instruction to the backend) or charged to exactly one cause
-     * below, so stallTotal() + activeCycles always equals the
-     * window's cycle count (the conservation invariant).
-     */
-    std::uint64_t activeCycles = 0;
-    std::uint64_t stallICacheMiss = 0;    ///< Demand L1-I fill wait.
-    std::uint64_t stallBTBMiss = 0;       ///< BPU stalled resolving a BTB miss.
-    std::uint64_t stallRedirect = 0;      ///< Misfetch/mispredict bubbles.
-    std::uint64_t stallFTQEmpty = 0;      ///< BPU failed to stay ahead.
-    std::uint64_t stallBackendPressure = 0; ///< Backend window full.
-    std::uint64_t stallPrefetchInFlight = 0; ///< Demand hit an in-flight prefetch.
-
     /** Per-structure prefetch lifecycle, indexed by UarchStructure. */
     std::array<PrefetchLifecycle, kNumUarchStructures> lifecycle{};
 
@@ -124,21 +106,6 @@ struct UarchBreakdown
 
     /** Hot L1-I demand-miss fetch addresses (same order). */
     std::vector<SiteCount> l1iMissSites;
-
-    std::uint64_t
-    stallTotal() const
-    {
-        return stallICacheMiss + stallBTBMiss + stallRedirect +
-               stallFTQEmpty + stallBackendPressure +
-               stallPrefetchInFlight;
-    }
-
-    /** The conservation invariant against the window's cycles. */
-    bool
-    conserves(std::uint64_t cycles) const
-    {
-        return stallTotal() + activeCycles == cycles;
-    }
 
     PrefetchLifecycle &
     at(UarchStructure structure)

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <thread>
 
 #include "common/logging.hh"
 #include "sim/checkpoint.hh"
 
 #include "runner/grid_scheduler.hh"
 #include "runner/progress.hh"
-#include "runner/thread_pool.hh"
 
 namespace shotgun
 {
@@ -86,6 +86,13 @@ runExperiment(const Experiment &exp, WarmState warm)
     return runSimulation(exp.config, warm);
 }
 
+unsigned
+hardwareJobs()
+{
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : hw;
+}
+
 ExperimentRunner::ExperimentRunner(RunnerOptions options)
     : options_(std::move(options))
 {
@@ -95,7 +102,7 @@ unsigned
 ExperimentRunner::effectiveJobs(std::size_t grid_size) const
 {
     const unsigned requested =
-        options_.jobs == 0 ? ThreadPool::hardwareJobs() : options_.jobs;
+        options_.jobs == 0 ? hardwareJobs() : options_.jobs;
     if (grid_size == 0)
         return 1;
     return static_cast<unsigned>(

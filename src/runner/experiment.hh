@@ -88,6 +88,9 @@ class ExperimentSet
     std::unordered_map<std::string, std::size_t> baselines_;
 };
 
+/** Default worker count: one per hardware thread, at least 1. */
+unsigned hardwareJobs();
+
 struct RunnerOptions
 {
     /** Worker threads; 0 means one per hardware thread. */

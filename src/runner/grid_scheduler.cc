@@ -9,7 +9,6 @@
 #include <thread>
 #include <utility>
 
-#include "runner/thread_pool.hh"
 
 namespace shotgun
 {
@@ -222,7 +221,7 @@ scheduleGrid(const std::vector<Experiment> &grid, unsigned workers,
     }
 
     const unsigned requested =
-        workers == 0 ? ThreadPool::hardwareJobs() : workers;
+        workers == 0 ? hardwareJobs() : workers;
     const unsigned count = static_cast<unsigned>(
         std::max<std::size_t>(1, std::min<std::size_t>(requested, n)));
 

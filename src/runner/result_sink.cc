@@ -65,10 +65,13 @@ writeRowJson(std::ostream &os, const ResultRow &row)
     num(os, r.l1iMPKI) << ", \"mispredicts_per_ki\": ";
     num(os, r.mispredictsPerKI) << ",\n     \"fe_stall_cycles\": "
        << r.frontEndStallCycles
+       << ",\n     \"active_cycles\": " << r.stalls.active
        << ", \"stall_icache\": " << r.stalls.icache
-       << ", \"stall_btb_resolve\": " << r.stalls.btbResolve
-       << ", \"stall_misfetch\": " << r.stalls.misfetch
-       << ", \"stall_mispredict\": " << r.stalls.mispredict
+       << ", \"stall_pf_wait\": " << r.stalls.pfWait
+       << ", \"stall_btb\": " << r.stalls.btb
+       << ", \"stall_redirect\": " << r.stalls.redirect
+       << ", \"stall_ftq_empty\": " << r.stalls.ftqEmpty
+       << ", \"stall_backend\": " << r.stalls.backend
        << ",\n     \"prefetch_accuracy\": ";
     num(os, r.prefetchAccuracy) << ", \"avg_l1d_fill_cycles\": ";
     num(os, r.avgL1DFillCycles)
@@ -121,14 +124,7 @@ writeSitesJson(std::ostream &os, const char *key,
 void
 writeUarchJson(std::ostream &os, const obs::UarchBreakdown &u)
 {
-    os << ",\n     \"uarch\": {\"active_cycles\": " << u.activeCycles
-       << ", \"stall_icache_miss\": " << u.stallICacheMiss
-       << ", \"stall_btb_miss\": " << u.stallBTBMiss
-       << ", \"stall_redirect\": " << u.stallRedirect
-       << ",\n      \"stall_ftq_empty\": " << u.stallFTQEmpty
-       << ", \"stall_backend_pressure\": " << u.stallBackendPressure
-       << ", \"stall_prefetch_in_flight\": "
-       << u.stallPrefetchInFlight << ",\n      \"lifecycle\": {";
+    os << ",\n     \"uarch\": {\"lifecycle\": {";
     for (std::size_t i = 0; i < obs::kNumUarchStructures; ++i) {
         const obs::PrefetchLifecycle &l = u.lifecycle[i];
         if (i > 0)

@@ -70,6 +70,37 @@ workloadIdFromName(const std::string &name)
     throw CodecError("unknown workload id \"" + name + "\"");
 }
 
+// The "stalls" member of result and delta frames.
+Value
+encodeCycleBreakdown(const Core::CycleBreakdown &stalls)
+{
+    Value v = Value::object();
+    v.set("active", Value::number(stalls.active));
+    v.set("icache", Value::number(stalls.icache));
+    v.set("pf_wait", Value::number(stalls.pfWait));
+    v.set("btb", Value::number(stalls.btb));
+    v.set("redirect", Value::number(stalls.redirect));
+    v.set("ftq_empty", Value::number(stalls.ftqEmpty));
+    v.set("backend", Value::number(stalls.backend));
+    return v;
+}
+
+Core::CycleBreakdown
+decodeCycleBreakdown(const Value &v, const char *what)
+{
+    ObjectReader r(v, what);
+    Core::CycleBreakdown stalls;
+    stalls.active = r.u64("active");
+    stalls.icache = r.u64("icache");
+    stalls.pfWait = r.u64("pf_wait");
+    stalls.btb = r.u64("btb");
+    stalls.redirect = r.u64("redirect");
+    stalls.ftqEmpty = r.u64("ftq_empty");
+    stalls.backend = r.u64("backend");
+    r.finish();
+    return stalls;
+}
+
 } // namespace
 
 // ------------------------------------------------------ strict reader
@@ -310,7 +341,8 @@ encodeSimConfig(const SimConfig &config)
 }
 
 json::Value
-encodeUarchBreakdown(const obs::UarchBreakdown &u)
+encodeUarchBreakdown(const obs::UarchBreakdown &u,
+                     const Core::CycleBreakdown &stalls)
 {
     Value lifecycle = Value::array();
     for (std::size_t i = 0; i < obs::kNumUarchStructures; ++i) {
@@ -342,15 +374,13 @@ encodeUarchBreakdown(const obs::UarchBreakdown &u)
 
     Value v = Value::object();
     v.set("enabled", Value::boolean(u.enabled));
-    v.set("active_cycles", Value::number(u.activeCycles));
-    v.set("stall_icache_miss", Value::number(u.stallICacheMiss));
-    v.set("stall_btb_miss", Value::number(u.stallBTBMiss));
-    v.set("stall_redirect", Value::number(u.stallRedirect));
-    v.set("stall_ftq_empty", Value::number(u.stallFTQEmpty));
-    v.set("stall_backend_pressure",
-          Value::number(u.stallBackendPressure));
-    v.set("stall_prefetch_in_flight",
-          Value::number(u.stallPrefetchInFlight));
+    v.set("active_cycles", Value::number(stalls.active));
+    v.set("stall_icache_miss", Value::number(stalls.icache));
+    v.set("stall_btb_miss", Value::number(stalls.btb));
+    v.set("stall_redirect", Value::number(stalls.redirect));
+    v.set("stall_ftq_empty", Value::number(stalls.ftqEmpty));
+    v.set("stall_backend_pressure", Value::number(stalls.backend));
+    v.set("stall_prefetch_in_flight", Value::number(stalls.pfWait));
     v.set("lifecycle", std::move(lifecycle));
     v.set("btb_miss_sites", encode_sites(u.btbMissSites));
     v.set("l1i_miss_sites", encode_sites(u.l1iMissSites));
@@ -358,18 +388,23 @@ encodeUarchBreakdown(const obs::UarchBreakdown &u)
 }
 
 obs::UarchBreakdown
-decodeUarchBreakdown(const json::Value &v)
+decodeUarchBreakdown(const json::Value &v,
+                     const Core::CycleBreakdown &stalls)
 {
     ObjectReader r(v, "uarch");
     obs::UarchBreakdown u;
     u.enabled = r.boolean("enabled");
-    u.activeCycles = r.u64("active_cycles");
-    u.stallICacheMiss = r.u64("stall_icache_miss");
-    u.stallBTBMiss = r.u64("stall_btb_miss");
-    u.stallRedirect = r.u64("stall_redirect");
-    u.stallFTQEmpty = r.u64("stall_ftq_empty");
-    u.stallBackendPressure = r.u64("stall_backend_pressure");
-    u.stallPrefetchInFlight = r.u64("stall_prefetch_in_flight");
+    Core::CycleBreakdown repeated;
+    repeated.active = r.u64("active_cycles");
+    repeated.icache = r.u64("stall_icache_miss");
+    repeated.btb = r.u64("stall_btb_miss");
+    repeated.redirect = r.u64("stall_redirect");
+    repeated.ftqEmpty = r.u64("stall_ftq_empty");
+    repeated.backend = r.u64("stall_backend_pressure");
+    repeated.pfWait = r.u64("stall_prefetch_in_flight");
+    if (!(repeated == stalls))
+        throw CodecError("uarch: the stall members disagree with "
+                         "\"stalls\"");
 
     const Value &lifecycle = r.get("lifecycle");
     if (!lifecycle.isArray() ||
@@ -424,13 +459,6 @@ encodeSimResult(const SimResult &result)
 {
     // Key names match ResultSink's JSON emission where the two
     // overlap, so downstream tooling parses either stream uniformly.
-    Value stalls = Value::object();
-    stalls.set("icache", Value::number(result.stalls.icache));
-    stalls.set("btb_resolve", Value::number(result.stalls.btbResolve));
-    stalls.set("misfetch", Value::number(result.stalls.misfetch));
-    stalls.set("mispredict", Value::number(result.stalls.mispredict));
-    stalls.set("other", Value::number(result.stalls.other));
-
     Value v = Value::object();
     v.set("workload", Value::string(result.workload));
     v.set("scheme", Value::string(result.scheme));
@@ -441,7 +469,7 @@ encodeSimResult(const SimResult &result)
     v.set("l1i_mpki", Value::number(result.l1iMPKI));
     v.set("mispredicts_per_ki",
           Value::number(result.mispredictsPerKI));
-    v.set("stalls", std::move(stalls));
+    v.set("stalls", encodeCycleBreakdown(result.stalls));
     v.set("fe_stall_cycles", Value::number(result.frontEndStallCycles));
     v.set("prefetch_accuracy", Value::number(result.prefetchAccuracy));
     v.set("avg_l1d_fill_cycles",
@@ -452,24 +480,18 @@ encodeSimResult(const SimResult &result)
     // Optional member: emitted only for probed runs so probe-free
     // results keep their historical byte-exact encoding.
     if (result.uarch.enabled)
-        v.set("uarch", encodeUarchBreakdown(result.uarch));
+        v.set("uarch", encodeUarchBreakdown(result.uarch, result.stalls));
     return v;
 }
 
 json::Value
 encodeStatsDelta(const StatsDelta &delta)
 {
-    Value stalls = Value::object();
-    stalls.set("icache", Value::number(delta.stalls.icache));
-    stalls.set("btb_resolve", Value::number(delta.stalls.btbResolve));
-    stalls.set("misfetch", Value::number(delta.stalls.misfetch));
-    stalls.set("mispredict", Value::number(delta.stalls.mispredict));
-    stalls.set("other", Value::number(delta.stalls.other));
-
     Value v = Value::object();
     v.set("instructions", Value::number(delta.instructions));
     v.set("cycles", Value::number(delta.cycles));
-    v.set("stalls", std::move(stalls));
+    v.set("stalls", encodeCycleBreakdown(delta.stalls));
+    v.set("fe_stall_cycles", Value::number(delta.frontEndStallCycles));
     v.set("btb_misses", Value::number(delta.btbMisses));
     v.set("mispredicts", Value::number(delta.mispredicts));
     v.set("misfetches", Value::number(delta.misfetches));
@@ -486,7 +508,7 @@ encodeStatsDelta(const StatsDelta &delta)
     v.set("l1d_fill_sum", Value::number(delta.l1dFillSum));
     v.set("l1d_fill_count", Value::number(delta.l1dFillCount));
     if (delta.uarch.enabled)
-        v.set("uarch", encodeUarchBreakdown(delta.uarch));
+        v.set("uarch", encodeUarchBreakdown(delta.uarch, delta.stalls));
     return v;
 }
 
@@ -730,21 +752,14 @@ decodeSimResult(const json::Value &v)
     result.l1iMPKI = r.number("l1i_mpki");
     result.mispredictsPerKI = r.number("mispredicts_per_ki");
 
-    ObjectReader st(r.get("stalls"), "result.stalls");
-    result.stalls.icache = st.u64("icache");
-    result.stalls.btbResolve = st.u64("btb_resolve");
-    result.stalls.misfetch = st.u64("misfetch");
-    result.stalls.mispredict = st.u64("mispredict");
-    result.stalls.other = st.u64("other");
-    st.finish();
-
+    result.stalls = decodeCycleBreakdown(r.get("stalls"), "result.stalls");
     result.frontEndStallCycles = r.u64("fe_stall_cycles");
     result.prefetchAccuracy = r.number("prefetch_accuracy");
     result.avgL1DFillCycles = r.number("avg_l1d_fill_cycles");
     result.prefetchesIssued = r.u64("prefetches_issued");
     result.schemeStorageBits = r.u64("storage_bits");
     if (const Value *uarch = r.optional("uarch"))
-        result.uarch = decodeUarchBreakdown(*uarch);
+        result.uarch = decodeUarchBreakdown(*uarch, result.stalls);
     r.finish();
     return result;
 }
@@ -757,14 +772,8 @@ decodeStatsDelta(const json::Value &v)
     delta.instructions = r.u64("instructions");
     delta.cycles = r.u64("cycles");
 
-    ObjectReader st(r.get("stalls"), "delta.stalls");
-    delta.stalls.icache = st.u64("icache");
-    delta.stalls.btbResolve = st.u64("btb_resolve");
-    delta.stalls.misfetch = st.u64("misfetch");
-    delta.stalls.mispredict = st.u64("mispredict");
-    delta.stalls.other = st.u64("other");
-    st.finish();
-
+    delta.stalls = decodeCycleBreakdown(r.get("stalls"), "delta.stalls");
+    delta.frontEndStallCycles = r.u64("fe_stall_cycles");
     delta.btbMisses = r.u64("btb_misses");
     delta.mispredicts = r.u64("mispredicts");
     delta.misfetches = r.u64("misfetches");
@@ -775,7 +784,7 @@ decodeStatsDelta(const json::Value &v)
     delta.l1dFillSum = r.number("l1d_fill_sum");
     delta.l1dFillCount = r.u64("l1d_fill_count");
     if (const Value *uarch = r.optional("uarch"))
-        delta.uarch = decodeUarchBreakdown(*uarch);
+        delta.uarch = decodeUarchBreakdown(*uarch, delta.stalls);
     r.finish();
     return delta;
 }

@@ -117,10 +117,13 @@ json::Value encodeStatsDelta(const StatsDelta &delta);
 /**
  * Microarchitectural probe payload (obs/uarch.hh). SimResult and
  * StatsDelta embed it as the *optional* "uarch" member, emitted only
- * when the run had probes enabled, so probe-free payloads are
- * byte-identical to what they were before the probe layer existed.
+ * when the run had probes enabled. It repeats the frame's `stalls`
+ * under the member names perfbench reads (active_cycles,
+ * stall_icache_miss, ...); the decoder rejects a frame in which the
+ * two disagree.
  */
-json::Value encodeUarchBreakdown(const obs::UarchBreakdown &u);
+json::Value encodeUarchBreakdown(const obs::UarchBreakdown &u,
+                                 const Core::CycleBreakdown &stalls);
 
 // ------------------------------------------------------------- decode
 
@@ -147,7 +150,8 @@ SimWindow decodeSimWindow(const json::Value &v);
 SimConfig decodeSimConfig(const json::Value &v);
 SimResult decodeSimResult(const json::Value &v);
 StatsDelta decodeStatsDelta(const json::Value &v);
-obs::UarchBreakdown decodeUarchBreakdown(const json::Value &v);
+obs::UarchBreakdown decodeUarchBreakdown(const json::Value &v,
+                                         const Core::CycleBreakdown &stalls);
 
 // ------------------------------------------------- trace validation
 

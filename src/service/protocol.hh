@@ -1,13 +1,13 @@
 /**
  * @file
- * The service wire protocol, version 5: newline-delimited JSON frames
+ * The service wire protocol, version 6: newline-delimited JSON frames
  * over a stream socket (TCP or Unix). Every frame is one line, one
  * JSON object, with a "type" member. See src/service/README.md for
  * the grammar and an example session, src/fleet/README.md for the
  * coordinator<->worker frames.
  *
  * Client -> coordinator (shotgun-coord):
- *   {"type":"submit","protocol":5,"experiment":...,"priority":N,
+ *   {"type":"submit","protocol":6,"experiment":...,"priority":N,
  *    "grid":[{"workload":...,"label":...,"config":{...}},...]
  *    [,"trace":{"id":N,"parent":N}]}
  *   {"type":"status"}          {"type":"cancel","job":N}
@@ -26,7 +26,7 @@
  *   {"type":"pong"}  {"type":"bye"}  {"type":"error","message":...}
  *
  * Worker -> coordinator (control connection):
- *   {"type":"register","protocol":5,"name":...,"slots":N}
+ *   {"type":"register","protocol":6,"name":...,"slots":N}
  *     -> {"type":"ack","worker":N}
  *   {"type":"heartbeat","worker":N,"completed":N,"cache":{...},
  *    "checkpoint":{...},"phase":{...},"percentiles":{...}}
@@ -75,7 +75,7 @@ namespace service
  * other (submit, register) are rejected; bumped on any change to a
  * frame's members.
  */
-constexpr std::uint64_t kProtocolVersion = 5;
+constexpr std::uint64_t kProtocolVersion = 6;
 
 /** A grid submission: the wire form of a runner::ExperimentSet. */
 struct SubmitRequest

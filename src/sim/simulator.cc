@@ -209,27 +209,27 @@ runSimulationDelta(const SimConfig &config, WarmState warm)
             recorded = &replay->preset();
             source = std::move(replay);
         }
-        fatal_if(programFingerprint(recorded->program) !=
-                     programFingerprint(config.workload.program),
-                 "trace '%s' was recorded from program '%s', which "
-                 "does not match this workload's program parameters",
-                 trace_path.c_str(), recorded->program.name.c_str());
+        if (programFingerprint(recorded->program) !=
+            programFingerprint(config.workload.program))
+            throw TraceError("trace '" + trace_path +
+                             "' was recorded from program '" +
+                             recorded->program.name +
+                             "', which does not match this workload's "
+                             "program parameters");
         const std::uint64_t needed = window.skipInstructions +
                                      config.warmupInstructions +
                                      measure_end;
-        fatal_if(trace_info.instructions < needed,
-                 "trace '%s' holds %llu instructions but the run "
-                 "needs %llu (%llu skipped + %llu warm-up + %llu "
-                 "measured); record a longer trace",
-                 trace_path.c_str(),
-                 static_cast<unsigned long long>(
-                     trace_info.instructions),
-                 static_cast<unsigned long long>(needed),
-                 static_cast<unsigned long long>(
-                     window.skipInstructions),
-                 static_cast<unsigned long long>(
-                     config.warmupInstructions),
-                 static_cast<unsigned long long>(measure_end));
+        if (trace_info.instructions < needed)
+            throw TraceError(
+                "trace '" + trace_path + "' holds " +
+                std::to_string(trace_info.instructions) +
+                " instructions but the run needs " +
+                std::to_string(needed) + " (" +
+                std::to_string(window.skipInstructions) +
+                " skipped + " +
+                std::to_string(config.warmupInstructions) +
+                " warm-up + " + std::to_string(measure_end) +
+                " measured); record a longer trace");
         // Use the recorded seed so the data-side model reproduces the
         // run the trace was captured from, bit for bit.
         control_seed = trace_info.traceSeed;
@@ -360,25 +360,6 @@ runSimulationDelta(const SimConfig &config, WarmState warm)
     out.scheme = core->scheme().name();
     out.schemeStorageBits = core->scheme().storageBits();
     out.stats = deltaBetween(begin, end);
-    if (out.stats.uarch.enabled) {
-        // Fleet-visible attribution totals, accumulated across every
-        // probed point this process runs.
-        obs::Registry &reg = obs::metrics();
-        const obs::UarchBreakdown &u = out.stats.uarch;
-        // Measured cycles alongside the causes, so process-lifetime
-        // totals can still assert the conservation invariant.
-        reg.counter("sim.uarch.cycles")->add(out.stats.cycles);
-        reg.counter("sim.uarch.active_cycles")->add(u.activeCycles);
-        reg.counter("sim.uarch.stall_icache_miss")
-            ->add(u.stallICacheMiss);
-        reg.counter("sim.uarch.stall_btb_miss")->add(u.stallBTBMiss);
-        reg.counter("sim.uarch.stall_redirect")->add(u.stallRedirect);
-        reg.counter("sim.uarch.stall_ftq_empty")->add(u.stallFTQEmpty);
-        reg.counter("sim.uarch.stall_backend_pressure")
-            ->add(u.stallBackendPressure);
-        reg.counter("sim.uarch.stall_prefetch_in_flight")
-            ->add(u.stallPrefetchInFlight);
-    }
     return out;
 }
 
@@ -412,14 +393,6 @@ baselineFor(const WorkloadPreset &preset, std::uint64_t warmup,
         config.traceSeed = trace_seed;
         return runSimulation(config);
     });
-}
-
-bool
-operator==(const Core::StallBreakdown &a, const Core::StallBreakdown &b)
-{
-    return a.icache == b.icache && a.btbResolve == b.btbResolve &&
-           a.misfetch == b.misfetch && a.mispredict == b.mispredict &&
-           a.other == b.other;
 }
 
 bool

@@ -105,7 +105,8 @@ struct SimResult
     double l1iMPKI = 0.0;
     double mispredictsPerKI = 0.0;
 
-    Core::StallBreakdown stalls{};
+    /** Measured cycles by cause; stalls.total() == cycles. */
+    Core::CycleBreakdown stalls{};
     std::uint64_t frontEndStallCycles = 0;
 
     double prefetchAccuracy = 0.0;
@@ -129,8 +130,6 @@ struct SimResult
  * Doubles are compared with ==, deliberately: results must match to
  * the last bit, not approximately.
  */
-bool operator==(const Core::StallBreakdown &a,
-                const Core::StallBreakdown &b);
 bool operator==(const SimResult &a, const SimResult &b);
 inline bool
 operator!=(const SimResult &a, const SimResult &b)

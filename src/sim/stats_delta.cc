@@ -16,13 +16,15 @@ deltaBetween(const Core::StatsSnapshot &begin,
     StatsDelta d;
     d.instructions = end.instructions - begin.instructions;
     d.cycles = end.cycles - begin.cycles;
+    d.stalls.active = end.stalls.active - begin.stalls.active;
     d.stalls.icache = end.stalls.icache - begin.stalls.icache;
-    d.stalls.btbResolve =
-        end.stalls.btbResolve - begin.stalls.btbResolve;
-    d.stalls.misfetch = end.stalls.misfetch - begin.stalls.misfetch;
-    d.stalls.mispredict =
-        end.stalls.mispredict - begin.stalls.mispredict;
-    d.stalls.other = end.stalls.other - begin.stalls.other;
+    d.stalls.pfWait = end.stalls.pfWait - begin.stalls.pfWait;
+    d.stalls.btb = end.stalls.btb - begin.stalls.btb;
+    d.stalls.redirect = end.stalls.redirect - begin.stalls.redirect;
+    d.stalls.ftqEmpty = end.stalls.ftqEmpty - begin.stalls.ftqEmpty;
+    d.stalls.backend = end.stalls.backend - begin.stalls.backend;
+    d.frontEndStallCycles =
+        end.frontEndStallCycles - begin.frontEndStallCycles;
     d.btbMisses = end.btbMisses - begin.btbMisses;
     d.mispredicts = end.mispredicts - begin.mispredicts;
     d.misfetches = end.misfetches - begin.misfetches;
@@ -44,11 +46,8 @@ merge(StatsDelta &into, const StatsDelta &d)
 {
     into.instructions += d.instructions;
     into.cycles += d.cycles;
-    into.stalls.icache += d.stalls.icache;
-    into.stalls.btbResolve += d.stalls.btbResolve;
-    into.stalls.misfetch += d.stalls.misfetch;
-    into.stalls.mispredict += d.stalls.mispredict;
-    into.stalls.other += d.stalls.other;
+    into.stalls += d.stalls;
+    into.frontEndStallCycles += d.frontEndStallCycles;
     into.btbMisses += d.btbMisses;
     into.mispredicts += d.mispredicts;
     into.misfetches += d.misfetches;
@@ -65,7 +64,9 @@ bool
 operator==(const StatsDelta &a, const StatsDelta &b)
 {
     return a.instructions == b.instructions && a.cycles == b.cycles &&
-           a.stalls == b.stalls && a.btbMisses == b.btbMisses &&
+           a.stalls == b.stalls &&
+           a.frontEndStallCycles == b.frontEndStallCycles &&
+           a.btbMisses == b.btbMisses &&
            a.mispredicts == b.mispredicts &&
            a.misfetches == b.misfetches &&
            a.l1iDemandMisses == b.l1iDemandMisses &&
@@ -106,7 +107,7 @@ finalizeResult(const std::string &workload, const std::string &scheme,
             : 1000.0 * static_cast<double>(delta.mispredicts) /
                   static_cast<double>(delta.instructions);
     result.stalls = delta.stalls;
-    result.frontEndStallCycles = delta.stalls.frontEnd();
+    result.frontEndStallCycles = delta.frontEndStallCycles;
     // Fig 10's definition, as InstrHierarchy::prefetchAccuracy()
     // computes it: issued prefetches whose block was demanded, over
     // all issued prefetches.

@@ -34,7 +34,8 @@ struct StatsDelta
 {
     std::uint64_t instructions = 0;
     std::uint64_t cycles = 0;
-    Core::StallBreakdown stalls{};
+    Core::CycleBreakdown stalls{};
+    std::uint64_t frontEndStallCycles = 0;
     std::uint64_t btbMisses = 0;
     std::uint64_t mispredicts = 0;
     std::uint64_t misfetches = 0;
@@ -47,8 +48,8 @@ struct StatsDelta
 
     /**
      * Microarchitectural probe payload (all-zero, enabled false,
-     * unless the window ran with CoreParams::uarchProbes). Stall and
-     * lifecycle counters subtract/merge exactly like the rest; the
+     * unless the window ran with CoreParams::uarchProbes). Lifecycle
+     * counters subtract/merge exactly like the rest; the
      * miss-site tables are per-window (see obs::uarchDelta) and merge
      * by summing per-PC counts.
      */

@@ -199,7 +199,14 @@ presetFromTraceSpec(const std::string &spec)
     fatal_if(path.empty(),
              "workload spec '%s': expected trace:<path>[:name]",
              spec.c_str());
-    WorkloadPreset preset = readTraceInfo(path).preset;
+    // presetByName() is the command-line lookup: a bad trace is as
+    // fatal here as an unknown preset name.
+    WorkloadPreset preset;
+    try {
+        preset = readTraceInfo(path).preset;
+    } catch (const TraceError &e) {
+        fatal("%s", e.what());
+    }
     if (!name.empty())
         preset.name = name;
     return preset;

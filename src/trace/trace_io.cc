@@ -83,17 +83,6 @@ struct WriteArchive
 };
 
 /**
- * Header-parse failure carried as data so the caller chooses the
- * severity: readTraceInfo()/TraceFileSource stay fatal() (right for
- * the CLIs), tryReadTraceInfo() reports it (required by the
- * simulation service, where a bad file must never kill the daemon).
- */
-struct HeaderError
-{
-    std::string message;
-};
-
-/**
  * Records per buffered read or write (~76 KB). Chunks hold whole
  * records, so a record never straddles two of them.
  */
@@ -161,8 +150,7 @@ struct ReadArchive
     {
         std::uint64_t value = 0;
         if (!getLE(in, value, bytes))
-            throw HeaderError{"'" + path +
-                              "': truncated trace header"};
+            throw TraceError("'" + path + "': truncated trace header");
         return value;
     }
 
@@ -183,8 +171,7 @@ struct ReadArchive
         s.resize(len);
         in.read(s.data(), static_cast<std::streamsize>(len));
         if (static_cast<std::size_t>(in.gcount()) != len)
-            throw HeaderError{"'" + path +
-                              "': truncated trace header"};
+            throw TraceError("'" + path + "': truncated trace header");
     }
 
     std::uint8_t
@@ -252,43 +239,41 @@ archivePreset(Ar &ar, WorkloadPreset &p)
 
 /**
  * Validate magic/version and parse the full header of an open file;
- * throws HeaderError on a bad file.
+ * throws TraceError on a bad file.
  */
 TraceInfo
-parseHeaderOrThrow(std::ifstream &in, const std::string &path)
+parseHeader(std::ifstream &in, const std::string &path)
 {
     const std::string version_text = std::to_string(kTraceVersion);
     std::uint64_t value = 0;
     if (!getLE(in, value, 4))
-        throw HeaderError{"'" + path + "': truncated trace header"};
+        throw TraceError("'" + path + "': truncated trace header");
     const auto magic = static_cast<std::uint32_t>(value);
     if (magic == byteSwap32(kTraceMagic))
-        throw HeaderError{
+        throw TraceError(
             "'" + path +
             "' has byte-swapped magic bytes: this is a "
             "foreign-endian (version-1 era) trace; re-record it -- "
             "version " +
-            version_text + " files are explicitly little-endian"};
+            version_text + " files are explicitly little-endian");
     if (magic != kTraceMagic)
-        throw HeaderError{"'" + path +
-                          "' is not a shotgun trace file"};
+        throw TraceError("'" + path + "' is not a shotgun trace file");
 
     if (!getLE(in, value, 4))
-        throw HeaderError{"'" + path + "': truncated trace header"};
+        throw TraceError("'" + path + "': truncated trace header");
     const auto version = static_cast<std::uint32_t>(value);
     if (version == 1)
-        throw HeaderError{
+        throw TraceError(
             "'" + path +
             "' is a version-1 trace (raw host-endian, no workload "
             "header); that format is no longer supported -- "
             "re-record it with shotgun-trace to get version " +
-            version_text};
+            version_text);
     if (version != kTraceVersion)
-        throw HeaderError{"'" + path + "' has unsupported trace "
-                                       "version " +
-                          std::to_string(version) +
-                          " (this build reads version " +
-                          version_text + ")"};
+        throw TraceError("'" + path + "' has unsupported trace version " +
+                         std::to_string(version) +
+                         " (this build reads version " + version_text +
+                         ")");
 
     TraceInfo info;
     ReadArchive ar{in, path};
@@ -297,21 +282,10 @@ parseHeaderOrThrow(std::ifstream &in, const std::string &path)
     ar.u64(info.traceSeed);
     archivePreset(ar, info.preset);
     if (info.preset.id >= WorkloadId::NumWorkloads)
-        throw HeaderError{"'" + path +
-                          "': corrupt trace header (bad workload id)"};
+        throw TraceError("'" + path +
+                         "': corrupt trace header (bad workload id)");
     info.preset.tracePath = path;
     return info;
-}
-
-/** The fatal() face of parseHeaderOrThrow for the CLI read paths. */
-TraceInfo
-parseHeader(std::ifstream &in, const std::string &path)
-{
-    try {
-        return parseHeaderOrThrow(in, path);
-    } catch (const HeaderError &e) {
-        fatal("%s", e.message.c_str());
-    }
 }
 
 } // namespace
@@ -384,7 +358,8 @@ TraceWriter::close()
 TraceFileSource::TraceFileSource(const std::string &path)
     : in_(path, std::ios::binary), path_(path), chunk_(kChunkBytes)
 {
-    fatal_if(!in_.is_open(), "cannot open trace file '%s'", path.c_str());
+    if (!in_.is_open())
+        throw TraceError("cannot open trace file '" + path + "'");
     TraceInfo info = parseHeader(in_, path_);
     preset_ = std::move(info.preset);
     traceSeed_ = info.traceSeed;
@@ -500,7 +475,8 @@ TraceInfo
 readTraceInfo(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
-    fatal_if(!in.is_open(), "cannot open trace file '%s'", path.c_str());
+    if (!in.is_open())
+        throw TraceError("cannot open trace file '" + path + "'");
     return parseHeader(in, path);
 }
 
@@ -514,9 +490,9 @@ tryReadTraceInfo(const std::string &path, TraceInfo &out,
         return false;
     }
     try {
-        out = parseHeaderOrThrow(in, path);
-    } catch (const HeaderError &e) {
-        error = e.message;
+        out = parseHeader(in, path);
+    } catch (const TraceError &e) {
+        error = e.what();
         return false;
     }
     // The header's record count must be backed by actual payload

@@ -49,12 +49,14 @@ constexpr std::uint32_t kTraceVersion = 2;
 constexpr std::uint64_t kTraceRecordBytes = 19;
 
 /**
- * A damaged trace payload: a truncated file, a corrupt record, or
- * header counts its records contradict. The message names the file
- * and the record. Thrown rather than fatal() so a long-running
- * process fails only the point that read the file (a fleet worker
- * turns it into an error result); the command-line tools print the
- * message and exit 1.
+ * A damaged or unusable trace: a file that cannot be opened, a bad
+ * header, a truncated file, a corrupt record, header counts its
+ * records contradict, or a trace too short for (or recorded from
+ * another program than) the run. The message names the file and,
+ * for a damaged payload, the record. Thrown rather than fatal() so
+ * a long-running process fails only the point that read the file (a
+ * fleet worker turns it into an error result); the command-line
+ * tools print the message and exit 1.
  */
 class TraceError : public std::runtime_error
 {
@@ -191,7 +193,7 @@ bool tryReadTraceIndex(const std::string &idx_path,
 class TraceFileSource : public TraceSource
 {
   public:
-    /** Open `path` for reading; fatal() on failure or bad header. */
+    /** Open `path`; throws TraceError on failure or a bad header. */
     explicit TraceFileSource(const std::string &path);
 
     /** Throws TraceError on a truncated file or a corrupt record. */
@@ -253,16 +255,15 @@ class TraceFileSource : public TraceSource
     TraceIndex index_;
 };
 
-/** Read and validate just the header of `path`; fatal() on a bad file. */
+/** Read and validate just the header of `path`; throws TraceError. */
 TraceInfo readTraceInfo(const std::string &path);
 
 /**
- * Non-fatal variant for long-running services (shotgun-serve
- * validates submissions with it): same checks as readTraceInfo()
+ * Non-throwing variant for the service boundary (a fleet worker
+ * validates each point with it): same checks as readTraceInfo()
  * plus a payload-size check -- the file must actually hold the
- * `records` the header claims -- reported through `error` instead of
- * killing the process. Lives here so the header layout has exactly
- * one owner.
+ * `records` the header claims -- reported through `error`. Lives
+ * here so the header layout has exactly one owner.
  */
 bool tryReadTraceInfo(const std::string &path, TraceInfo &out,
                       std::string &error);

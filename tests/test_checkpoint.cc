@@ -84,11 +84,7 @@ expectIdentical(const SimResult &a, const SimResult &b)
     EXPECT_EQ(a.btbMPKI, b.btbMPKI);
     EXPECT_EQ(a.l1iMPKI, b.l1iMPKI);
     EXPECT_EQ(a.mispredictsPerKI, b.mispredictsPerKI);
-    EXPECT_EQ(a.stalls.icache, b.stalls.icache);
-    EXPECT_EQ(a.stalls.btbResolve, b.stalls.btbResolve);
-    EXPECT_EQ(a.stalls.misfetch, b.stalls.misfetch);
-    EXPECT_EQ(a.stalls.mispredict, b.stalls.mispredict);
-    EXPECT_EQ(a.stalls.other, b.stalls.other);
+    EXPECT_EQ(a.stalls, b.stalls);
     EXPECT_EQ(a.frontEndStallCycles, b.frontEndStallCycles);
     EXPECT_EQ(a.prefetchAccuracy, b.prefetchAccuracy);
     EXPECT_EQ(a.avgL1DFillCycles, b.avgL1DFillCycles);

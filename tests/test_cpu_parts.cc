@@ -161,7 +161,8 @@ TEST(CoreTest, ResetStatsClearsMeasurement)
     core.resetStats();
     EXPECT_EQ(core.instructionsRetired(), 0u);
     EXPECT_EQ(core.cycles(), 0u);
-    EXPECT_EQ(core.stalls().frontEnd(), 0u);
+    EXPECT_EQ(core.stalls().total(), 0u);
+    EXPECT_EQ(core.frontEndStallCycles(), 0u);
     core.run(50000);
     EXPECT_GE(core.instructionsRetired(), 50000u);
 }

@@ -1,7 +1,6 @@
 /**
  * @file
  * Tests for the src/runner/ experiment-orchestration subsystem: the
- * thread pool (ordering, results, exception propagation), the
  * experiment set/grid bookkeeping, the result sink's serialization,
  * and -- the load-bearing property -- that a parallel grid run is
  * bitwise-identical to a serial one.
@@ -23,7 +22,6 @@
 #include "runner/grid_scheduler.hh"
 #include "runner/progress.hh"
 #include "runner/result_sink.hh"
-#include "runner/thread_pool.hh"
 #include "sim/simulator.hh"
 
 namespace shotgun
@@ -39,92 +37,6 @@ using runner::ProgressReporter;
 using runner::ResultRow;
 using runner::ResultSink;
 using runner::RunnerOptions;
-using runner::ThreadPool;
-
-// ---------------------------------------------------------------- ThreadPool
-
-TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce)
-{
-    ThreadPool pool(4);
-    std::atomic<int> counter{0};
-    std::vector<std::future<int>> futures;
-    for (int i = 0; i < 100; ++i) {
-        futures.push_back(pool.submit([&counter, i]() {
-            ++counter;
-            return i;
-        }));
-    }
-    for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i);
-    EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, FuturesAlignWithSubmissionOrder)
-{
-    // Futures must return each task's own result regardless of which
-    // worker ran it or in what order tasks finished.
-    ThreadPool pool(8);
-    std::vector<std::future<int>> futures;
-    for (int i = 0; i < 64; ++i)
-        futures.push_back(pool.submit([i]() { return i * i; }));
-    for (int i = 0; i < 64; ++i)
-        EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i * i);
-}
-
-TEST(ThreadPoolTest, ClampsZeroThreadsToOne)
-{
-    ThreadPool pool(0);
-    EXPECT_EQ(pool.size(), 1u);
-    EXPECT_EQ(pool.submit([]() { return 7; }).get(), 7);
-}
-
-TEST(ThreadPoolTest, PropagatesExceptions)
-{
-    ThreadPool pool(2);
-    auto ok = pool.submit([]() { return 1; });
-    auto bad = pool.submit(
-        []() -> int { throw std::runtime_error("boom"); });
-    auto after = pool.submit([]() { return 2; });
-
-    EXPECT_EQ(ok.get(), 1);
-    EXPECT_THROW(bad.get(), std::runtime_error);
-    // A throwing task must not take down the pool.
-    EXPECT_EQ(after.get(), 2);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueue)
-{
-    std::atomic<int> counter{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 50; ++i)
-            pool.submit([&counter]() { ++counter; });
-    } // destructor joins after draining
-    EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPoolTest, UsesMultipleWorkers)
-{
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.size(), 4u);
-    std::mutex mutex;
-    std::condition_variable cv;
-    int waiting = 0;
-    std::vector<std::future<void>> futures;
-    // Tasks only complete once two of them are in flight at the same
-    // time, so the test hangs unless the pool is actually concurrent.
-    for (int i = 0; i < 2; ++i) {
-        futures.push_back(pool.submit([&]() {
-            std::unique_lock<std::mutex> lock(mutex);
-            ++waiting;
-            cv.notify_all();
-            cv.wait(lock, [&]() { return waiting >= 2; });
-        }));
-    }
-    for (auto &future : futures)
-        future.get();
-    EXPECT_EQ(waiting, 2);
-}
 
 // ------------------------------------------------------------ ExperimentSet
 
@@ -535,11 +447,7 @@ expectIdentical(const SimResult &a, const SimResult &b)
     EXPECT_EQ(a.btbMPKI, b.btbMPKI);
     EXPECT_EQ(a.l1iMPKI, b.l1iMPKI);
     EXPECT_EQ(a.mispredictsPerKI, b.mispredictsPerKI);
-    EXPECT_EQ(a.stalls.icache, b.stalls.icache);
-    EXPECT_EQ(a.stalls.btbResolve, b.stalls.btbResolve);
-    EXPECT_EQ(a.stalls.misfetch, b.stalls.misfetch);
-    EXPECT_EQ(a.stalls.mispredict, b.stalls.mispredict);
-    EXPECT_EQ(a.stalls.other, b.stalls.other);
+    EXPECT_EQ(a.stalls, b.stalls);
     EXPECT_EQ(a.frontEndStallCycles, b.frontEndStallCycles);
     EXPECT_EQ(a.prefetchAccuracy, b.prefetchAccuracy);
     EXPECT_EQ(a.avgL1DFillCycles, b.avgL1DFillCycles);

@@ -207,11 +207,13 @@ TEST(ServiceCodecTest, SimResultRoundTrips)
     result.btbMPKI = 45.125;
     result.l1iMPKI = 30.5;
     result.mispredictsPerKI = 7.25;
+    result.stalls.active = 50;
     result.stalls.icache = 100;
-    result.stalls.btbResolve = 200;
-    result.stalls.misfetch = 300;
-    result.stalls.mispredict = 400;
-    result.stalls.other = 500;
+    result.stalls.pfWait = 150;
+    result.stalls.btb = 200;
+    result.stalls.redirect = 300;
+    result.stalls.ftqEmpty = 400;
+    result.stalls.backend = 500;
     result.frontEndStallCycles = 600;
     result.prefetchAccuracy = 0.875;
     result.avgL1DFillCycles = 21.5;
@@ -518,13 +520,6 @@ sampleUarch(std::uint64_t salt)
 {
     obs::UarchBreakdown u;
     u.enabled = true;
-    u.activeCycles = salt + 1;
-    u.stallICacheMiss = salt + 2;
-    u.stallBTBMiss = salt + 3;
-    u.stallRedirect = salt + 4;
-    u.stallFTQEmpty = salt + 5;
-    u.stallBackendPressure = salt + 6;
-    u.stallPrefetchInFlight = salt + 7;
     for (obs::PrefetchLifecycle &l : u.lifecycle) {
         l.issued = salt + 8;
         l.timely = salt + 9;
@@ -549,11 +544,13 @@ sampleResult(bool probed)
     r.btbMPKI = 45.125;
     r.l1iMPKI = 30.5;
     r.mispredictsPerKI = 7.25;
+    r.stalls.active = 50;
     r.stalls.icache = 100;
-    r.stalls.btbResolve = 200;
-    r.stalls.misfetch = 300;
-    r.stalls.mispredict = 400;
-    r.stalls.other = 500;
+    r.stalls.pfWait = 150;
+    r.stalls.btb = 200;
+    r.stalls.redirect = 300;
+    r.stalls.ftqEmpty = 400;
+    r.stalls.backend = 500;
     r.frontEndStallCycles = 600;
     r.prefetchAccuracy = 0.875;
     r.avgL1DFillCycles = 21.5;
@@ -570,11 +567,14 @@ sampleDelta()
     StatsDelta d;
     d.instructions = 1000;
     d.cycles = 2000;
-    d.stalls.icache = 1;
-    d.stalls.btbResolve = 2;
-    d.stalls.misfetch = 3;
-    d.stalls.mispredict = 4;
-    d.stalls.other = 5;
+    d.stalls.active = 1;
+    d.stalls.icache = 2;
+    d.stalls.pfWait = 3;
+    d.stalls.btb = 4;
+    d.stalls.redirect = 5;
+    d.stalls.ftqEmpty = 15;
+    d.stalls.backend = 16;
+    d.frontEndStallCycles = 17;
     d.btbMisses = 6;
     d.mispredicts = 7;
     d.misfetches = 8;
@@ -968,6 +968,37 @@ TEST(ServiceProtocolTest, MutatedFramesDecodeOrThrowJsonError)
     // all harmless.
     EXPECT_GT(decoded, 0u);
     EXPECT_GT(rejected, 0u);
+}
+
+TEST(ServiceCodecTest, UarchStallMembersMustAgreeWithStalls)
+{
+    // A probed frame repeats its cycle breakdown inside "uarch"; a
+    // frame whose two copies disagree is damage, not data.
+    const auto bump = [](const Value &frame) {
+        Value out = Value::object();
+        for (const auto &member : frame.members()) {
+            if (member.first != "uarch") {
+                out.set(member.first, member.second);
+                continue;
+            }
+            Value uarch = Value::object();
+            for (const auto &m : member.second.members()) {
+                uarch.set(m.first,
+                          m.first == "stall_btb_miss"
+                              ? Value::number(m.second.asU64() + 1)
+                              : m.second);
+            }
+            out.set("uarch", std::move(uarch));
+        }
+        return out;
+    };
+    const Value result = encodeSimResult(sampleResult(true));
+    EXPECT_TRUE(decodeSimResult(result) == sampleResult(true));
+    EXPECT_THROW(decodeSimResult(bump(result)), CodecError);
+
+    const Value delta = encodeStatsDelta(sampleDelta());
+    EXPECT_TRUE(decodeStatsDelta(delta) == sampleDelta());
+    EXPECT_THROW(decodeStatsDelta(bump(delta)), CodecError);
 }
 
 } // namespace

@@ -564,10 +564,7 @@ TEST(TraceIOTest, ReplayedSimulationBitwiseMatchesLiveRun)
         EXPECT_EQ(r->btbMPKI, live_result.btbMPKI);
         EXPECT_EQ(r->l1iMPKI, live_result.l1iMPKI);
         EXPECT_EQ(r->mispredictsPerKI, live_result.mispredictsPerKI);
-        EXPECT_EQ(r->stalls.icache, live_result.stalls.icache);
-        EXPECT_EQ(r->stalls.btbResolve, live_result.stalls.btbResolve);
-        EXPECT_EQ(r->stalls.misfetch, live_result.stalls.misfetch);
-        EXPECT_EQ(r->stalls.mispredict, live_result.stalls.mispredict);
+        EXPECT_EQ(r->stalls, live_result.stalls);
         EXPECT_EQ(r->frontEndStallCycles,
                   live_result.frontEndStallCycles);
         EXPECT_EQ(r->prefetchAccuracy, live_result.prefetchAccuracy);
@@ -893,64 +890,6 @@ TEST(PresetsDeathTest, UnknownWorkloadListsEveryAlternative)
                 "apache, zeus, oracle, db2.*trace:<path>");
 }
 
-TEST(TraceIODeathTest, RejectsBadMagic)
-{
-    const auto path = writeRawFile(
-        "/tmp/shotgun_test_badmagic.bin",
-        {'n', 'o', 't', 'a', 't', 'r', 'a', 'c', 'e', '!'});
-    EXPECT_EXIT(TraceFileSource source(path),
-                ::testing::ExitedWithCode(1),
-                "not a shotgun trace file");
-    std::remove(path.c_str());
-}
-
-TEST(TraceIODeathTest, RejectsForeignEndianMagic)
-{
-    std::vector<unsigned char> bytes;
-    appendLE32(bytes, 0x53485447); // kTraceMagic byte-swapped
-    appendLE32(bytes, kTraceVersion);
-    const auto path =
-        writeRawFile("/tmp/shotgun_test_bigendian.bin", bytes);
-    EXPECT_EXIT(TraceFileSource source(path),
-                ::testing::ExitedWithCode(1), "foreign-endian");
-    std::remove(path.c_str());
-}
-
-TEST(TraceIODeathTest, RejectsVersion1)
-{
-    std::vector<unsigned char> bytes;
-    appendLE32(bytes, kTraceMagic);
-    appendLE32(bytes, 1);
-    const auto path = writeRawFile("/tmp/shotgun_test_v1.bin", bytes);
-    EXPECT_EXIT(TraceFileSource source(path),
-                ::testing::ExitedWithCode(1),
-                "version-1 trace.*no longer supported");
-    std::remove(path.c_str());
-}
-
-TEST(TraceIODeathTest, RejectsUnknownFutureVersion)
-{
-    std::vector<unsigned char> bytes;
-    appendLE32(bytes, kTraceMagic);
-    appendLE32(bytes, 99);
-    const auto path =
-        writeRawFile("/tmp/shotgun_test_v99.bin", bytes);
-    EXPECT_EXIT(TraceFileSource source(path),
-                ::testing::ExitedWithCode(1),
-                "unsupported trace version 99");
-    std::remove(path.c_str());
-}
-
-/** Read every record of `path` through a TraceFileSource. */
-void
-drainTrace(const std::string &path)
-{
-    TraceFileSource source(path);
-    BBRecord rec;
-    while (source.next(rec)) {
-    }
-}
-
 /** The message of the TraceError `body` throws, or "" if none. */
 template <typename Body>
 std::string
@@ -962,6 +901,66 @@ traceErrorOf(Body &&body)
         return e.what();
     }
     return "";
+}
+
+TEST(TraceIOTest, RejectsBadMagic)
+{
+    const auto path = writeRawFile(
+        "/tmp/shotgun_test_badmagic.bin",
+        {'n', 'o', 't', 'a', 't', 'r', 'a', 'c', 'e', '!'});
+    EXPECT_NE(traceErrorOf([&]() { TraceFileSource source(path); })
+                  .find("not a shotgun trace file"),
+              std::string::npos);
+    std::remove(path.c_str());
+}
+
+TEST(TraceIOTest, RejectsForeignEndianMagic)
+{
+    std::vector<unsigned char> bytes;
+    appendLE32(bytes, 0x53485447); // kTraceMagic byte-swapped
+    appendLE32(bytes, kTraceVersion);
+    const auto path =
+        writeRawFile("/tmp/shotgun_test_bigendian.bin", bytes);
+    EXPECT_NE(traceErrorOf([&]() { TraceFileSource source(path); })
+                  .find("foreign-endian"),
+              std::string::npos);
+    std::remove(path.c_str());
+}
+
+TEST(TraceIOTest, RejectsVersion1)
+{
+    std::vector<unsigned char> bytes;
+    appendLE32(bytes, kTraceMagic);
+    appendLE32(bytes, 1);
+    const auto path = writeRawFile("/tmp/shotgun_test_v1.bin", bytes);
+    const std::string error =
+        traceErrorOf([&]() { TraceFileSource source(path); });
+    EXPECT_NE(error.find("version-1 trace"), std::string::npos);
+    EXPECT_NE(error.find("no longer supported"), std::string::npos);
+    std::remove(path.c_str());
+}
+
+TEST(TraceIOTest, RejectsUnknownFutureVersion)
+{
+    std::vector<unsigned char> bytes;
+    appendLE32(bytes, kTraceMagic);
+    appendLE32(bytes, 99);
+    const auto path =
+        writeRawFile("/tmp/shotgun_test_v99.bin", bytes);
+    EXPECT_NE(traceErrorOf([&]() { TraceFileSource source(path); })
+                  .find("unsupported trace version 99"),
+              std::string::npos);
+    std::remove(path.c_str());
+}
+
+/** Read every record of `path` through a TraceFileSource. */
+void
+drainTrace(const std::string &path)
+{
+    TraceFileSource source(path);
+    BBRecord rec;
+    while (source.next(rec)) {
+    }
 }
 
 /** Overwrite byte `offset` of `path`. */
@@ -1098,7 +1097,7 @@ TEST(TraceIOTest, ChunkedCodecRoundTripsAcrossChunkBoundaries)
     std::remove(path.c_str());
 }
 
-TEST(TraceIODeathTest, RejectsTraceShorterThanRun)
+TEST(TraceIOTest, RejectsTraceShorterThanRun)
 {
     const WorkloadPreset preset = tinyPreset();
     TraceGenerator gen(programFor(preset), 1);
@@ -1109,12 +1108,14 @@ TEST(TraceIODeathTest, RejectsTraceShorterThanRun)
                                        SchemeType::Shotgun);
     config.warmupInstructions = 20000;
     config.measureInstructions = 50000;
-    EXPECT_EXIT(runSimulation(config), ::testing::ExitedWithCode(1),
-                "record a longer trace");
+    EXPECT_THROW(runSimulation(config), TraceError);
+    EXPECT_NE(traceErrorOf([&]() { runSimulation(config); })
+                  .find("record a longer trace"),
+              std::string::npos);
     std::remove(path.c_str());
 }
 
-TEST(TraceIODeathTest, RejectsMismatchedProgram)
+TEST(TraceIOTest, RejectsMismatchedProgram)
 {
     const WorkloadPreset preset = tinyPreset();
     TraceGenerator gen(programFor(preset), 1);
@@ -1126,9 +1127,24 @@ TEST(TraceIODeathTest, RejectsMismatchedProgram)
     config.workload.tracePath = path;
     config.warmupInstructions = 1000;
     config.measureInstructions = 1000;
-    EXPECT_EXIT(runSimulation(config), ::testing::ExitedWithCode(1),
-                "does not match this workload's program");
+    EXPECT_THROW(runSimulation(config), TraceError);
+    EXPECT_NE(traceErrorOf([&]() { runSimulation(config); })
+                  .find("does not match this workload's program"),
+              std::string::npos);
     std::remove(path.c_str());
+}
+
+TEST(TraceIOTest, RejectsMissingTraceFile)
+{
+    SimConfig config = SimConfig::make(tinyPreset(), SchemeType::FDIP);
+    config.workload.tracePath = "/tmp/shotgun_test_no_such.trace";
+    std::remove(config.workload.tracePath.c_str());
+    config.warmupInstructions = 1000;
+    config.measureInstructions = 1000;
+    EXPECT_THROW(runSimulation(config), TraceError);
+    EXPECT_NE(traceErrorOf([&]() { runSimulation(config); })
+                  .find("cannot open trace file"),
+              std::string::npos);
 }
 
 // ---------------------------------------------------------------------

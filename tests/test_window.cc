@@ -92,11 +92,7 @@ expectIdentical(const SimResult &a, const SimResult &b)
     EXPECT_EQ(a.btbMPKI, b.btbMPKI);
     EXPECT_EQ(a.l1iMPKI, b.l1iMPKI);
     EXPECT_EQ(a.mispredictsPerKI, b.mispredictsPerKI);
-    EXPECT_EQ(a.stalls.icache, b.stalls.icache);
-    EXPECT_EQ(a.stalls.btbResolve, b.stalls.btbResolve);
-    EXPECT_EQ(a.stalls.misfetch, b.stalls.misfetch);
-    EXPECT_EQ(a.stalls.mispredict, b.stalls.mispredict);
-    EXPECT_EQ(a.stalls.other, b.stalls.other);
+    EXPECT_EQ(a.stalls, b.stalls);
     EXPECT_EQ(a.frontEndStallCycles, b.frontEndStallCycles);
     EXPECT_EQ(a.prefetchAccuracy, b.prefetchAccuracy);
     EXPECT_EQ(a.avgL1DFillCycles, b.avgL1DFillCycles);
@@ -315,7 +311,7 @@ TEST(WindowStitchTest, UarchBreakdownStitchesExactlyAcrossSchemes)
         exp.config.core.uarchProbes = true;
         const SimResult mono = runSimulation(exp.config);
         ASSERT_TRUE(mono.uarch.enabled) << exp.label;
-        EXPECT_TRUE(mono.uarch.conserves(mono.cycles)) << exp.label;
+        EXPECT_TRUE(mono.stalls.total() == mono.cycles) << exp.label;
         // A probed run actually profiles: the tiny preset misses in
         // the L1-I, so its hot-site table cannot be empty.
         EXPECT_FALSE(mono.uarch.l1iMissSites.empty()) << exp.label;
@@ -326,10 +322,10 @@ TEST(WindowStitchTest, UarchBreakdownStitchesExactlyAcrossSchemes)
             << exp.label;
         expectIdentical(outcome.stitched, mono);
         EXPECT_TRUE(
-            outcome.stitched.uarch.conserves(outcome.stitched.cycles))
+            outcome.stitched.stalls.total() == outcome.stitched.cycles)
             << exp.label;
         for (const SimulationDelta &w : outcome.windows)
-            EXPECT_TRUE(w.stats.uarch.conserves(w.stats.cycles))
+            EXPECT_TRUE(w.stats.stalls.total() == w.stats.cycles)
                 << exp.label;
     }
 }
@@ -354,7 +350,7 @@ TEST(WindowStitchTest, UarchBreakdownStitchesForRecordedTrace)
     exp.config.core.uarchProbes = true;
     const SimResult mono = runSimulation(exp.config);
     ASSERT_TRUE(mono.uarch.enabled);
-    EXPECT_TRUE(mono.uarch.conserves(mono.cycles));
+    EXPECT_TRUE(mono.stalls.total() == mono.cycles);
 
     const window::WindowedOutcome outcome = runWindowedExperiment(
         exp, contiguousPlan(exp.config, 3), 3);

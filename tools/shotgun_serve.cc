@@ -18,20 +18,17 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 
 #include <unistd.h>
 
 #include "common/cli.hh"
-#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/parse.hh"
 #include "fleet/worker.hh"
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "runner/thread_pool.hh"
+#include "runner/experiment.hh"
 
 using namespace shotgun;
 
@@ -72,11 +69,6 @@ const char *kUsage =
     "  --trace-out FILE    write a Chrome trace-event JSON of every\n"
     "                      span this daemon recorded when it shuts\n"
     "                      down; Perfetto-loadable\n"
-    "  --uarch-report FILE write the process-lifetime stall\n"
-    "                      attribution totals (the sim.uarch.*\n"
-    "                      counters accumulated over every probed\n"
-    "                      point this daemon simulated, with their\n"
-    "                      conservation check) as JSON at shutdown\n"
     "  --quiet             no connection log lines on stderr\n"
     "\n"
     "Stop it with: shotgun-submit --server ENDPOINT --shutdown\n";
@@ -124,7 +116,6 @@ main(int argc, char **argv)
         return exit_code;
 
     std::string trace_out;
-    std::string uarch_report;
     unsigned jobs = 0;
     fleet::WorkerOptions options;
     options.log = &std::cerr;
@@ -164,8 +155,6 @@ main(int argc, char **argv)
             options.heartbeatMs = static_cast<unsigned>(ms);
         } else if (std::strcmp(argv[i], "--trace-out") == 0) {
             trace_out = next("--trace-out");
-        } else if (std::strcmp(argv[i], "--uarch-report") == 0) {
-            uarch_report = next("--uarch-report");
         } else if (std::strcmp(argv[i], "--quiet") == 0) {
             options.log = nullptr;
         } else {
@@ -179,7 +168,7 @@ main(int argc, char **argv)
         usageError("--coordinator ENDPOINT is required: shotgun-serve "
                    "is a fleet worker; run shotgun-coord and submit "
                    "grids to it");
-    options.slots = jobs != 0 ? jobs : runner::ThreadPool::hardwareJobs();
+    options.slots = jobs != 0 ? jobs : runner::hardwareJobs();
 
     // The worker name doubles as the span lane group, so spans
     // shipped to a tracing coordinator say which worker ran them
@@ -201,44 +190,6 @@ main(int argc, char **argv)
                 fatal("cannot write trace to '%s'",
                       trace_out.c_str());
             std::fprintf(stderr, "trace: %s\n", trace_out.c_str());
-        }
-        if (!uarch_report.empty()) {
-            // Process-lifetime attribution totals: the sim.uarch.*
-            // counters runSimulationDelta accumulates over every
-            // probed point (zero for a daemon that never ran one),
-            // plus their conservation check against measured cycles.
-            obs::Registry &reg = obs::metrics();
-            auto count = [&reg](const char *name) {
-                return reg.counter(std::string("sim.uarch.") + name)
-                    ->value();
-            };
-            const std::uint64_t cycles = count("cycles");
-            const std::uint64_t active = count("active_cycles");
-            const std::uint64_t stalls =
-                count("stall_icache_miss") + count("stall_btb_miss") +
-                count("stall_redirect") + count("stall_ftq_empty") +
-                count("stall_backend_pressure") +
-                count("stall_prefetch_in_flight");
-            json::Value doc = json::Value::object();
-            doc.set("worker",
-                    json::Value::string(options.name));
-            doc.set("cycles", json::Value::number(cycles));
-            doc.set("conserves",
-                    json::Value::boolean(active + stalls == cycles));
-            json::Value totals = json::Value::object();
-            for (const char *name :
-                 {"active_cycles", "stall_icache_miss",
-                  "stall_btb_miss", "stall_redirect",
-                  "stall_ftq_empty", "stall_backend_pressure",
-                  "stall_prefetch_in_flight"})
-                totals.set(name, json::Value::number(count(name)));
-            doc.set("totals", std::move(totals));
-            std::ofstream out(uarch_report);
-            if (!out || !(out << doc.dump() << "\n"))
-                fatal("cannot write uarch report to '%s'",
-                      uarch_report.c_str());
-            std::fprintf(stderr, "uarch report: %s\n",
-                         uarch_report.c_str());
         }
     } catch (const std::exception &e) {
         // SocketError (bad endpoint, bind failure) or anything else

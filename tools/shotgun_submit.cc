@@ -121,14 +121,15 @@ const char *kUsage =
     "                       gain a JSON-only \"timing\"\n"
     "                       object (the CSV is unchanged)\n"
     "  --uarch-report FILE  enable the deterministic uarch probes\n"
-    "                       (cycle-exact stall attribution, prefetch\n"
-    "                       lifecycle, miss-site hotspots) on every\n"
-    "                       grid point and write the aggregated JSON\n"
-    "                       report to FILE; with --trace-out the\n"
-    "                       trace gains per-point stall counter\n"
-    "                       tracks. Simulation counters are bitwise\n"
-    "                       identical with probes on or off; probed\n"
-    "                       configs fingerprint separately\n"
+    "                       (prefetch lifecycle, miss-site hotspots)\n"
+    "                       on every grid point and write them with\n"
+    "                       each point's stall cycles as an\n"
+    "                       aggregated JSON report to FILE; with\n"
+    "                       --trace-out the trace gains per-point\n"
+    "                       stall counter tracks. Simulation\n"
+    "                       counters are bitwise identical with\n"
+    "                       probes on or off; probed configs\n"
+    "                       fingerprint separately\n"
     "  --no-progress        no per-point progress lines on stderr\n";
 
 [[noreturn]] void
@@ -343,8 +344,9 @@ buildGrid(const Options &opts)
 
 /**
  * The aggregated `--uarch-report` document: one entry per grid point
- * (breakdown plus its conservation check against the point's cycle
- * count) and a mergeUarch() total. Returns false on I/O failure.
+ * (probe readout plus the conservation check of its cycle breakdown
+ * against the point's cycle count) and a merged total. Returns false
+ * on I/O failure.
  */
 bool
 writeUarchReport(const std::string &path, const std::string &experiment,
@@ -354,25 +356,29 @@ writeUarchReport(const std::string &path, const std::string &experiment,
     json::Value rows = json::Value::array();
     obs::UarchBreakdown total;
     total.enabled = true;
+    Core::CycleBreakdown total_stalls;
     bool conserved = true;
     for (std::size_t i = 0; i < results.size(); ++i) {
         const SimResult &r = results[i];
-        const bool ok = r.uarch.conserves(r.cycles);
+        const bool ok = r.stalls.total() == r.cycles;
         conserved = conserved && ok;
         json::Value row = json::Value::object();
         row.set("workload", json::Value::string(grid[i].workload));
         row.set("label", json::Value::string(grid[i].label));
         row.set("cycles", json::Value::number(r.cycles));
         row.set("conserves", json::Value::boolean(ok));
-        row.set("uarch", service::encodeUarchBreakdown(r.uarch));
+        row.set("uarch",
+                service::encodeUarchBreakdown(r.uarch, r.stalls));
         rows.push(std::move(row));
         obs::mergeUarch(total, r.uarch);
+        total_stalls += r.stalls;
     }
     json::Value doc = json::Value::object();
     doc.set("experiment", json::Value::string(experiment));
     doc.set("conserves", json::Value::boolean(conserved));
     doc.set("rows", std::move(rows));
-    doc.set("total", service::encodeUarchBreakdown(total));
+    doc.set("total",
+            service::encodeUarchBreakdown(total, total_stalls));
     std::ofstream out(path);
     if (!out)
         return false;
@@ -526,20 +532,18 @@ runSubmit(const Options &opts)
         std::vector<obs::CounterSample> counters;
         if (!opts.uarchReport.empty()) {
             for (std::size_t i = 0; i < results.size(); ++i) {
-                const obs::UarchBreakdown &u = results[i].uarch;
-                if (!u.enabled)
-                    continue;
+                const Core::CycleBreakdown &s = results[i].stalls;
                 obs::CounterSample sample;
                 sample.process = "submit";
                 sample.name = "uarch stall cycles";
                 sample.ts = trace_t0 + i * 1000;
                 sample.values = {
-                    {"icache_miss", u.stallICacheMiss},
-                    {"btb_miss", u.stallBTBMiss},
-                    {"redirect", u.stallRedirect},
-                    {"ftq_empty", u.stallFTQEmpty},
-                    {"backend_pressure", u.stallBackendPressure},
-                    {"prefetch_in_flight", u.stallPrefetchInFlight},
+                    {"icache_miss", s.icache},
+                    {"btb_miss", s.btb},
+                    {"redirect", s.redirect},
+                    {"ftq_empty", s.ftqEmpty},
+                    {"backend_pressure", s.backend},
+                    {"prefetch_in_flight", s.pfWait},
                 };
                 counters.push_back(std::move(sample));
             }
