@@ -406,6 +406,14 @@ cmp "$BUILD_DIR/smoke/cohort_svc.csv" "$BUILD_DIR/smoke/cohort_grid.csv"
     --out "$BUILD_DIR/smoke/cohort_rerun" > /dev/null
 "$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_G" --status \
     | grep -q '"checkpoint":{"entries":6,[^}]*"hits":6,"misses":6'
+# Contiguous windows skip no stream prefix, so all 18 windows of the
+# same grid restore the six parked keys and park nothing new.
+"$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_G" "${CGRID[@]}" \
+    --schemes "$ALL_SCHEMES" --window-shards 3 \
+    --out "$BUILD_DIR/smoke/cohort_windows" > /dev/null
+cmp "$BUILD_DIR/smoke/cohort_windows.csv" "$BUILD_DIR/smoke/cohort_grid.csv"
+"$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_G" --status \
+    | grep -q '"checkpoint":{"entries":6,[^}]*"hits":24,"misses":6'
 stop_fleet "$COORD_G" "$SOCK_G"
 
 # A bounded cache on a live worker evicts instead of growing: after

@@ -98,6 +98,21 @@ scanEntries(const std::string &dir)
     return entries;
 }
 
+/**
+ * The "check" member of an entry: the hash of the canonical encodings
+ * of its result and delta. load() recomputes it from the decoded
+ * value, so a damaged digit inside either is a miss, not a different
+ * result.
+ */
+std::string
+entryCheck(const service::CachedResult &value)
+{
+    std::string bytes = service::encodeSimResult(value.result).dump();
+    if (value.hasDelta)
+        bytes += "\n" + service::encodeStatsDelta(value.delta).dump();
+    return service::fingerprintHex(json::fnv1a64(bytes));
+}
+
 } // namespace
 
 DiskResultCache::DiskResultCache(std::string dir,
@@ -156,6 +171,10 @@ DiskResultCache::load(const std::string &fingerprint,
             cached.hasDelta = true;
             cached.delta = service::decodeStatsDelta(*delta);
         }
+        // An entry without a check (written before it existed) is a
+        // miss too: it is simulated once more and rewritten.
+        if (r.str("check") != entryCheck(cached))
+            return false;
         r.finish();
         out = std::move(cached);
         return true;
@@ -175,6 +194,7 @@ DiskResultCache::store(const std::string &fingerprint,
     v.set("result", service::encodeSimResult(value.result));
     if (value.hasDelta)
         v.set("delta", service::encodeStatsDelta(value.delta));
+    v.set("check", Value::string(entryCheck(value)));
 
     // Atomic publish: write a per-process tmp file in the same
     // directory, then rename over the final name. Readers see the

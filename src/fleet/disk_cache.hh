@@ -12,10 +12,13 @@
  * Writes are atomic (tmp file + rename in the same directory), so a
  * crash mid-store leaves at worst a stray .tmp file, never a
  * truncated entry; a reader that finds a damaged or foreign file
- * treats it as a miss. Results are pure functions of their
- * fingerprint, so entries never need invalidation -- the same
- * caveat as configFingerprint(): re-recording a different workload
- * over an existing trace path aliases entries. Don't do that.
+ * treats it as a miss. Each entry carries a "check" hash of the
+ * canonical encodings of its result and delta, recomputed on load,
+ * so damage that still parses (a flipped digit) is a miss as well.
+ * Results are pure functions of their fingerprint, so entries never
+ * need invalidation -- the same caveat as configFingerprint():
+ * re-recording a different workload over an existing trace path
+ * aliases entries. Don't do that.
  *
  * The backend of shotgun-coord --cache-dir, the one persistent
  * result cache; the memo cache itself stays storage-ignorant and only

@@ -312,11 +312,15 @@ FleetWorker::compute(const service::WorkItem &item, unsigned slot_index,
             computed = true;
             // A windowed point keeps its raw counters so the result
             // frame (and any later cache hit) carries the stitchable
-            // delta. A worker outlives its jobs, so it parks every
-            // warmed state for the points it serves next (the
-            // checkpoint store's byte budget bounds what it keeps).
-            const SimulationDelta delta =
-                runSimulationDelta(exp.config, WarmState::Park);
+            // delta. A worker outlives its jobs, so it parks each
+            // restorable warmed state for the points it serves next
+            // (the checkpoint store's byte budget bounds what it
+            // keeps); a sampled window's state serves no other point
+            // and is discarded.
+            const SimulationDelta delta = runSimulationDelta(
+                exp.config, warmStateRestorable(exp.config)
+                                ? WarmState::Park
+                                : WarmState::Discard);
             service::CachedResult result;
             result.result =
                 finalizeResult(delta.workload, delta.scheme,

@@ -150,9 +150,9 @@ ExperimentRunner::run(const std::vector<Experiment> &grid) const
         // hook may not run runSimulation at all, so only real
         // simulations opt in.
         hooks.cohortOf = [](std::size_t, const Experiment &exp) {
-            return exp.config.warmupInstructions == 0
-                       ? std::string()
-                       : checkpointKey(exp.config, nullptr);
+            return warmStateRestorable(exp.config)
+                       ? checkpointKey(exp.config, nullptr)
+                       : std::string();
         };
     }
     scheduleGrid(grid, effectiveJobs(grid.size()), hooks);

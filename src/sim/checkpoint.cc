@@ -114,6 +114,13 @@ checkpointKey(const SimConfig &config, const TraceInfo *trace)
     return config.workload.name + suffix;
 }
 
+bool
+warmStateRestorable(const SimConfig &config)
+{
+    return config.warmupInstructions > 0 &&
+           config.window.skipInstructions == 0;
+}
+
 CheckpointCache &
 checkpointCache()
 {

@@ -5,13 +5,17 @@
  *
  * Who parks: a run parks its warmed state only when its caller passes
  * WarmState::Park (sim/simulator.hh), because only the caller knows
- * whether a restore will follow. The grid runners pass it to the
- * leader of a cohort that has followers (runner/grid_scheduler.hh),
- * and a fleet worker passes it for every point, since it serves later
- * jobs. A direct runSimulation() -- a lone point, a custom runner
- * hook, a cohort-free grid point -- discards its warmed state, so a
- * process keeps no clone that nothing reads back. Every run still
- * looks its key up, and restores whatever an earlier Park run left.
+ * whether a restore will follow. Only a restorable state is ever
+ * parked (warmStateRestorable(): the run warms up and skips no stream
+ * prefix; a sampled window's key is bound to its own start, so no
+ * other point shares it). The grid runners pass Park to the leader of
+ * a cohort of restorable points that has followers
+ * (runner/grid_scheduler.hh), and a fleet worker passes it for every
+ * restorable point, since it serves later jobs. A direct
+ * runSimulation() -- a lone point, a custom runner hook, a
+ * cohort-free grid point -- discards its warmed state, so a process
+ * keeps no clone that nothing reads back. Every run still looks its
+ * key up, and restores whatever an earlier Park run left.
  *
  * A CoreCheckpoint is a deep clone of a warmed Core (caches, U-BTB/
  * C-BTB/RIB and every other scheme structure, TAGE, RAS, FTQ/backend
@@ -95,6 +99,15 @@ std::uint64_t checkpointPrefixFingerprint(const SimConfig &config);
  */
 std::string checkpointKey(const SimConfig &config,
                           const TraceInfo *trace);
+
+/**
+ * Whether `config`'s warmed state can serve another point: it warms
+ * up and skips no stream prefix. A window that skips (a sampled one)
+ * warms a key that includes its own skip, which no other point of its
+ * plan shares, so parking it would only hold memory. The one parking
+ * policy: fleet workers and the grid cohort keys both ask it.
+ */
+bool warmStateRestorable(const SimConfig &config);
 
 /**
  * The LRU byte-budgeted checkpoint store. Producers simulate the

@@ -174,7 +174,8 @@ std::uint64_t presetFingerprint(const WorkloadPreset &preset);
  * (see sim/checkpoint.hh). Only the caller knows whether a later run
  * will restore it, so parking is the caller's decision: a grid
  * cohort's leader parks for its followers and a fleet worker parks
- * for the jobs it serves next, while a direct run discards. A run
+ * for the jobs it serves next, while a direct run discards. Both
+ * park only what warmStateRestorable() allows. A run
  * restores a parked state whenever one exists, whichever it passes.
  */
 enum class WarmState

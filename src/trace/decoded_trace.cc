@@ -23,15 +23,24 @@ DecodedTrace::DecodedTrace(const std::string &path)
                          " records but the file holds " +
                          std::to_string(source.payloadRecords()));
     records_.reserve(static_cast<std::size_t>(info_.records));
-    prefix_.reserve(static_cast<std::size_t>(info_.records) + 1);
-    prefix_.push_back(0);
+    prefix_.reserve(
+        static_cast<std::size_t>(info_.records / kPrefixStride) + 1);
     BBRecord record;
     std::uint64_t instrs = 0;
     while (source.next(record)) {
-        records_.push_back(record);
+        if (records_.size() % kPrefixStride == 0)
+            prefix_.push_back(instrs);
+        // decodeRecord() has checked the start address fits.
+        records_.push_back(
+            {record.startAddr |
+                 std::uint64_t(record.numInstrs) << kSizeShift |
+                 std::uint64_t(record.type) << kTypeShift |
+                 std::uint64_t(record.taken ? 1 : 0) << kTakenShift,
+             record.target});
         instrs += record.numInstrs;
-        prefix_.push_back(instrs);
     }
+    if (records_.size() % kPrefixStride == 0)
+        prefix_.push_back(instrs);
     if (instrs != info_.instructions)
         throw TraceError("'" + path + "': header claims " +
                          std::to_string(info_.instructions) +
@@ -40,22 +49,41 @@ DecodedTrace::DecodedTrace(const std::string &path)
 }
 
 std::uint64_t
+DecodedTrace::instructionsBefore(std::uint64_t i) const
+{
+    std::uint64_t r = i / kPrefixStride * kPrefixStride;
+    std::uint64_t instrs = prefix_[i / kPrefixStride];
+    for (; r < i; ++r)
+        instrs += numInstrs(r);
+    return instrs;
+}
+
+std::uint64_t
 DecodedTrace::recordAtInstruction(std::uint64_t target) const
 {
     // First boundary >= target: identical to reading records until
-    // the cumulative count reaches the threshold.
+    // the cumulative count reaches the threshold. Boundary 0 holds 0
+    // instructions; otherwise start from the last stored boundary
+    // below the target, from which the next stored one (>= target)
+    // is at most kPrefixStride records away.
+    if (target == 0)
+        return 0;
     const auto it =
         std::lower_bound(prefix_.begin(), prefix_.end(), target);
-    if (it == prefix_.end())
-        return records();
-    return static_cast<std::uint64_t>(it - prefix_.begin());
+    std::uint64_t r =
+        static_cast<std::uint64_t>(it - prefix_.begin() - 1) *
+        kPrefixStride;
+    std::uint64_t instrs = *(it - 1);
+    while (r < records() && instrs < target)
+        instrs += numInstrs(r++);
+    return r;
 }
 
 std::size_t
 DecodedTrace::bytes() const
 {
     return sizeof(DecodedTrace) +
-           records_.capacity() * sizeof(BBRecord) +
+           records_.capacity() * sizeof(PackedRecord) +
            prefix_.capacity() * sizeof(std::uint64_t);
 }
 
@@ -63,8 +91,8 @@ std::size_t
 DecodedTrace::estimateBytes(std::uint64_t records)
 {
     return sizeof(DecodedTrace) +
-           static_cast<std::size_t>(records) * sizeof(BBRecord) +
-           (static_cast<std::size_t>(records) + 1) *
+           static_cast<std::size_t>(records) * sizeof(PackedRecord) +
+           static_cast<std::size_t>(records / kPrefixStride + 1) *
                sizeof(std::uint64_t);
 }
 

@@ -3,7 +3,7 @@
  * Process-wide shared trace decode. A grid sweeping N schemes over one
  * `trace:` workload used to open and decode the same file N times --
  * once per Core. DecodedTraceStore decodes a file once into an
- * immutable in-memory DecodedTrace (records + instruction prefix sums)
+ * immutable in-memory DecodedTrace (packed records + instruction counts)
  * and hands out cheap DecodedTraceCursor views, so any number of
  * concurrent Cores replay one decode.
  *
@@ -22,6 +22,13 @@
  * whose decoded footprint would exceed the whole budget is refused
  * (acquire() returns nullptr) and the caller falls back to streaming
  * TraceFileSource replay -- same records, just slower.
+ *
+ * Footprint: 16 bytes a record (the start address packed with the
+ * size and branch fields into one word, plus the target) and one
+ * 8-byte instruction count every kPrefixStride records, ~16.1 bytes a
+ * record in all. perfbench's 13M-instruction db2 trace (1.91M
+ * records) decodes into ~31 MB, and the 256 MiB store holds traces
+ * of up to ~16.6M records before a run falls back to streaming.
  */
 
 #ifndef SHOTGUN_TRACE_DECODED_TRACE_HH
@@ -55,18 +62,30 @@ class DecodedTrace
     std::uint64_t records() const { return records_.size(); }
     std::uint64_t instructions() const { return info_.instructions; }
 
-    const BBRecord &record(std::uint64_t i) const { return records_[i]; }
+    /** Records between two stored instruction counts. */
+    static constexpr std::uint64_t kPrefixStride = 64;
+
+    BBRecord
+    record(std::uint64_t i) const
+    {
+        const PackedRecord &p = records_[i];
+        BBRecord out;
+        out.startAddr = p.word & kAddrMask;
+        out.target = p.target;
+        out.numInstrs = static_cast<std::uint8_t>(p.word >> kSizeShift);
+        out.type = static_cast<BranchType>((p.word >> kTypeShift) & 0x7f);
+        out.taken = (p.word >> kTakenShift) != 0;
+        return out;
+    }
 
     /** Instructions contained in records [0, i). */
-    std::uint64_t instructionsBefore(std::uint64_t i) const
-    {
-        return prefix_[i];
-    }
+    std::uint64_t instructionsBefore(std::uint64_t i) const;
 
     /**
      * The record index a linear skip landing rule reaches: the first
      * boundary whose cumulative instruction count >= `target`
-     * (clamped to the end of the trace).
+     * (clamped to the end of the trace). A binary search over the
+     * stored counts, then a scan of at most kPrefixStride records.
      */
     std::uint64_t recordAtInstruction(std::uint64_t target) const;
 
@@ -77,9 +96,31 @@ class DecodedTrace
     static std::size_t estimateBytes(std::uint64_t records);
 
   private:
+    /**
+     * startAddr in the low kTraceAddrBits (48) bits, numInstrs in bits
+     * 48-55, the branch type in 56-62, taken in 63; then the target.
+     */
+    struct PackedRecord
+    {
+        std::uint64_t word = 0;
+        std::uint64_t target = 0;
+    };
+    static constexpr unsigned kSizeShift = kTraceAddrBits;
+    static constexpr unsigned kTypeShift = kSizeShift + 8;
+    static constexpr unsigned kTakenShift = 63;
+    static_assert(kTypeShift + 7 == kTakenShift, "fields overlap");
+    static constexpr std::uint64_t kAddrMask =
+        (std::uint64_t(1) << kTraceAddrBits) - 1;
+
+    std::uint8_t
+    numInstrs(std::uint64_t i) const
+    {
+        return static_cast<std::uint8_t>(records_[i].word >> kSizeShift);
+    }
+
     TraceInfo info_;
-    std::vector<BBRecord> records_;
-    /** prefix_[i] = instructions in records [0, i); size records+1. */
+    std::vector<PackedRecord> records_;
+    /** prefix_[k] = instructions in records [0, k * kPrefixStride). */
     std::vector<std::uint64_t> prefix_;
 };
 
@@ -101,8 +142,8 @@ class DecodedTraceCursor : public TraceSource
     /**
      * Same landing rule as the linear TraceSource default and
      * TraceFileSource's indexed seek: stop at the first record
-     * boundary at or past the threshold -- here found by binary
-     * search over the prefix sums instead of reading records.
+     * boundary at or past the threshold -- here found from the
+     * stored instruction counts instead of reading every record.
      */
     std::uint64_t skipInstructions(std::uint64_t instructions) override;
 
@@ -117,15 +158,6 @@ class DecodedTraceCursor : public TraceSource
         return trace_->instructions();
     }
     std::uint64_t recordsRead() const { return read_; }
-    std::uint64_t instructionsRead() const
-    {
-        return trace_->instructionsBefore(read_);
-    }
-
-    const std::shared_ptr<const DecodedTrace> &trace() const
-    {
-        return trace_;
-    }
 
   private:
     std::shared_ptr<const DecodedTrace> trace_;

@@ -1,6 +1,7 @@
 #include "trace/trace_io.hh"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 
@@ -116,6 +117,15 @@ decodeRecord(const unsigned char *p, const std::string &path,
     };
     BBRecord out;
     out.startAddr = le64(0);
+    if (out.startAddr >> kTraceAddrBits != 0) {
+        char addr[24];
+        std::snprintf(addr, sizeof(addr), "%#llx",
+                      static_cast<unsigned long long>(out.startAddr));
+        throw TraceError("'" + path + "': corrupt record " +
+                         std::to_string(index) + " (start address " +
+                         addr + " exceeds " +
+                         std::to_string(kTraceAddrBits) + " bits)");
+    }
     out.target = le64(8);
     out.numInstrs = p[16];
     if (out.numInstrs == 0)

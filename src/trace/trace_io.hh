@@ -49,6 +49,14 @@ constexpr std::uint32_t kTraceVersion = 2;
 constexpr std::uint64_t kTraceRecordBytes = 19;
 
 /**
+ * Bits a record's startAddr may use. A decoded trace packs the start
+ * address with the size and branch fields into one word
+ * (trace/decoded_trace.hh), so every read path rejects a record
+ * whose start address is wider.
+ */
+constexpr unsigned kTraceAddrBits = 48;
+
+/**
  * A damaged or unusable trace: a file that cannot be opened, a bad
  * header, a truncated file, a corrupt record, header counts its
  * records contradict, or a trace too short for (or recorded from
@@ -217,9 +225,6 @@ class TraceFileSource : public TraceSource
      * totalRecords() in a truncated file.
      */
     std::uint64_t payloadRecords() const { return payloadRecords_; }
-
-    /** Instructions contained in the records read so far. */
-    std::uint64_t instructionsRead() const { return instrsRead_; }
 
     /**
      * The workload the trace was recorded from, reconstructed from

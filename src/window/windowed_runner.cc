@@ -85,13 +85,13 @@ runWindowedExperiment(
     }
     // Contiguous windows share warmup and skip, hence a checkpoint
     // key: the first window warms the core once and parks it, and
-    // every later window restores it (sampled plans differ in
-    // skipInstructions, so their keys split, no gating applies and
+    // every later window restores it (a sampled window skips its own
+    // stream prefix, so it is not restorable: no gating applies and
     // nothing is parked).
     hooks.cohortOf = [](std::size_t, const runner::Experiment &sub) {
-        return sub.config.warmupInstructions == 0
-                   ? std::string()
-                   : checkpointKey(sub.config, nullptr);
+        return warmStateRestorable(sub.config)
+                   ? checkpointKey(sub.config, nullptr)
+                   : std::string();
     };
     runner::scheduleGrid(grid, jobs, hooks);
 

@@ -16,7 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -248,6 +250,66 @@ TEST(DecodedTraceTest, CursorReplaysTheFileStreamExactly)
     }
     EXPECT_FALSE(cursor.next(from_cursor));
 
+    std::remove(path.c_str());
+}
+
+TEST(DecodedTraceTest, SkipLandsLikeALinearReadAtEveryStrideBoundary)
+{
+    // The decoded trace keeps an instruction count only every
+    // kPrefixStride records and scans the rest. A skip whose target
+    // is just below, at or just above a stored boundary must land on
+    // the record a linear read of the file lands on, from the start
+    // of the stream and from mid-stride.
+    const WorkloadPreset recorded = tinyPreset("decoded-skip", 31);
+    const std::string path = "/tmp/shotgun_test_decoded_skip.trace";
+    Program prog(recorded.program);
+    TraceGenerator gen(prog, 37);
+    const std::uint64_t records =
+        recordTrace(gen, recorded, 37, path, 20000);
+    ASSERT_GT(records, 200u);
+
+    auto decoded = std::make_shared<const DecodedTrace>(path);
+    EXPECT_LE(static_cast<double>(decoded->bytes()),
+              16.2 * static_cast<double>(records));
+    EXPECT_EQ(decoded->bytes(), DecodedTrace::estimateBytes(records));
+
+    // before[i] = instructions in records [0, i), read linearly.
+    std::vector<std::uint64_t> before{0};
+    {
+        TraceFileSource file(path);
+        BBRecord rec;
+        while (file.next(rec))
+            before.push_back(before.back() + rec.numInstrs);
+    }
+
+    const std::uint64_t stride = DecodedTrace::kPrefixStride;
+    for (std::uint64_t start : {std::uint64_t(0), stride / 2 + 5}) {
+        for (std::uint64_t r = stride; r < records + stride; r += stride) {
+            const std::uint64_t at = before[std::min(r, records)];
+            for (std::uint64_t target : {at - 1, at, at + 1}) {
+                if (target <= before[start])
+                    continue;
+                SCOPED_TRACE("start " + std::to_string(start) +
+                             " target " + std::to_string(target));
+                TraceFileSource linear(path);
+                DecodedTraceCursor cursor(decoded);
+                BBRecord a, b;
+                for (std::uint64_t i = 0; i < start; ++i) {
+                    ASSERT_TRUE(linear.next(a));
+                    ASSERT_TRUE(cursor.next(b));
+                }
+                const std::uint64_t skip = target - before[start];
+                ASSERT_EQ(cursor.skipInstructions(skip),
+                          linear.skipInstructions(skip));
+                ASSERT_EQ(cursor.recordsRead(), linear.recordsRead());
+                const bool more = linear.next(a);
+                ASSERT_EQ(cursor.next(b), more);
+                if (more) {
+                    ASSERT_EQ(b.startAddr, a.startAddr);
+                }
+            }
+        }
+    }
     std::remove(path.c_str());
 }
 

@@ -21,6 +21,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -36,6 +37,7 @@
 #include "trace/generator.hh"
 #include "trace/program.hh"
 #include "trace/trace_io.hh"
+#include "window/window_plan.hh"
 
 namespace shotgun
 {
@@ -202,6 +204,94 @@ TEST(FleetDiskCacheTest, RoundTripDamageAndForeignKeys)
     std::rename((dir + "/00ff00ff.json").c_str(),
                 (dir + "/11ee11ee.json").c_str());
     EXPECT_FALSE(cache.load("11ee11ee", loaded));
+}
+
+TEST(FleetDiskCacheTest, DamagedEntriesMissOrMatch)
+{
+    // Seeded damage to a stored windowed entry: flipped bytes
+    // anywhere, a digit replaced by another digit (the damage that
+    // still parses) and truncation at any length. Every load either
+    // misses or returns exactly the stored value, never a different
+    // result.
+    const std::string dir = freshDir("damage");
+    DiskResultCache cache(dir);
+    SimConfig config = SimConfig::make(tinyPreset("fleet-damage", 0xda3a),
+                                       SchemeType::Shotgun);
+    config.warmupInstructions = 5000;
+    config.measureInstructions = 20000;
+    config.window.measureStart = 5000;
+    config.window.measureEnd = 15000;
+    const SimulationDelta delta = runSimulationDelta(config);
+    CachedResult value;
+    value.result = finalizeResult(delta.workload, delta.scheme,
+                                  delta.schemeStorageBits, delta.stats);
+    value.hasDelta = true;
+    value.delta = delta.stats;
+    const std::string key = "0123456789abcdef";
+    cache.store(key, value);
+    const std::string path = dir + "/" + key + ".json";
+    std::string entry;
+    {
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream text;
+        text << in.rdbuf();
+        entry = text.str();
+    }
+
+    std::mt19937_64 rng(0xcac4e);
+    auto below = [&rng](std::uint64_t n) {
+        return std::uniform_int_distribution<std::uint64_t>(0, n - 1)(rng);
+    };
+    std::size_t digit_flips = 0;
+    for (int trial = 0; trial < 600; ++trial) {
+        std::string damaged = entry;
+        switch (below(3)) {
+          case 0: // Flip 1-3 bytes.
+            for (std::uint64_t n = 1 + below(3); n > 0; --n)
+                damaged[below(damaged.size())] ^=
+                    static_cast<char>(1 + below(255));
+            break;
+          case 1: { // Replace one digit by another.
+            std::size_t at = below(damaged.size());
+            while (damaged[at] < '0' || damaged[at] > '9')
+                at = (at + 1) % damaged.size();
+            damaged[at] = static_cast<char>(
+                '0' + (damaged[at] - '0' + 1 + below(9)) % 10);
+            ++digit_flips;
+            break;
+          }
+          case 2: // Truncate.
+            damaged.resize(below(damaged.size()));
+            break;
+        }
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out << damaged;
+        }
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        CachedResult loaded;
+        if (!cache.load(key, loaded))
+            continue;
+        EXPECT_TRUE(loaded.result == value.result);
+        EXPECT_TRUE(loaded.hasDelta);
+        EXPECT_TRUE(loaded.delta == value.delta);
+    }
+    EXPECT_GT(digit_flips, 100u);
+
+    // An entry written before the check existed misses once.
+    {
+        json::Value old = json::Value::object();
+        old.set("fingerprint", json::Value::string(key));
+        old.set("result", service::encodeSimResult(value.result));
+        old.set("delta", service::encodeStatsDelta(value.delta));
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << old.dump() << '\n';
+    }
+    CachedResult loaded;
+    EXPECT_FALSE(cache.load(key, loaded));
+    cache.store(key, value);
+    ASSERT_TRUE(cache.load(key, loaded));
+    EXPECT_TRUE(loaded.result == value.result);
 }
 
 TEST(FleetDiskCacheTest, ByteBoundTrimsOldestFirst)
@@ -449,18 +539,31 @@ TEST(FleetTest, CorruptTraceRecordFailsItsPointNotTheWorker)
     EXPECT_EQ(coord.coordinator().liveWorkers(), 1u);
 }
 
-TEST(FleetTest, WorkerParksEveryWarmedState)
+TEST(FleetTest, WorkerParksOnlyRestorableStates)
 {
     // A worker outlives the job, so unlike a direct run it parks each
-    // warmed state it simulates, for the points it serves next.
+    // restorable warmed state it simulates, for the points it serves
+    // next. A sampled window skips its own stream prefix, so no other
+    // point shares its key: the worker warms it and parks nothing.
     const WorkloadPreset preset = tinyPreset("fleet-park", 0x9a7c);
     runner::ExperimentSet set;
+    SimConfig base;
     for (SchemeType type : {SchemeType::Baseline, SchemeType::Boomerang,
                             SchemeType::Shotgun}) {
         SimConfig config = SimConfig::make(preset, type);
         config.warmupInstructions = 20000;
         config.measureInstructions = 50000;
         set.add(preset, schemeTypeName(type), config);
+        base = config;
+    }
+    const std::size_t plain = set.size();
+    const window::WindowPlan plan =
+        window::sampledPlan(base, 3, 10000, 10000);
+    const std::vector<SimConfig> windows =
+        window::expandPlan(base, plan);
+    for (std::size_t i = 0; i < windows.size(); ++i) {
+        ASSERT_GT(windows[i].window.skipInstructions, 0u);
+        set.add(preset, "shotgun-s" + std::to_string(i), windows[i]);
     }
 
     TestCoordinator coord("park");
@@ -472,7 +575,7 @@ TEST(FleetTest, WorkerParksEveryWarmedState)
     const auto remote = client.submit(requestFor(set, "fleet-park"));
     const MemoCacheStats after = checkpointCache().stats();
 
-    EXPECT_EQ(after.entries, before.entries + set.size());
+    EXPECT_EQ(after.entries, before.entries + plain);
     EXPECT_EQ(after.misses, before.misses + set.size());
     EXPECT_EQ(after.hits, before.hits);
     const auto local = runner::ExperimentRunner().run(set);

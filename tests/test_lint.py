@@ -67,6 +67,13 @@ class TestFixtures(unittest.TestCase):
         self.assertIn("det_rand.cc:22: [suppression-syntax]", self.out)
         self.assertIn("'random_device'", self.out)
 
+    def test_member_operators_are_not_data_members(self):
+        # `WireStats &operator+=(...)` once read as a data member
+        # named `operator`: the `=` of `+=` looked like an
+        # initializer before the parameter list's `(`.
+        self.assertNotIn("codec_operators.cc:", self.out)
+        self.assertNotIn("'operator'", self.out)
+
     def test_clean_fixtures_stay_clean(self):
         for clean in ("clean.cc", "clone_clean.cc",
                       "det_allowed_progress.cc"):

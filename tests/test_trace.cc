@@ -1055,6 +1055,31 @@ TEST(TraceIOTest, BadBranchTypeNamesTheRecordOnEveryReadPath)
     std::remove(path.c_str());
 }
 
+TEST(TraceIOTest, WideStartAddressNamesTheRecordOnEveryReadPath)
+{
+    // A decoded record packs its start address into 48 bits, so
+    // replay, the decoded store and buildTraceIndex all reject a
+    // wider one the same way. Byte 6 of a record holds bits 48-55.
+    const WorkloadPreset preset = tinyPreset();
+    Program prog(preset.program);
+    TraceGenerator gen(prog, 1);
+    const std::string path = "/tmp/shotgun_test_wide_addr.bin";
+    recordTrace(gen, preset, 1, path, 9000);
+    pokeByte(path, recordByte(path, 9000, 4321, 6), 0x01);
+
+    for (const std::string &error :
+         {traceErrorOf([&]() { drainTrace(path); }),
+          traceErrorOf([&]() { DecodedTrace decoded(path); }),
+          traceErrorOf([&]() { buildTraceIndex(path, 1000); })}) {
+        EXPECT_NE(error.find("corrupt record 4321 (start address 0x1"),
+                  std::string::npos)
+            << error;
+        EXPECT_NE(error.find("exceeds 48 bits)"), std::string::npos)
+            << error;
+    }
+    std::remove(path.c_str());
+}
+
 TEST(TraceIOTest, ChunkedCodecRoundTripsAcrossChunkBoundaries)
 {
     // Enough records for several read and write chunks, replayed

@@ -341,6 +341,8 @@ def _has_top_level_paren_before_init(tokens):
     n = len(tokens)
     while i < n:
         t = tokens[i]
+        if t.kind == "id" and t.text == "operator":
+            return True  # operator+=, operator==: the `=` is its name
         if t.kind == "punct" and t.text == "=":
             return False  # initializer begins; declaration part clean
         if t.kind == "punct" and t.text == "<" and _angle_open(tokens, i):
