@@ -473,11 +473,15 @@ fi
 cmp "$BUILD_DIR/smoke/uarch_remote.csv" "$BUILD_DIR/smoke/svc_local.csv"
 cmp "$BUILD_DIR/smoke/uarch_remote_report.json" "$UARCH_REPORT"
 
-echo "== fleet: a corrupt trace record fails its job, not the worker =="
+echo "== fleet: a corrupt or truncated trace fails its job, not the worker =="
 # Set the branch-type byte (17) of record 30553 of a nutch trace to
-# 0xEE. The worker's header probe passes; decoding the payload throws
-# on that record, so the job fails naming it (exit 1), the worker
-# keeps serving, and the next job matches the in-process run.
+# 0xEE. The header still reads; decoding the payload throws on that
+# record, so the job fails naming it (exit 1), the worker keeps
+# serving, and the next job matches the in-process run. A truncated
+# copy (header count > payload) exits 1 from the header reader: here
+# the submitting client's, which resolves the trace: spec; a worker
+# that meets one fails the point the same way
+# (FleetTest.BadTraceFilesFailTheJobNotTheWorker).
 BAD_TRACE="$BUILD_DIR/smoke/corrupt.trace"
 "$BUILD_DIR/shotgun-trace" record nutch "$BAD_TRACE" --warmup 100000 \
     --instructions 200000 > /dev/null
@@ -500,6 +504,19 @@ test "$BAD_RC" -eq 1 || {
 }
 grep -q "corrupt record 30553 (bad branch type 238)" \
     "$BUILD_DIR/smoke/corrupt.err"
+CUT_TRACE="$BUILD_DIR/smoke/truncated.trace"
+head -c "$(( $(stat -c %s "$BAD_TRACE") - 30 ))" "$BAD_TRACE" \
+    > "$CUT_TRACE"
+CUT_RC=0
+"$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_C" \
+    --workload "trace:$CUT_TRACE" --schemes shotgun --warmup 100000 \
+    --instructions 200000 --no-progress \
+    > /dev/null 2> "$BUILD_DIR/smoke/truncated.err" || CUT_RC=$?
+test "$CUT_RC" -eq 1 || {
+    echo "submit over a truncated trace exited $CUT_RC, expected 1" >&2
+    exit 1
+}
+grep -q "truncated trace file" "$BUILD_DIR/smoke/truncated.err"
 "$BUILD_DIR/shotgun-submit" --server "unix:$SOCK_C" --ping > /dev/null
 "$BUILD_DIR/shotgun-submit" --coordinator "unix:$COORD_C" \
     "${GRID[@]}" --seed 2 --out "$BUILD_DIR/smoke/after_corrupt" \

@@ -1125,14 +1125,6 @@ FleetCoordinator::statusFrame()
                                  1000.0 /
                                  static_cast<double>(up_ms);
             status.counters = worker.counters;
-            // Heartbeat freshness per worker, published as registry
-            // gauges so liveness is inspectable from the same source
-            // the frame reads.
-            obs::metrics()
-                .gauge("fleet.worker." + worker.name +
-                       ".heartbeat_age_ms")
-                ->set(static_cast<std::int64_t>(
-                    status.heartbeatAgeMs));
             checkpoint_hits += worker.counters.checkpointHits;
             checkpoint_misses += worker.counters.checkpointMisses;
             inflight += status.inflight;

@@ -258,7 +258,7 @@ FleetWorker::statusFrame()
     server.set("cache_entries",
                Value::number(std::uint64_t{cache_stats.entries}));
     server.set("cache",
-               obs::cacheStatsJson(registry, "serve.cache", true));
+               obs::cacheStatsJson(registry, "serve.cache", false));
     // The warmed-state checkpoint store and the decoded-trace store
     // are process-wide, beside the result cache: the three caches the
     // one-pass grid pipeline rests on.
@@ -273,18 +273,13 @@ FleetWorker::statusFrame()
 }
 
 service::WorkResult
-FleetWorker::compute(const service::WorkItem &item, unsigned slot_index,
-                     service::TraceProbeCache &probed)
+FleetWorker::compute(const service::WorkItem &item, unsigned slot_index)
 {
     service::WorkResult out;
     out.task = item.task;
-    std::string error;
-    if (!service::validateExperimentTrace(item.experiment, probed,
-                                          error)) {
-        out.ok = false;
-        out.message = error;
-        return out;
-    }
+    // A bad trace (missing, damaged, too short, recorded from another
+    // program) throws TraceError out of the simulation: this point
+    // fails, the worker keeps serving.
     try {
         out.fingerprint =
             service::configFingerprint(item.experiment.config);
@@ -343,7 +338,8 @@ FleetWorker::compute(const service::WorkItem &item, unsigned slot_index,
             out.delta = value->delta;
     } catch (const std::exception &e) {
         out.ok = false;
-        out.message = e.what();
+        out.message = "experiment \"" + item.experiment.workload + "/" +
+                      item.experiment.label + "\": " + e.what();
     }
     return out;
 }
@@ -388,7 +384,6 @@ FleetWorker::controlLoop()
                 const MemoCacheStats stats = cache_.stats();
                 c.cacheHits = stats.hits;
                 c.cacheMisses = stats.misses;
-                c.backendHits = stats.backendHits;
                 const MemoCacheStats cp = checkpointCache().stats();
                 c.checkpointHits = cp.hits;
                 c.checkpointMisses = cp.misses;
@@ -444,7 +439,6 @@ FleetWorker::controlLoop()
 void
 FleetWorker::slotLoop(unsigned slot_index)
 {
-    service::TraceProbeCache probed;
     while (!stop_.load()) {
         const std::uint64_t id = workerId_.load();
         if (id == 0) {
@@ -482,8 +476,8 @@ FleetWorker::slotLoop(unsigned slot_index)
                 const Value frame = Value::parse(line);
                 if (service::frameType(frame) != "work")
                     continue; // e.g. an error frame; keep stealing.
-                const service::WorkResult out = compute(
-                    service::decodeWork(frame), slot_index, probed);
+                const service::WorkResult out =
+                    compute(service::decodeWork(frame), slot_index);
                 if (!channel->sendLine(
                         service::encodeWorkResult(out).dump()))
                     break;

@@ -18,11 +18,12 @@
  * `ping` and `shutdown`. A `submit`, `attach` or `cancel` frame gets
  * an error frame pointing at the coordinator.
  *
- * Every pulled point is validated (validateExperimentTrace) before
- * it is simulated -- a missing or stale trace on this machine is
- * reported as an error result, never a fatal() that would kill the
- * daemon -- and computed through the worker's in-memory fingerprint
- * cache (an optional LRU byte budget, common/memo.hh).
+ * Every pulled point is computed through the worker's in-memory
+ * fingerprint cache (an optional LRU byte budget, common/memo.hh). A
+ * simulation that throws -- a trace that is missing, damaged, too
+ * short or recorded from another program throws TraceError -- is
+ * reported as an `ok:false` result that fails the point's job; the
+ * worker keeps serving.
  *
  * Failures reconnect with backoff: a coordinator restart, a dropped
  * control connection, or a dead slot socket each just retries; the
@@ -123,8 +124,7 @@ class FleetWorker
     void handleControl(const std::shared_ptr<service::LineChannel> &channel);
     json::Value statusFrame();
     service::WorkResult compute(const service::WorkItem &item,
-                                unsigned slot_index,
-                                service::TraceProbeCache &probed);
+                                unsigned slot_index);
 
     /** Register a live channel so requestShutdown() can close it. */
     std::shared_ptr<service::LineChannel>

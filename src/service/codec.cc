@@ -1,14 +1,11 @@
 #include "service/codec.hh"
 
-#include <cctype>
 #include <cstdio>
-#include <filesystem>
 #include <limits>
 #include <utility>
 
 #include "prefetch/factory.hh"
 #include "trace/presets.hh"
-#include "trace/trace_io.hh"
 
 namespace shotgun
 {
@@ -561,43 +558,6 @@ decodeProgramParams(const json::Value &v)
 WorkloadPreset
 decodeWorkloadPreset(const json::Value &v)
 {
-    if (v.isString()) {
-        // Compact form: a preset name or trace:<path>[:name] spec,
-        // validated here because presetByName() is fatal on errors.
-        const std::string &spec = v.asString();
-        if (isTraceWorkloadSpec(spec)) {
-            // Resolve the path with the same precedence rules
-            // presetFromTraceSpec (presets.cc) will apply -- the
-            // whole remainder when such a file exists, otherwise the
-            // part before the last ':' -- then require that exact
-            // file to pass the non-fatal header probe. Probing a
-            // different candidate than presetByName() would open
-            // would let a bad file through to its fatal() paths.
-            const std::string rest = spec.substr(6);
-            if (rest.empty())
-                throw CodecError("workload spec \"" + spec +
-                                 "\": expected trace:<path>[:name]");
-            std::string path = rest;
-            std::error_code ec;
-            if (!std::filesystem::exists(path, ec)) {
-                const auto colon = rest.rfind(':');
-                if (colon != std::string::npos)
-                    path = rest.substr(0, colon);
-            }
-            std::string error;
-            if (!probeTraceFile(path, 0, error))
-                throw CodecError("workload spec \"" + spec + "\": " +
-                                 error);
-            return presetByName(spec);
-        }
-        std::string lower(spec);
-        for (char &c : lower)
-            c = static_cast<char>(std::tolower(
-                static_cast<unsigned char>(c)));
-        (void)workloadIdFromName(lower); // throws when unknown
-        return presetByName(lower);
-    }
-
     ObjectReader r(v, "workload");
     WorkloadPreset preset;
     preset.id = workloadIdFromName(r.str("id"));
@@ -787,29 +747,6 @@ decodeStatsDelta(const json::Value &v)
         delta.uarch = decodeUarchBreakdown(*uarch, delta.stalls);
     r.finish();
     return delta;
-}
-
-// ---------------------------------------------------- trace validation
-
-bool
-probeTraceFile(const std::string &path,
-               std::uint64_t needed_instructions, std::string &error,
-               TraceInfo *info)
-{
-    TraceInfo parsed;
-    if (!tryReadTraceInfo(path, parsed, error))
-        return false;
-    if (parsed.instructions < needed_instructions) {
-        error = "trace '" + path + "' holds " +
-                std::to_string(parsed.instructions) +
-                " instructions but the run needs " +
-                std::to_string(needed_instructions) +
-                "; record a longer trace";
-        return false;
-    }
-    if (info != nullptr)
-        *info = std::move(parsed);
-    return true;
 }
 
 // --------------------------------------------------------- fingerprint

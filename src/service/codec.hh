@@ -14,12 +14,11 @@
  * field, or a kind mismatch raises CodecError (derived from
  * json::JsonError) -- frames are rejected, the process never dies.
  *
- * Workloads round-trip two ways: the canonical form embeds the full
- * WorkloadPreset (program-model parameters, data-side knobs and the
- * trace path), while decode also accepts a compact string -- a preset
- * name ("oracle") or a `trace:<path>[:name]` spec -- which is
- * resolved through presetByName(), letting hand-written submissions
- * reference a workload the way every bench command line does.
+ * A workload is always the full object: the canonical form embeds
+ * the whole WorkloadPreset (program-model parameters, data-side knobs
+ * and the trace path), so decoding never touches a file. A trace is
+ * checked where it is read (trace/trace_io.hh, runSimulationDelta),
+ * which throws TraceError for that one point.
  */
 
 #ifndef SHOTGUN_SERVICE_CODEC_HH
@@ -33,7 +32,6 @@
 #include "common/json.hh"
 #include "obs/uarch.hh"
 #include "sim/simulator.hh"
-#include "trace/trace_io.hh"
 
 namespace shotgun
 {
@@ -129,11 +127,7 @@ json::Value encodeUarchBreakdown(const obs::UarchBreakdown &u,
 
 ProgramParams decodeProgramParams(const json::Value &v);
 
-/**
- * Accepts the canonical object form or a compact string (preset name
- * or `trace:<path>[:name]` spec). A string trace spec requires the
- * trace file to be readable here -- its header is the preset.
- */
+/** The canonical object form only; any other kind is a CodecError. */
 WorkloadPreset decodeWorkloadPreset(const json::Value &v);
 
 CoreParams decodeCoreParams(const json::Value &v);
@@ -152,23 +146,6 @@ SimResult decodeSimResult(const json::Value &v);
 StatsDelta decodeStatsDelta(const json::Value &v);
 obs::UarchBreakdown decodeUarchBreakdown(const json::Value &v,
                                          const Core::CycleBreakdown &stalls);
-
-// ------------------------------------------------- trace validation
-
-/**
- * Non-fatal trace-file sanity probe for the service boundary (the
- * trace reader proper is fatal() on damage -- right for a CLI,
- * lethal for a daemon). Wraps trace_io's tryReadTraceInfo() -- valid
- * v2 header, payload backs the claimed record count -- and
- * additionally requires at least `needed_instructions`. Returns
- * false with a message in `error`; does not throw. `info` (optional)
- * receives the parsed header so callers can cross-check the embedded
- * preset against a submitted config. Damage to record *content* is
- * still only caught by the reader mid-run.
- */
-bool probeTraceFile(const std::string &path,
-                    std::uint64_t needed_instructions,
-                    std::string &error, TraceInfo *info = nullptr);
 
 // -------------------------------------------------------- fingerprint
 

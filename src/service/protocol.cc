@@ -106,7 +106,6 @@ setWorkerCounters(Value &v, const WorkerCounters &c)
     Value cache = Value::object();
     cache.set("hits", Value::number(c.cacheHits));
     cache.set("misses", Value::number(c.cacheMisses));
-    cache.set("backend_hits", Value::number(c.backendHits));
     Value checkpoint = Value::object();
     checkpoint.set("hits", Value::number(c.checkpointHits));
     checkpoint.set("misses", Value::number(c.checkpointMisses));
@@ -133,7 +132,6 @@ getWorkerCounters(ObjectReader &frame)
     ObjectReader cache(frame.get("cache"), "cache");
     c.cacheHits = cache.u64("hits");
     c.cacheMisses = cache.u64("misses");
-    c.backendHits = cache.u64("backend_hits");
     cache.finish();
     ObjectReader checkpoint(frame.get("checkpoint"), "checkpoint");
     c.checkpointHits = checkpoint.u64("hits");
@@ -503,57 +501,6 @@ decodeWorkerStatus(const json::Value &v)
     status.counters = getWorkerCounters(r);
     r.finish();
     return status;
-}
-
-bool
-validateExperimentTrace(const runner::Experiment &exp,
-                        TraceProbeCache &probed, std::string &error)
-{
-    const std::string &path = exp.config.workload.tracePath;
-    if (path.empty())
-        return true;
-    auto it = probed.find(path);
-    if (it == probed.end()) {
-        std::string probe_error;
-        TraceInfo info;
-        if (!probeTraceFile(path, 0, probe_error, &info)) {
-            error = "experiment \"" + exp.workload + "/" + exp.label +
-                    "\": " + probe_error;
-            return false;
-        }
-        it = probed
-                 .emplace(path,
-                          std::make_pair(
-                              info.instructions,
-                              encodeProgramParams(info.preset.program)
-                                  .dump()))
-                 .first;
-    }
-    // A windowed config fast-forwards to window.measureEnd at most
-    // (plus any stream skip); the whole region otherwise.
-    const SimWindow &window = exp.config.window;
-    const std::uint64_t needed =
-        window.skipInstructions + exp.config.warmupInstructions +
-        (window.enabled() ? window.measureEnd
-                          : exp.config.measureInstructions);
-    if (it->second.first < needed) {
-        error = "experiment \"" + exp.workload + "/" + exp.label +
-                "\": trace '" + path + "' holds " +
-                std::to_string(it->second.first) +
-                " instructions but the run needs " +
-                std::to_string(needed) + "; record a longer trace";
-        return false;
-    }
-    if (it->second.second !=
-        encodeProgramParams(exp.config.workload.program).dump()) {
-        error = "experiment \"" + exp.workload + "/" + exp.label +
-                "\": trace '" + path +
-                "' on this server was recorded from different "
-                "program parameters than the submitted workload "
-                "(stale or re-recorded copy?)";
-        return false;
-    }
-    return true;
 }
 
 json::Value

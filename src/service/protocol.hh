@@ -1,13 +1,13 @@
 /**
  * @file
- * The service wire protocol, version 6: newline-delimited JSON frames
+ * The service wire protocol, version 7: newline-delimited JSON frames
  * over a stream socket (TCP or Unix). Every frame is one line, one
  * JSON object, with a "type" member. See src/service/README.md for
  * the grammar and an example session, src/fleet/README.md for the
  * coordinator<->worker frames.
  *
  * Client -> coordinator (shotgun-coord):
- *   {"type":"submit","protocol":6,"experiment":...,"priority":N,
+ *   {"type":"submit","protocol":7,"experiment":...,"priority":N,
  *    "grid":[{"workload":...,"label":...,"config":{...}},...]
  *    [,"trace":{"id":N,"parent":N}]}
  *   {"type":"status"}          {"type":"cancel","job":N}
@@ -26,10 +26,11 @@
  *   {"type":"pong"}  {"type":"bye"}  {"type":"error","message":...}
  *
  * Worker -> coordinator (control connection):
- *   {"type":"register","protocol":6,"name":...,"slots":N}
+ *   {"type":"register","protocol":7,"name":...,"slots":N}
  *     -> {"type":"ack","worker":N}
- *   {"type":"heartbeat","worker":N,"completed":N,"cache":{...},
- *    "checkpoint":{...},"phase":{...},"percentiles":{...}}
+ *   {"type":"heartbeat","worker":N,"completed":N,
+ *    "cache":{"hits":N,"misses":N},"checkpoint":{"hits":N,"misses":N},
+ *    "phase":{...},"percentiles":{...}}
  *     -> {"type":"ack"}
  *
  * Worker -> coordinator (one connection per slot):
@@ -48,16 +49,15 @@
  * members are conditional and their absence carries meaning: "delta"
  * only for windowed points, "trace"/"spans"/"timing" only for traced
  * ones, "message" only for failures, "jobs" and "fleet" only from a
- * coordinator.
+ * coordinator. A config's "workload" is always the full preset object
+ * (service/codec.hh).
  */
 
 #ifndef SHOTGUN_SERVICE_PROTOCOL_HH
 #define SHOTGUN_SERVICE_PROTOCOL_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/json.hh"
@@ -75,7 +75,7 @@ namespace service
  * other (submit, register) are rejected; bumped on any change to a
  * frame's members.
  */
-constexpr std::uint64_t kProtocolVersion = 6;
+constexpr std::uint64_t kProtocolVersion = 7;
 
 /** A grid submission: the wire form of a runner::ExperimentSet. */
 struct SubmitRequest
@@ -206,10 +206,9 @@ RegisterRequest decodeRegister(const json::Value &frame);
  */
 struct WorkerCounters
 {
-    // The worker's result cache; backendHits were served from disk.
+    // The worker's in-memory result cache.
     std::uint64_t cacheHits = 0;
     std::uint64_t cacheMisses = 0;
-    std::uint64_t backendHits = 0;
 
     // The worker's warmed-state checkpoint store (sim/checkpoint.hh):
     // hits are restored warmups, misses are warmups simulated.
@@ -323,26 +322,6 @@ runner::Experiment decodeExperiment(const json::Value &v);
 /** One trace span, as "spans" arrays carry it. */
 json::Value encodeSpan(const obs::SpanRecord &span);
 obs::SpanRecord decodeSpan(const json::Value &v);
-
-/**
- * Per-path probe memo for validateExperimentTrace: path ->
- * (instruction count, canonical program-params encoding).
- */
-using TraceProbeCache =
-    std::map<std::string, std::pair<std::uint64_t, std::string>>;
-
-/**
- * Validate that a trace-backed experiment can run *here*: readable,
- * untruncated v2 trace, long enough for the requested (possibly
- * windowed) run, recorded from the same program parameters the
- * config describes. One probe per distinct path via `probed`.
- * Returns false with the detail in `error`; never throws or
- * fatal()s -- callers sit on daemon threads. Non-trace experiments
- * trivially pass.
- */
-bool validateExperimentTrace(const runner::Experiment &exp,
-                             TraceProbeCache &probed,
-                             std::string &error);
 
 /** Convenience: {"type":t} or {"type":"error","message":m}. */
 json::Value makeFrame(const std::string &type);

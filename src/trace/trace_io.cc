@@ -487,41 +487,25 @@ readTraceInfo(const std::string &path)
     std::ifstream in(path, std::ios::binary);
     if (!in.is_open())
         throw TraceError("cannot open trace file '" + path + "'");
-    return parseHeader(in, path);
-}
-
-bool
-tryReadTraceInfo(const std::string &path, TraceInfo &out,
-                 std::string &error)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in.is_open()) {
-        error = "cannot open trace file '" + path + "'";
-        return false;
-    }
-    try {
-        out = parseHeader(in, path);
-    } catch (const TraceError &e) {
-        error = e.what();
-        return false;
-    }
-    // The header's record count must be backed by actual payload
-    // bytes, or replay would die on a truncated file mid-run.
+    TraceInfo info = parseHeader(in, path);
+    // The header's record count must be backed by payload bytes, so
+    // a truncated file is rejected before anything is sized by it.
     const std::streamoff payload_start = in.tellg();
     in.seekg(0, std::ios::end);
     const std::streamoff file_end = in.tellg();
-    if (payload_start < 0 || file_end < payload_start) {
-        error = "'" + path + "': cannot determine trace file size";
-        return false;
-    }
-    const std::uint64_t payload =
-        static_cast<std::uint64_t>(file_end - payload_start);
-    if (payload / kTraceRecordBytes < out.records) {
-        error = "'" + path + "': truncated trace file (header claims " +
-                std::to_string(out.records) + " records)";
-        return false;
-    }
-    return true;
+    if (payload_start < 0 || file_end < payload_start)
+        throw TraceError("'" + path +
+                         "': cannot determine trace file size");
+    const std::uint64_t held =
+        static_cast<std::uint64_t>(file_end - payload_start) /
+        kTraceRecordBytes;
+    if (held < info.records)
+        throw TraceError("'" + path +
+                         "': truncated trace file (header claims " +
+                         std::to_string(info.records) +
+                         " records, the file holds " +
+                         std::to_string(held) + ")");
+    return info;
 }
 
 std::uint64_t

@@ -260,18 +260,14 @@ class TraceFileSource : public TraceSource
     TraceIndex index_;
 };
 
-/** Read and validate just the header of `path`; throws TraceError. */
-TraceInfo readTraceInfo(const std::string &path);
-
 /**
- * Non-throwing variant for the service boundary (a fleet worker
- * validates each point with it): same checks as readTraceInfo()
- * plus a payload-size check -- the file must actually hold the
- * `records` the header claims -- reported through `error`. Lives
- * here so the header layout has exactly one owner.
+ * Read and validate the header of `path`: the one header reader
+ * (`shotgun-trace info`, presetByName("trace:..."), the decoded-trace
+ * store). Throws TraceError on an unreadable file, a bad header, or a
+ * payload that holds fewer records than the header claims. Record
+ * *content* is checked by the readers that decode it.
  */
-bool tryReadTraceInfo(const std::string &path, TraceInfo &out,
-                      std::string &error);
+TraceInfo readTraceInfo(const std::string &path);
 
 /**
  * Record up to `count` basic blocks from `source` into `path`.

@@ -480,8 +480,8 @@ TEST(FleetTest, DeterministicJobFailureFailsTheJobNotTheFleet)
 
 TEST(FleetTest, CorruptTraceRecordFailsItsPointNotTheWorker)
 {
-    // A damaged record deep inside a trace passes the worker's
-    // header probe and is only met while the point decodes the file.
+    // A damaged record deep inside a trace passes the header check
+    // and is only met while the point decodes the file.
     // It must fail that point's job with the record named, not kill
     // the worker.
     const WorkloadPreset nutch = presetByName("nutch");
@@ -671,12 +671,14 @@ TEST(FleetTest, PointThatLosesTwoWorkersFailsItsJob)
 
 TEST(FleetTest, BadTraceFilesFailTheJobNotTheWorker)
 {
-    // A file that is not a trace, and a real trace recorded from a
-    // different program than the submitted config describes (the
-    // distributed stale-copy case): the worker's pre-simulation
-    // probe turns each into an error result that fails its job,
-    // where a mid-run fatal() would have killed the worker. (A
-    // missing file is DeterministicJobFailureFailsTheJobNotTheFleet.)
+    // A file that is not a trace, a trace whose payload holds fewer
+    // records than its header claims, a trace too short for the run,
+    // and a real trace recorded from a different program than the
+    // submitted config describes (the distributed stale-copy case):
+    // the simulation throws TraceError for each, the worker turns it
+    // into an error result that fails its job, and keeps answering.
+    // (A missing file is DeterministicJobFailureFailsTheJobNotTheFleet,
+    // a corrupt record CorruptTraceRecordFailsItsPointNotTheWorker.)
     const WorkloadPreset preset = tinyPreset("fleet-trace", 1);
     SubmitRequest request;
     request.experiment = "bad-trace";
@@ -684,45 +686,75 @@ TEST(FleetTest, BadTraceFilesFailTheJobNotTheWorker)
     exp.workload = "fleet-trace";
     exp.label = "shotgun";
     exp.config = SimConfig::make(preset, SchemeType::Shotgun);
-    request.grid.push_back(exp);
+    exp.config.warmupInstructions = 10;
+    exp.config.measureInstructions = 10;
 
     TestCoordinator coord("badtrace");
     TestWorker worker("badtrace-w", coord.endpoint());
     awaitWorkers(coord.coordinator(), 1);
     ServiceClient client(coord.endpoint());
 
+    // Submit `bad` alone: the job must fail with `expected` in its
+    // message, and the worker must still answer.
+    auto expect_job_fails = [&](const runner::Experiment &bad,
+                                const std::string &expected) {
+        SCOPED_TRACE(expected);
+        request.grid = {bad};
+        try {
+            client.submit(request);
+            ADD_FAILURE() << "a job over a bad trace completed";
+        } catch (const service::ServiceError &e) {
+            EXPECT_NE(std::string(e.what()).find(expected),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_TRUE(client.ping());
+        EXPECT_EQ(coord.coordinator().liveWorkers(), 1u);
+    };
+
     const std::string garbage = "/tmp/shotgun_fleet_garbage.trace";
     {
         std::ofstream out(garbage, std::ios::binary);
         out << "definitely not a shotgun trace, but quite long";
     }
-    request.grid[0].config.workload.tracePath = garbage;
-    EXPECT_THROW(client.submit(request), service::ServiceError);
-    EXPECT_TRUE(client.ping());
+    runner::Experiment bad = exp;
+    bad.config.workload.tracePath = garbage;
+    expect_job_fails(bad, "not a shotgun trace");
     std::remove(garbage.c_str());
 
-    const std::string trace = "/tmp/shotgun_fleet_stale.trace";
+    const std::string trace = "/tmp/shotgun_fleet_bad.trace";
     {
         Program prog(preset.program);
         TraceGenerator gen(prog, 1);
         recordTrace(gen, preset, 1, trace, 5000);
     }
-    request.grid[0].config.workload.tracePath = trace;
-    request.grid[0].config.workload.program.numFuncs += 1;
-    request.grid[0].config.warmupInstructions = 10;
-    request.grid[0].config.measureInstructions = 10;
-    try {
-        client.submit(request);
-        ADD_FAILURE() << "stale trace accepted";
-    } catch (const service::ServiceError &e) {
-        EXPECT_NE(std::string(e.what())
-                      .find("different program parameters"),
-                  std::string::npos)
-            << e.what();
-    }
+    const std::uint64_t instructions = readTraceInfo(trace).instructions;
+    bad = exp;
+    bad.config.workload.tracePath = trace;
+
+    runner::Experiment too_short = bad;
+    too_short.config.measureInstructions = instructions;
+    expect_job_fails(too_short, "record a longer trace");
+
+    runner::Experiment stale = bad;
+    stale.config.workload.program.numFuncs += 1;
+    expect_job_fails(stale,
+                     "does not match this workload's program parameters");
+
+    const std::string truncated = "/tmp/shotgun_fleet_truncated.trace";
+    std::filesystem::copy_file(
+        trace, truncated, std::filesystem::copy_options::overwrite_existing);
+    std::filesystem::resize_file(
+        truncated, std::filesystem::file_size(truncated) - 30);
+    runner::Experiment cut = bad;
+    cut.config.workload.tracePath = truncated;
+    expect_job_fails(cut, "truncated trace file");
+    std::remove(truncated.c_str());
+
+    // The intact trace still runs on the same worker.
+    request.grid = {bad};
+    EXPECT_EQ(client.submit(request).size(), 1u);
     std::remove(trace.c_str());
-    EXPECT_TRUE(client.ping());
-    EXPECT_EQ(coord.coordinator().liveWorkers(), 1u);
 }
 
 TEST(FleetTest, CacheEvictionRespectsByteBudget)

@@ -100,6 +100,8 @@ TEST(WorkerControlTest, JobFramesGetAnErrorAndTheWorkerStillAnswers)
     EXPECT_EQ(server.at("protocol").asU64(), kProtocolVersion);
     EXPECT_EQ(server.at("cache").at("entries").asU64(), 0u);
     EXPECT_EQ(server.at("cache").at("hits").asU64(), 0u);
+    // A worker has no disk cache, so no backend_hits (protocol 7).
+    EXPECT_EQ(server.at("cache").find("backend_hits"), nullptr);
     EXPECT_NO_THROW(server.at("checkpoint").at("hits").asU64());
     EXPECT_NO_THROW(server.at("checkpoint").at("misses").asU64());
     EXPECT_NO_THROW(server.at("traces").at("bytes").asU64());

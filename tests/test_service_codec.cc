@@ -128,72 +128,30 @@ TEST(ServiceCodecTest, TraceBackedWorkloadRoundTrips)
     EXPECT_EQ(decoded.workload.tracePath, path);
     EXPECT_EQ(decoded.workload.program.seed, 0xc0decu);
 
-    // Compact string form: resolved through presetByName(), i.e.
-    // from the trace file's self-describing header.
-    const WorkloadPreset compact =
-        decodeWorkloadPreset(Value::string("trace:" + path));
-    EXPECT_EQ(compact.tracePath, path);
-    EXPECT_EQ(compact.program.numFuncs, 120u);
-
+    // Decoding reads no file: the config still decodes to the same
+    // bytes with the trace gone (the simulator rejects it later).
     std::remove(path.c_str());
-
-    // With the file gone the compact form must be rejected (decode
-    // must never fatal() out of the server).
-    EXPECT_THROW(
-        decodeWorkloadPreset(Value::string("trace:" + path)),
-        CodecError);
+    EXPECT_EQ(canonical(decodeSimConfig(Value::parse(bytes))), bytes);
 }
 
-TEST(ServiceCodecTest, ProbeTraceFileValidatesWithoutFatal)
+TEST(ServiceCodecTest, StringWorkloadIsACodecError)
 {
-    std::string error;
-
-    // Missing file.
-    EXPECT_FALSE(probeTraceFile("/tmp/shotgun_probe_missing.trace", 0,
-                                error));
-    EXPECT_NE(error.find("cannot open"), std::string::npos);
-
-    // Garbage file.
-    const std::string garbage = "/tmp/shotgun_probe_garbage.trace";
-    {
-        std::ofstream out(garbage, std::ios::binary);
-        out << "0123456789abcdef0123456789abcdef";
+    // The workload is the canonical object, nothing else: a preset
+    // name or a trace:<path> spec in its place is a kind mismatch,
+    // rejected like any other, and never resolved against a file.
+    const Value canonical_config = encodeSimConfig(SimConfig::make(
+        makePreset(WorkloadId::Oracle), SchemeType::Baseline));
+    for (const char *spec : {"oracle", "trace:/tmp/x.trace", ""}) {
+        SCOPED_TRACE(spec);
+        EXPECT_THROW(decodeWorkloadPreset(Value::string(spec)),
+                     CodecError);
+        Value config = Value::object();
+        for (const Value::Member &m : canonical_config.members())
+            config.set(m.first, m.first == "workload"
+                                    ? Value::string(spec)
+                                    : m.second);
+        EXPECT_THROW(decodeSimConfig(config), CodecError);
     }
-    EXPECT_FALSE(probeTraceFile(garbage, 0, error));
-    EXPECT_NE(error.find("not a shotgun trace"), std::string::npos);
-    std::remove(garbage.c_str());
-
-    // Real trace: passes, and the instruction budget is enforced.
-    WorkloadPreset preset;
-    preset.name = "probe-tiny";
-    preset.program.name = "probe-tiny";
-    preset.program.numFuncs = 120;
-    preset.program.numOsFuncs = 30;
-    preset.program.numTrapHandlers = 4;
-    preset.program.numTopLevel = 8;
-
-    const std::string path = "/tmp/shotgun_probe_test.trace";
-    Program prog(preset.program);
-    TraceGenerator gen(prog, 1);
-    recordTrace(gen, preset, 1, path, 1000);
-    const std::uint64_t instrs = readTraceInfo(path).instructions;
-
-    EXPECT_TRUE(probeTraceFile(path, instrs, error));
-    EXPECT_FALSE(probeTraceFile(path, instrs + 1, error));
-    EXPECT_NE(error.find("record a longer trace"), std::string::npos);
-    std::remove(path.c_str());
-}
-
-TEST(ServiceCodecTest, CompactWorkloadStrings)
-{
-    const WorkloadPreset oracle =
-        decodeWorkloadPreset(Value::string("oracle"));
-    EXPECT_EQ(oracle.name, "oracle");
-    EXPECT_EQ(canonical(SimConfig::make(oracle, SchemeType::Baseline)),
-              canonical(SimConfig::make(makePreset(WorkloadId::Oracle),
-                                        SchemeType::Baseline)));
-    EXPECT_THROW(decodeWorkloadPreset(Value::string("no-such")),
-                 CodecError);
 }
 
 TEST(ServiceCodecTest, SimResultRoundTrips)
@@ -625,7 +583,6 @@ sampleCounters()
     WorkerCounters c;
     c.cacheHits = 1;
     c.cacheMisses = 2;
-    c.backendHits = 3;
     c.checkpointHits = 4;
     c.checkpointMisses = 5;
     c.phaseDecodeUs = 6;

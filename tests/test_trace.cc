@@ -766,27 +766,30 @@ pokeLE64(std::vector<unsigned char> &bytes, std::size_t at,
 }
 
 /**
- * Open, replay, decode and index a damaged trace the way a fleet
- * worker would meet it. `probe` gates the rest on the worker's
- * up-front header check. Each step must complete or throw
- * TraceError: any other exception fails the test, and a crash or a
- * fatal() ends it.
+ * Read the header of, open, replay, decode and index a damaged trace
+ * the way a fleet worker would meet it. Every reader sees every
+ * input: a header rejection skips nothing after it. Each step must
+ * complete or throw TraceError: any other exception fails the test,
+ * and a crash or a fatal() ends it.
  */
 void
-exerciseDamagedTrace(const std::string &path, bool probe)
+exerciseDamagedTrace(const std::string &path)
 {
     TraceInfo info;
-    std::string error;
-    if (probe && !tryReadTraceInfo(path, info, error))
-        return; // Rejected before a record is read.
-    info = readTraceInfo(path);
+    bool header_ok = true;
+    try {
+        info = readTraceInfo(path);
+    } catch (const TraceError &) {
+        header_ok = false;
+    }
 
     TraceIndex index;
+    std::string error;
     tryReadTraceIndex(traceIndexPath(path), info, index, error);
     try {
         // Seeks through the sidecar index when it is still usable.
         TraceFileSource source(path);
-        source.skipInstructions(info.instructions / 2);
+        source.skipInstructions(source.totalInstructions() / 2);
         BBRecord rec;
         while (source.next(rec)) {
         }
@@ -794,6 +797,8 @@ exerciseDamagedTrace(const std::string &path, bool probe)
     }
     try {
         DecodedTrace decoded(path);
+        // The decoder accepts nothing the header reader rejects.
+        EXPECT_TRUE(header_ok);
         EXPECT_EQ(decoded.records(), info.records);
     } catch (const TraceError &) {
     }
@@ -830,7 +835,6 @@ TEST(TraceMutationTest, DamagedTracesAndIndexesCompleteOrThrow)
         std::vector<unsigned char> t = trace, x = idx;
         const bool on_index = below(2) == 1;
         std::vector<unsigned char> &victim = on_index ? x : t;
-        bool probe = true;
         switch (below(4)) {
           case 0: // Flip 1-4 bytes.
             for (std::uint64_t n = 1 + below(4); n > 0; --n)
@@ -847,7 +851,6 @@ TEST(TraceMutationTest, DamagedTracesAndIndexesCompleteOrThrow)
                 pokeLE64(x, 8 + 8 * below(5), value);
             } else {
                 pokeLE64(t, 8 + 8 * below(2), value);
-                probe = false; // Past the probe, as a direct open is.
             }
             break;
           }
@@ -856,14 +859,13 @@ TEST(TraceMutationTest, DamagedTracesAndIndexesCompleteOrThrow)
             pokeLE64(t, 8, value);
             pokeLE64(x, 8, value);  // The index's record binding.
             pokeLE64(x, 40, value); // Its entry count.
-            probe = false;
             break;
           }
         }
         writeRawFile(path, t);
         writeRawFile(traceIndexPath(path), x);
         SCOPED_TRACE("trial " + std::to_string(trial));
-        exerciseDamagedTrace(path, probe);
+        exerciseDamagedTrace(path);
     }
     std::remove(traceIndexPath(path).c_str());
     std::remove(path.c_str());
@@ -999,6 +1001,12 @@ TEST(TraceIOTest, RejectsTruncatedRecords)
     EXPECT_THROW(drainTrace(path), TraceError);
     EXPECT_NE(traceErrorOf([&]() { drainTrace(path); })
                   .find("truncated trace file after 998 of 1000 records"),
+              std::string::npos);
+    // The header reader checks the count against the payload, so
+    // `shotgun-trace info` and a trace: workload spec reject it too.
+    EXPECT_NE(traceErrorOf([&]() { readTraceInfo(path); })
+                  .find("truncated trace file (header claims 1000 "
+                        "records, the file holds 998)"),
               std::string::npos);
     EXPECT_NE(traceErrorOf([&]() { buildTraceIndex(path, 64); })
                   .find("truncated trace file after 998 of 1000 records"),
